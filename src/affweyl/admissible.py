@@ -29,7 +29,9 @@ from .affine_weyl import (
     omega_part,
     reduced_word,
     translation_element,
+    word_length_map,
 )
+from .linalg import hasse_diagram
 from .root_datum import RootDatum, dominant_rep, weyl_orbit
 
 
@@ -127,47 +129,14 @@ class KRPoset:
 
 def kr_poset(mu: Sequence[int], rd: RootDatum, level: ParahoricLevel) -> KRPoset:
     nodes = adm_K(mu, rd, level)
-    n = len(nodes)
-    leq = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            leq[i][j] = bruhat_leq(rd, nodes[i], nodes[j])
-    # covering relations: remove transitive edges
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j]:
-                if not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
-                    edges.append((i, j))
-    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
+    edges, bottoms = hasse_diagram([[bruhat_leq(rd, v, w) for w in nodes] for v in nodes])
     if len(bottoms) != 1:
         raise AffineWeylError("stratification poset does not have a unique bottom")
     tau_rep = double_coset_rep(rd, tau(mu, rd), level)
     if nodes[bottoms[0]] != tau_rep:
         raise AffineWeylError("poset bottom is not the coset of the minimal element")
     ranks = tuple(length(rd, w) for w in nodes)
-    return KRPoset(nodes, ranks, tuple(sorted(edges)), bottoms[0])
-
-
-def enumerate_ball(rd: RootDatum, radius: int) -> set[AffineWeylElement]:
-    """All elements of the affine Coxeter group W_a of length <= radius.
-
-    Brute-force generator closure; an independent oracle for enumeration
-    tests, exponential in the radius.
-    """
-    gens = iwahori_generators(rd)
-    seen = {identity_element(rd)}
-    frontier = set(seen)
-    for _ in range(radius):
-        nxt = set()
-        for w in frontier:
-            for g in gens:
-                cand = mul(w, g)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.add(cand)
-        frontier = nxt
-    return seen
+    return KRPoset(nodes, ranks, edges, bottoms[0])
 
 
 def adm_by_exhaustion(mu: Sequence[int], rd: RootDatum) -> set[AffineWeylElement]:
@@ -176,9 +145,8 @@ def adm_by_exhaustion(mu: Sequence[int], rd: RootDatum) -> set[AffineWeylElement
     t_mu = translation_element(mu_dom, rd)
     omega = omega_part(rd, t_mu)
     bound = length(rd, t_mu)
-    ball = enumerate_ball(rd, bound)
     out = set()
-    for w_a in ball:
+    for w_a in word_length_map(rd, bound):
         w = mul(w_a, omega)
         if is_admissible(w, mu, rd):
             out.add(w)

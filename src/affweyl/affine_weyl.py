@@ -167,10 +167,6 @@ def iwahori_generators(rd: RootDatum) -> tuple[AffineWeylElement, ...]:
     return tuple(affine) + tuple(finite)
 
 
-def generator_name(rd: RootDatum, index: int) -> str:
-    return f"s{index}"
-
-
 @lru_cache(maxsize=None)
 def length(rd: RootDatum, w: AffineWeylElement) -> int:
     """Iwahori-Matsumoto length l(t_lambda u).
@@ -286,6 +282,39 @@ def bruhat_leq_subword_oracle(rd: RootDatum, v: AffineWeylElement, w: AffineWeyl
     return False
 
 
+def word_length_map(
+    rd: RootDatum,
+    radius: Optional[int] = None,
+    gens: Optional[Sequence[AffineWeylElement]] = None,
+) -> dict[AffineWeylElement, int]:
+    """Breadth-first word distance from the identity over gens.
+
+    gens defaults to the affine simple reflections, whose word distance is
+    the length on W_a.  Without a radius the search runs until the
+    generated group is exhausted and refuses to pass 100000 elements.
+    Insertion order is fixed: frontier by frontier, generators in the
+    given order, multiplied on the right.
+    """
+    if gens is None:
+        gens = iwahori_generators(rd)
+    dist = {identity_element(rd): 0}
+    frontier = [identity_element(rd)]
+    d = 0
+    while frontier and (radius is None or d < radius):
+        d += 1
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                c = mul(w, g)
+                if c not in dist:
+                    dist[c] = d
+                    nxt.append(c)
+        frontier = nxt
+        if radius is None and len(dist) > 100000:
+            raise AffineWeylError("generated subgroup is unexpectedly large")
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # Frobenius actions
 
@@ -297,13 +326,6 @@ class SigmaAction:
     matrix: Mat
     matrix_inv: Mat
     order: int
-
-    def is_identity(self) -> bool:
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(len(self.matrix))
-            for j in range(len(self.matrix))
-        )
 
 
 def make_sigma(rd: RootDatum, matrix: Sequence[Sequence[int]]) -> SigmaAction:
@@ -453,21 +475,8 @@ def double_coset_rep(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel)
 @lru_cache(maxsize=None)
 def finite_parahoric_subgroup(rd: RootDatum, level: ParahoricLevel) -> frozenset[AffineWeylElement]:
     """All of W_K; the level must be finite, which make_level guarantees."""
-    gens = [iwahori_generators(rd)[i] for i in level.generators]
-    seen = {identity_element(rd)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                cand = mul(w, g)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-        if len(seen) > 100000:
-            raise AffineWeylError("parahoric subgroup is unexpectedly large")
-    return frozenset(seen)
+    gens = iwahori_generators(rd)
+    return frozenset(word_length_map(rd, gens=[gens[i] for i in level.generators]))
 
 
 def element_sort_key(rd: RootDatum, w: AffineWeylElement):

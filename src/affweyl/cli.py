@@ -32,8 +32,11 @@ from .stembridge import ChainPreconditionError, stembridge_chain
 from .straight_newton import (
     b_set,
     components_bound_report,
+    newton_poset,
     straight_classes,
 )
+
+FORMATS = ("table", "tsv", "json", "dot")
 
 
 class ConfigError(Exception):
@@ -52,6 +55,21 @@ def _parse_vector(text: str):
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse coordinate list {text!r}") from exc
+
+
+def _parse_cochar(text: str, rd, flag: str):
+    vec = _parse_vector(text)
+    if len(vec) != rd.rank:
+        raise ConfigError(
+            f"{flag} has {len(vec)} coordinates; {rd.type_label} needs {rd.rank}"
+        )
+    return vec
+
+
+def _dominant_mu(args, rd, command: str):
+    if not args.mu:
+        raise ConfigError(f"{command} needs --mu")
+    return dominant_rep(_parse_cochar(args.mu, rd, "--mu"), rd)[0]
 
 
 def _parse_level(rd, text: Optional[str], sigma):
@@ -74,15 +92,23 @@ def _parse_level(rd, text: Optional[str], sigma):
 def _build_context(args):
     spec = None
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ConfigError(f"config file {args.config!r} does not hold a JSON object")
         spec = config.get("group")
         if isinstance(spec, str):
             spec = _parse_group(spec)
         # config values take precedence over flags
         for key in ("mu", "sigma", "level", "format"):
             if key in config:
-                setattr(args, key, config[key])
+                value = config[key]
+                if not isinstance(value, str) or (key == "format" and value not in FORMATS):
+                    raise ConfigError(f"config value {key}={value!r} is not accepted")
+                setattr(args, key, value)
     if spec is None:
         if not getattr(args, "group", None):
             raise ConfigError("no group given; use --group or --config")
@@ -100,16 +126,6 @@ def _build_context(args):
     return rd, sigma, level
 
 
-def _meta_line(args, rd) -> str:
-    mu = getattr(args, "mu", None) or ""
-    sigma = getattr(args, "sigma", None) or "id"
-    level = getattr(args, "level", None) or ""
-    return (
-        f"# group={rd.type_label} mu={mu} sigma={sigma} level={level} "
-        f"tool=affweyl/{__version__}"
-    )
-
-
 def _meta_obj(args, rd) -> dict:
     return {
         "group": rd.type_label,
@@ -118,6 +134,10 @@ def _meta_obj(args, rd) -> dict:
         "level": getattr(args, "level", None) or "",
         "tool": f"affweyl/{__version__}",
     }
+
+
+def _meta_line(args, rd) -> str:
+    return "# " + " ".join(f"{k}={v}" for k, v in _meta_obj(args, rd).items())
 
 
 def _emit(text: str, out: Optional[str]):
@@ -142,6 +162,17 @@ def _rows_to_tsv(header, rows, meta: str) -> str:
     lines = [meta, "\t".join(str(h) for h in header)]
     lines += ["\t".join(str(c) for c in r) for r in rows]
     return "\n".join(lines) + "\n"
+
+
+def _emit_rows(args, rd, key: str, header, rows):
+    """Rows as JSON (one object per row under key), TSV or a table."""
+    if args.format == "json":
+        payload = {"meta": _meta_obj(args, rd), key: [dict(zip(header, r)) for r in rows]}
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    elif args.format == "tsv":
+        _emit(_rows_to_tsv(header, rows, _meta_line(args, rd)), args.out)
+    else:
+        _emit(_rows_to_table(header, rows, _meta_line(args, rd)), args.out)
 
 
 def _fmt_kappa(kappa) -> str:
@@ -187,23 +218,10 @@ def _adm_rows(rd, mu, level):
 
 def cmd_adm(args) -> int:
     rd, sigma, level = _build_context(args)
-    if not args.mu:
-        raise ConfigError("adm needs --mu")
-    mu = dominant_rep(_parse_vector(args.mu), rd)[0]
+    mu = _dominant_mu(args, rd, "adm")
     if args.poset or args.format == "dot":
         return _emit_poset(args, rd, mu, level)
-    rows = _adm_rows(rd, mu, level)
-    header = ("element", "length", "kappa")
-    if args.format == "json":
-        payload = {
-            "meta": _meta_obj(args, rd),
-            "elements": [dict(zip(header, r)) for r in rows],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    elif args.format == "table":
-        _emit(_rows_to_table(header, rows, _meta_line(args, rd)), args.out)
-    else:
-        _emit(_rows_to_tsv(header, rows, _meta_line(args, rd)), args.out)
+    _emit_rows(args, rd, "elements", ("element", "length", "kappa"), _adm_rows(rd, mu, level))
     return 0
 
 
@@ -225,14 +243,9 @@ def cmd_poset(args) -> int:
 
 
 def _newton_rows(rd, mu, sigma):
+    """Classes, their table rows and the cover edges of their Newton points."""
     classes = straight_classes(mu, rd, sigma)
-    points = b_set(mu, rd, sigma)
-    from .root_datum import dominance_leq
-
-    basic = next(
-        p for p in points
-        if all(dominance_leq(p.nu, q.nu, rd, integral=False) for q in points)
-    )
+    edges, basic = newton_poset(b_set(mu, rd, sigma), rd)
     rows = []
     for i, cls in enumerate(classes):
         rows.append(
@@ -243,58 +256,33 @@ def _newton_rows(rd, mu, sigma):
                 cls.newton.denominator,
                 _fmt_kappa(cls.newton.kappa),
                 len(cls.members),
-                "basic" if cls.newton == basic else "",
+                "basic" if i == basic else "",
             )
         )
-    return classes, rows
+    return classes, rows, edges
 
 
 def cmd_newton(args) -> int:
     rd, sigma, level = _build_context(args)
-    if not args.mu:
-        raise ConfigError("newton needs --mu")
-    mu = dominant_rep(_parse_vector(args.mu), rd)[0]
-    classes, rows = _newton_rows(rd, mu, sigma)
+    mu = _dominant_mu(args, rd, "newton")
+    classes, rows, edges = _newton_rows(rd, mu, sigma)
     if args.poset or args.format == "dot":
         lines = [_meta_line(args, rd), "digraph newton_poset {", "  rankdir=BT;"]
-        from .root_datum import dominance_leq
-
-        pts = [c.newton for c in classes]
-        for i, p in enumerate(pts):
-            lines.append(f'  n{i} [label="{",".join(str(x) for x in p.nu)}"];')
-        for i, p in enumerate(pts):
-            for j, q in enumerate(pts):
-                if i != j and dominance_leq(p.nu, q.nu, rd, integral=False):
-                    if not any(
-                        k != i and k != j
-                        and dominance_leq(p.nu, pts[k].nu, rd, integral=False)
-                        and dominance_leq(pts[k].nu, q.nu, rd, integral=False)
-                        for k in range(len(pts))
-                    ):
-                        lines.append(f"  n{i} -> n{j};")
+        for i, row in enumerate(rows):
+            lines.append(f'  n{i} [label="{row[2]}"];')
+        lines += [f"  n{a} -> n{b};" for a, b in edges]
         lines.append("}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     header = ("id", "representative", "nu", "denominator", "kappa", "members", "basic")
-    if args.format == "json":
-        payload = {
-            "meta": _meta_obj(args, rd),
-            "classes": [dict(zip(header, r)) for r in rows],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    elif args.format == "tsv":
-        _emit(_rows_to_tsv(header, rows, _meta_line(args, rd)), args.out)
-    else:
-        _emit(_rows_to_table(header, rows, _meta_line(args, rd)), args.out)
+    _emit_rows(args, rd, "classes", header, rows)
     return 0
 
 
 def cmd_components_bound(args) -> int:
     rd, sigma, level = _build_context(args)
-    if not args.mu:
-        raise ConfigError("components-bound needs --mu")
-    mu = dominant_rep(_parse_vector(args.mu), rd)[0]
-    classes, rows = _newton_rows(rd, mu, sigma)
+    mu = _dominant_mu(args, rd, "components-bound")
+    classes, rows, _ = _newton_rows(rd, mu, sigma)
     target = None
     if args.b == "basic":
         target = next(c for c, r in zip(classes, rows) if r[6] == "basic")
@@ -340,8 +328,8 @@ def cmd_stembridge(args) -> int:
         raise ConfigError("stembridge has no poset; dot output is not available")
     if not args.mu or not args.lam:
         raise ConfigError("stembridge needs --mu and --lambda")
-    mu = _parse_vector(args.mu)
-    lam = _parse_vector(args.lam)
+    mu = _parse_cochar(args.mu, rd, "--mu")
+    lam = _parse_cochar(args.lam, rd, "--lambda")
     chain = stembridge_chain(lam, mu, rd)
     payload = {
         "meta": _meta_obj(args, rd),
@@ -365,7 +353,7 @@ def cmd_perm_check(args) -> int:
     if not args.n or not args.mu:
         raise ConfigError("perm-check needs --n and --mu")
     rd = build_root_datum({"preset": "GL", "n": args.n})
-    mu = _parse_vector(args.mu)
+    mu = _parse_cochar(args.mu, rd, "--mu")
     report = adm_eq_perm_check(args.n, mu, rd)
     rows = [
         ("equal", report.equal),
@@ -414,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mu", help="cocharacter coordinates, e.g. 1,0,0")
         p.add_argument("--sigma", default=None, help="id (default) or flip")
         p.add_argument("--level", default=None, help="parahoric generators, e.g. s1,s2")
-        p.add_argument("--format", default="table", choices=("table", "tsv", "json", "dot"))
+        p.add_argument("--format", default="table", choices=FORMATS)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("describe", help="summarize a group datum")

@@ -3,7 +3,8 @@
 Everything here works over Python ints and fractions.Fraction; no floats
 ever enter the computations.  Matrices are tuples of row tuples, vectors
 are tuples.  The Smith normal form tracks the row transform and its
-inverse, which is what lattice-quotient presentations need.
+inverse, which is what lattice-quotient presentations need.  Boolean
+order matrices are reduced to their Hasse diagrams here as well.
 """
 
 from __future__ import annotations
@@ -281,3 +282,25 @@ def hermite_row_form(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
                 for k in range(ncols):
                     out[j][k] -= q * out[i][k]
     return tuple(tuple(r) for r in out)
+
+
+def hasse_diagram(
+    leq: Sequence[Sequence[bool]],
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Cover edges and bottoms of a finite partial order.
+
+    leq[i][j] says whether element i is below element j.  Returns the
+    pairs (i, j) with i < j and nothing strictly between, in row-major
+    order, and the indices of the elements below every element.
+    """
+    n = len(leq)
+    edges = tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and leq[i][j]
+        and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
+    )
+    bottoms = tuple(i for i in range(n) if all(leq[i]))
+    return edges, bottoms

@@ -8,9 +8,7 @@ passes only when the cross-check detects the tampering.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,6 +24,7 @@ from .affine_weyl import (
     omega_rep,
     sigma_identity,
     translation_element,
+    word_length_map,
 )
 from .root_datum import (
     build_root_datum,
@@ -56,23 +55,6 @@ def _oracle(name: str, scope: str):
 
 def _rd(preset: str, n: int):
     return build_root_datum({"preset": preset, "n": n})
-
-
-def word_length_map(rd, radius: int):
-    """Breadth-first word lengths over the affine generators."""
-    gens = iwahori_generators(rd)
-    dist = {identity_element(rd): 0}
-    frontier = [identity_element(rd)]
-    for d in range(1, radius + 1):
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                c = mul(w, g)
-                if c not in dist:
-                    dist[c] = d
-                    nxt.append(c)
-        frontier = nxt
-    return dist
 
 
 @_oracle("positive-root-counts", "root-datum")
@@ -283,22 +265,17 @@ def _check_negative_control():
 
 
 def run_oracle_suite(scope: Optional[str] = None) -> list[OracleResult]:
-    """Run all oracles (or one scope); honors AFFWEYL_JOBS for parallelism."""
-    entries = [(n, s, f) for n, s, f in _REGISTRY if scope is None or s == scope]
-    jobs = max(1, int(os.environ.get("AFFWEYL_JOBS", "1")))
-
-    def run_one(entry):
-        name, sc, fn = entry
+    """Run all oracles (or one scope) in registration order."""
+    results = []
+    for name, sc, fn in _REGISTRY:
+        if scope is not None and sc != scope:
+            continue
         try:
             passed, detail = fn()
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        return OracleResult(name, sc, passed, detail)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, entries))
-    return [run_one(e) for e in entries]
+        results.append(OracleResult(name, sc, passed, detail))
+    return results
 
 
 def available_scopes() -> tuple[str, ...]:

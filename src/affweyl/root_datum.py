@@ -401,21 +401,9 @@ class FinAbGroup:
             for a, b, d in zip(x, y, self.invariant_factors)
         )
 
-    def neg(self, x: Vec) -> Vec:
-        return tuple((-a) % d if d else -a for a, d in zip(x, self.invariant_factors))
-
     def generator_sections(self) -> tuple[Vec, ...]:
         """One lattice preimage per normal-form generator."""
         return self._sections
-
-    @property
-    def order(self) -> Optional[int]:
-        if any(d == 0 for d in self.invariant_factors):
-            return None
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
 
     def describe(self) -> str:
         if not self.invariant_factors:

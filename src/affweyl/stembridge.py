@@ -23,7 +23,6 @@ from .root_datum import (
     pairing,
     simple_reflection,
 )
-from .linalg import solve_rational
 
 
 class ChainPreconditionError(ValueError):
@@ -60,12 +59,6 @@ class CorootChain:
     intermediates: tuple[tuple[int, ...], ...]
 
 
-def _coroot_height(rd: RootDatum, coroot) -> int:
-    coeffs = solve_rational(rd.simple_coroots, coroot)
-    assert coeffs is not None and all(c.denominator == 1 for c in coeffs)
-    return int(sum(coeffs))
-
-
 def stembridge_chain(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> CorootChain:
     """Chain of positive coroots from mu down to lam, all prefixes dominant.
 
@@ -87,7 +80,7 @@ def stembridge_chain(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> Co
 
     coroots = sorted(
         rd.positive_coroots,
-        key=lambda cv: (-_coroot_height(rd, cv), cv),
+        key=lambda cv: (-rd.coroot_height(cv), cv),
     )
 
     def search(current) -> Optional[list[tuple[int, ...]]]:

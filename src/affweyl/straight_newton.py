@@ -36,7 +36,7 @@ from .affine_weyl import (
     sigma_apply_cochar,
     translation_element,
 )
-from .linalg import integer_kernel, mat_vec
+from .linalg import hasse_diagram, integer_kernel, mat_vec
 from .root_datum import (
     FinAbGroup,
     RootDatum,
@@ -60,9 +60,6 @@ class NewtonPoint:
     nu: tuple[Fraction, ...]
     denominator: int
     kappa: tuple[int, ...]
-
-    def nu_strings(self) -> tuple[str, ...]:
-        return tuple(str(x) for x in self.nu)
 
 
 def _as_fractions(v) -> tuple[Fraction, ...]:
@@ -274,17 +271,29 @@ def b_set(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[NewtonP
             raise ConsistencyError("Newton point with the wrong Kottwitz class")
         if not dominance_leq(p.nu, bar, rd, integral=False):
             raise ConsistencyError("Newton point not bounded by the average of mu")
-    minimal = [p for p in points if all(dominance_leq(p.nu, q.nu, rd, integral=False) for q in points)]
-    if len(minimal) != 1:
-        raise ConsistencyError("Newton set does not have a unique basic point")
+    newton_poset(points, rd)  # raises unless the basic point is unique
     return points
+
+
+def newton_poset(
+    points: Sequence[NewtonPoint], rd: RootDatum
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Cover edges of the points under rational dominance, and the basic one.
+
+    The basic point is the unique bottom of the dominance order; its index
+    is returned, and a set without a unique bottom raises.
+    """
+    edges, bottoms = hasse_diagram(
+        [[dominance_leq(p.nu, q.nu, rd, integral=False) for q in points] for p in points]
+    )
+    if len(bottoms) != 1:
+        raise ConsistencyError("Newton set does not have a unique basic point")
+    return edges, bottoms[0]
 
 
 def basic_point(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> NewtonPoint:
     points = b_set(mu, rd, sigma)
-    return next(
-        p for p in points if all(dominance_leq(p.nu, q.nu, rd, integral=False) for q in points)
-    )
+    return points[newton_poset(points, rd)[1]]
 
 
 def adlv_nonempty(

@@ -2,7 +2,6 @@ from affweyl.admissible import (
     adm,
     adm_K,
     adm_by_exhaustion,
-    enumerate_ball,
     is_admissible,
     kr_poset,
     tau,
@@ -20,6 +19,7 @@ from affweyl.affine_weyl import (
     sigma_apply_cochar,
     sigma_from_name,
     translation_element,
+    word_length_map as enumerate_ball,
 )
 from affweyl.notation import format_element
 from affweyl.root_datum import build_root_datum, dominant_rep, weyl_orbit

@@ -29,8 +29,8 @@ from affweyl.affine_weyl import (
     sigma_generator_permutation,
     sigma_identity,
     translation_element,
+    word_length_map,
 )
-from affweyl.oracles import word_length_map
 from affweyl.root_datum import build_root_datum, dominance_leq, fundamental_group, is_dominant
 
 

@@ -12,6 +12,7 @@ from affweyl.affine_weyl import (
     omega_part,
     omega_rep,
     translation_element,
+    word_length_map,
 )
 from affweyl.gln_perm import (
     AffinePermutation,
@@ -26,7 +27,6 @@ from affweyl.gln_perm import (
     perm_set,
     to_affine_perm,
 )
-from affweyl.oracles import word_length_map
 from affweyl.root_datum import build_root_datum
 
 GL2 = build_root_datum({"preset": "GL", "n": 2})

@@ -1,6 +1,7 @@
 import random
 
 from affweyl.linalg import (
+    hasse_diagram,
     hermite_row_form,
     identity_matrix,
     integer_kernel,
@@ -67,3 +68,21 @@ def test_hermite_row_form_canonical():
     b = hermite_row_form([(1, 1), (3, 5)])
     assert a == b
     assert a[0][0] > 0
+
+
+def test_hasse_diagram_of_subsets_by_inclusion():
+    subsets = list(range(8))  # bit masks of the subsets of {0, 1, 2}
+    leq = [[a & b == a for b in subsets] for a in subsets]
+    edges, bottoms = hasse_diagram(leq)
+    assert bottoms == (0,)
+    assert len(edges) == 12
+    assert all(bin(b ^ a).count("1") == 1 and a & b == a for a, b in edges)
+    assert list(edges) == sorted(edges)
+
+
+def test_hasse_diagram_antichain_and_chain():
+    n = 4
+    antichain = [[i == j for j in range(n)] for i in range(n)]
+    assert hasse_diagram(antichain) == ((), ())
+    chain = [[i <= j for j in range(n)] for i in range(n)]
+    assert hasse_diagram(chain) == (((0, 1), (1, 2), (2, 3)), (0,))

@@ -9,12 +9,14 @@ from affweyl.affine_weyl import (
     iwahori_generators,
     mul,
     omega_rep,
+    sigma_from_name,
     translation_element,
 )
 from affweyl.cli import main
 from affweyl.notation import format_element, parse_element
 from affweyl.oracles import available_scopes, run_oracle_suite
-from affweyl.root_datum import build_root_datum
+from affweyl.root_datum import build_root_datum, dominance_leq
+from affweyl.straight_newton import b_set
 
 GL2 = build_root_datum({"preset": "GL", "n": 2})
 GL3 = build_root_datum({"preset": "GL", "n": 3})
@@ -111,6 +113,37 @@ def test_cli_newton_poset_dot(capsys):
     assert out.count("->") == 1
 
 
+def test_cli_newton_poset_edges_are_the_dominance_covers(capsys):
+    code, out, _ = run_cli(capsys, "newton", "--group", "GL3", "--mu", "2,1,0", "--poset")
+    assert code == 0
+    labels, edges = {}, set()
+    for line in out.split("\n"):
+        line = line.strip()
+        if "[label=" in line:
+            labels[line.split()[0]] = line.split('"')[1]
+        elif "->" in line:
+            a, b = line.rstrip(";").split(" -> ")
+            edges.add((labels[a], labels[b]))
+    # brute-force transitive reduction of the dominance order on B(G, mu)
+    points = b_set((2, 1, 0), GL3, sigma_from_name(GL3, "id"))
+
+    def below(p, q):
+        return p != q and dominance_leq(p.nu, q.nu, GL3, integral=False)
+
+    def name(p):
+        return ",".join(str(x) for x in p.nu)
+
+    covers = {
+        (name(p), name(q))
+        for p in points
+        for q in points
+        if below(p, q) and not any(below(p, r) and below(r, q) for r in points)
+    }
+    assert len(labels) == len(points) == 4
+    assert edges == covers
+    assert len(edges) == 4  # a chain on four points would have three
+
+
 def test_cli_components_bound(capsys):
     code, out, _ = run_cli(
         capsys, "components-bound", "--group", "GL2", "--mu", "1,0", "--b", "basic"
@@ -156,6 +189,59 @@ def test_cli_config_file(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 5
 
 
+def test_cli_config_file_missing(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "adm", "--config", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config file")
+    assert "Traceback" not in err
+
+
+def test_cli_config_file_malformed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"group": "GL2", "mu": ')
+    code, out, err = run_cli(capsys, "adm", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config file")
+    assert "Traceback" not in err
+
+
+def test_cli_config_file_with_bad_values(tmp_path, capsys):
+    payloads = [
+        {"group": "GL2", "mu": [1, 0]},
+        {"group": "GL2", "mu": "1,0", "level": [1]},
+        {"group": "GL2", "mu": "1,0", "format": "csv"},
+        ["GL2"],
+    ]
+    for payload in payloads:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "adm", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config ")
+
+
+def test_cli_adm_mu_of_wrong_rank(capsys):
+    code, out, err = run_cli(capsys, "adm", "--group", "GL3", "--mu", "1,0")
+    assert code == 2
+    assert out == ""
+    assert "error: --mu has 2 coordinates; GL3 needs 3" in err
+
+
+def test_cli_stembridge_cocharacters_of_wrong_rank(capsys):
+    code, out, err = run_cli(capsys, "stembridge", "--group", "GL3", "--mu", "1,0", "--lambda", "1,0")
+    assert code == 2
+    assert out == ""
+    assert "error: --mu has 2 coordinates; GL3 needs 3" in err
+    code, _, err = run_cli(
+        capsys, "stembridge", "--group", "GL3", "--mu", "1,0,0", "--lambda", "1,0"
+    )
+    assert code == 2
+    assert "error: --lambda has 2 coordinates; GL3 needs 3" in err
+
+
 def test_cli_out_file(tmp_path, capsys):
     target = tmp_path / "adm.tsv"
     code, out, _ = run_cli(
@@ -180,6 +266,13 @@ def test_oracle_suite_all_pass():
     results = run_oracle_suite()
     assert results
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_oracle_suite_ignores_affweyl_jobs(monkeypatch):
+    monkeypatch.setenv("AFFWEYL_JOBS", "abc")
+    results = run_oracle_suite(scope="length")
+    assert results
+    assert all(r.passed for r in results)
 
 
 def test_oracle_suite_scope_filter(capsys):
