@@ -5,7 +5,9 @@ as an integer matrix acting on the cocharacter lattice.  Length is the
 closed Iwahori-Matsumoto count over the positive roots, reduced words are
 taken greedily with respect to the fixed base alcove (the alcove in the
 dominant chamber with a vertex at the origin), and the length-zero
-subgroup keeps track of the fundamental group.
+subgroup keeps track of the fundamental group.  The Bruhat order walks
+the cached greedy reduced word of the larger element with the lifting
+property, so it keeps no memo of its own.
 
 >>> from affweyl.root_datum import build_root_datum
 >>> rd = build_root_datum({"preset": "GL", "n": 2})
@@ -27,7 +29,6 @@ from .linalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    solve_rational,
     vec_mat,
 )
 from .root_datum import (
@@ -67,13 +68,6 @@ def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
         raise AffineWeylError("rank mismatch in multiplication")
     trans = tuple(x + y for x, y in zip(a.translation, mat_vec(a.finite, b.translation)))
     return AffineWeylElement(trans, mat_mul(a.finite, b.finite))
-
-
-def mul_all(elements: Iterable[AffineWeylElement], rd: RootDatum) -> AffineWeylElement:
-    out = identity_element(rd)
-    for el in elements:
-        out = mul(out, el)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -119,36 +113,22 @@ def _is_positive_root(rd: RootDatum, covector: Vec) -> bool:
 
 @lru_cache(maxsize=None)
 def _highest_roots(rd: RootDatum) -> tuple[tuple[Vec, Vec], ...]:
-    """Highest (root, coroot) pair of each irreducible component."""
+    """Highest (root, coroot) pair of each irreducible component.
+
+    The height of a root is read from its pairing with the sum of the
+    positive coroots (2 rho^vee); a root lies in the component that holds
+    every simple coroot it pairs non-trivially with.
+    """
+    two_rho_vee = tuple(sum(c) for c in zip(*rd.positive_coroots))
     out = []
     for comp in rd.components():
-        best = None
-        best_height = None
-        for root, coroot in zip(rd.positive_roots, rd.positive_coroots):
-            coeffs = _simple_coefficients(rd, root)
-            support = {i for i, c in enumerate(coeffs) if c}
-            if not support <= set(comp):
-                continue
-            h = sum(coeffs)
-            if best_height is None or h > best_height:
-                best, best_height = (root, coroot), h
-        assert best is not None
-        out.append(best)
+        in_comp = [
+            (root, coroot)
+            for root, coroot in zip(rd.positive_roots, rd.positive_coroots)
+            if all(i in comp for i, sc in enumerate(rd.simple_coroots) if pairing(sc, root))
+        ]
+        out.append(max(in_comp, key=lambda rc: pairing(two_rho_vee, rc[0])))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _simple_root_coefficient_cache(rd: RootDatum) -> dict[Vec, tuple[int, ...]]:
-    out = {}
-    for root in rd.positive_roots:
-        coeffs = solve_rational(rd.simple_roots, root)
-        assert coeffs is not None and all(c.denominator == 1 for c in coeffs)
-        out[root] = tuple(int(c) for c in coeffs)
-    return out
-
-
-def _simple_coefficients(rd: RootDatum, root: Vec) -> tuple[int, ...]:
-    return _simple_root_coefficient_cache(rd)[root]
 
 
 @lru_cache(maxsize=None)
@@ -214,11 +194,6 @@ def omega_part(rd: RootDatum, w: AffineWeylElement) -> AffineWeylElement:
     return reduced_word(rd, w)[1]
 
 
-def rebuild_from_word(rd: RootDatum, letters: Sequence[int], omega: AffineWeylElement) -> AffineWeylElement:
-    gens = iwahori_generators(rd)
-    return mul(mul_all((gens[i] for i in letters), rd), omega)
-
-
 @lru_cache(maxsize=None)
 def kottwitz(rd: RootDatum, w: AffineWeylElement) -> Vec:
     """Class of the translation part in pi_1 = X_*(T) / coroot lattice."""
@@ -230,33 +205,27 @@ def omega_rep(rd: RootDatum, lam: Sequence[int]) -> AffineWeylElement:
     return omega_part(rd, translation_element(lam, rd))
 
 
-@lru_cache(maxsize=None)
-def _bruhat_leq_wa(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> bool:
-    if v == w:
-        return True
-    lv = length(rd, v)
-    lw = length(rd, w)
-    if lv >= lw:
-        return False
-    gens = iwahori_generators(rd)
-    for s in gens:
-        sw = mul(s, w)
-        if length(rd, sw) < lw:
-            sv = mul(s, v)
-            if length(rd, sv) < lv:
-                return _bruhat_leq_wa(rd, sv, sw)
-            return _bruhat_leq_wa(rd, v, sw)
-    raise AffineWeylError("no descent found for a positive-length element")
-
-
 def bruhat_leq(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> bool:
-    """Bruhat order, with elements comparable only in one Omega coset."""
-    ov = omega_part(rd, v)
-    ow = omega_part(rd, w)
-    if ov != ow:
-        return False
-    om_inv = inv(ov)
-    return _bruhat_leq_wa(rd, mul(v, om_inv), mul(w, om_inv))
+    """Bruhat order, with elements comparable only in one Omega coset.
+
+    Walks the greedy reduced word of w with the lifting property: for a
+    left descent s of w, v <= w iff sv <= sw when s is a descent of v and
+    iff v <= sw otherwise.  Left multiplication keeps v in its own Omega
+    coset, so v can only reach w when both lie in the same one.
+    """
+    letters, _ = reduced_word(rd, w)
+    gens = iwahori_generators(rd)
+    lv = length(rd, v)
+    lw = len(letters)
+    for i in letters:
+        if lv >= lw:
+            break
+        s = gens[i]
+        sv = mul(s, v)
+        if length(rd, sv) < lv:
+            v, lv = sv, lv - 1
+        w, lw = mul(s, w), lw - 1
+    return v == w
 
 
 def bruhat_leq_subword_oracle(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> bool:

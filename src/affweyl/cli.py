@@ -350,8 +350,10 @@ def cmd_stembridge(args) -> int:
 
 
 def cmd_perm_check(args) -> int:
-    if not args.n or not args.mu:
+    if not args.mu:
         raise ConfigError("perm-check needs --n and --mu")
+    if args.n < 1:
+        raise ConfigError(f"perm-check needs --n >= 1, got {args.n}")
     rd = build_root_datum({"preset": "GL", "n": args.n})
     mu = _parse_cochar(args.mu, rd, "--mu")
     report = adm_eq_perm_check(args.n, mu, rd)

@@ -12,7 +12,7 @@ whose pairing is exactly one at each step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .root_datum import (
     RootDatum,
@@ -83,32 +83,27 @@ def stembridge_chain(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> Co
         key=lambda cv: (-rd.coroot_height(cv), cv),
     )
 
-    def search(current) -> Optional[list[tuple[int, ...]]]:
-        if current == lam:
-            return []
-        for cv in coroots:
+    # depth first with backtracking; each entry keeps its point, the coroot
+    # that led there and the coroots still to try from it
+    stack = [(mu, None, iter(coroots))]
+    while stack[-1][0] != lam:
+        current, _, todo = stack[-1]
+        for cv in todo:
             nxt = tuple(a - b for a, b in zip(current, cv))
-            if not is_dominant(nxt, rd):
-                continue
-            if not dominance_leq(lam, nxt, rd, integral=True):
-                continue
-            rest = search(nxt)
-            if rest is not None:
-                return [cv] + rest
-        return None
-
-    steps = search(mu)
-    if steps is None:
-        raise RuntimeError(
-            "no dominance chain found although the preconditions hold; "
-            "this contradicts the existence lemma"
-        )
-    inters = []
-    cur = mu
-    for cv in steps:
-        cur = tuple(a - b for a, b in zip(cur, cv))
-        inters.append(cur)
-    return CorootChain(mu, lam, tuple(steps), tuple(inters))
+            if is_dominant(nxt, rd) and dominance_leq(lam, nxt, rd, integral=True):
+                stack.append((nxt, cv, iter(coroots)))
+                break
+        else:
+            stack.pop()
+            if not stack:
+                raise RuntimeError(
+                    "no dominance chain found although the preconditions hold; "
+                    "this contradicts the existence lemma"
+                )
+    path = stack[1:]
+    return CorootChain(
+        mu, lam, tuple(cv for _, cv, _ in path), tuple(point for point, _, _ in path)
+    )
 
 
 def is_minuscule(mu: Sequence[int], rd: RootDatum) -> bool:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from affweyl.affine_weyl import (
+    AffineWeylElement,
     AffineWeylError,
     ParahoricLevel,
     bruhat_leq,
@@ -23,7 +24,7 @@ from affweyl.affine_weyl import (
     omega_part,
     omega_rep,
     reduced_word,
-    rebuild_from_word,
+    reflection_matrix,
     sigma_apply,
     sigma_from_name,
     sigma_generator_permutation,
@@ -31,6 +32,7 @@ from affweyl.affine_weyl import (
     translation_element,
     word_length_map,
 )
+from affweyl.linalg import solve_rational
 from affweyl.root_datum import build_root_datum, dominance_leq, fundamental_group, is_dominant
 
 
@@ -88,6 +90,38 @@ def test_pinned_lengths():
     assert length(GL3, translation_element((1, 0, 0), GL3)) == 2
 
 
+A1_X_C2 = build_root_datum(
+    {
+        "rank": 5,
+        "simple_roots": [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 2, -1]],
+        "simple_coroots": [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, 0]],
+    }
+)
+GENERATOR_DATA = (
+    [build_root_datum({"preset": "GL", "n": n}) for n in range(1, 8)]
+    + [build_root_datum({"preset": p, "n": n}) for p in ("SL", "PGL") for n in range(2, 6)]
+    + [build_root_datum({"preset": "GSp", "n": n}) for n in (2, 4, 6, 8)]
+    + [A1_X_C2]
+)
+
+
+@pytest.mark.parametrize("rd", GENERATOR_DATA, ids=lambda rd: rd.type_label)
+def test_affine_generators_from_simple_root_coefficients(rd):
+    affine = []
+    for comp in rd.components():
+        best = None
+        for root, coroot in zip(rd.positive_roots, rd.positive_coroots):
+            coeffs = solve_rational(rd.simple_roots, root)
+            if any(c for i, c in enumerate(coeffs) if i not in comp):
+                continue
+            if best is None or sum(coeffs) > best[0]:
+                best = (sum(coeffs), root, coroot)
+        _, theta, theta_vee = best
+        affine.append(AffineWeylElement(theta_vee, reflection_matrix(theta, theta_vee)))
+    finite = [finite_reflection(rd, i) for i in range(rd.semisimple_rank)]
+    assert iwahori_generators(rd) == tuple(affine + finite)
+
+
 def test_length_equals_word_search():
     for rd, radius in [(GL2, 5), (GL3, 4), (GSP4, 4)]:
         for w, d in word_length_map(rd, radius).items():
@@ -105,12 +139,16 @@ def test_reduced_word_roundtrip_and_lengths():
     rng = random.Random(2)
     for rd in (GL2, GL3, GSP4):
         assert reduced_word(rd, identity_element(rd)) == ((), identity_element(rd))
+        gens = iwahori_generators(rd)
         for _ in range(30):
             w = random_element(rd, rng)
             letters, omega = reduced_word(rd, w)
             assert len(letters) == length(rd, w)
             assert length(rd, omega) == 0
-            assert rebuild_from_word(rd, letters, omega) == w
+            rebuilt = identity_element(rd)
+            for i in letters:
+                rebuilt = mul(rebuilt, gens[i])
+            assert mul(rebuilt, omega) == w
 
 
 def test_reduced_word_of_unit_translation():
@@ -141,6 +179,32 @@ def test_bruhat_matches_subword_oracle():
     rng.shuffle(pairs)
     for v, w in pairs[:500]:
         assert bruhat_leq(GL3, v, w) == bruhat_leq_subword_oracle(GL3, v, w)
+
+
+@pytest.mark.parametrize("preset,n", [("GSp", 4), ("PGL", 3), ("SL", 3)])
+def test_bruhat_matches_subword_oracle_across_omega_cosets(preset, n):
+    rd = build_root_datum({"preset": preset, "n": n})
+    rng = random.Random(4)
+    ball = list(word_length_map(rd, 4))
+    shifts = [omega_rep(rd, [rng.randint(-2, 2) for _ in range(rd.rank)]) for _ in range(4)]
+    elements = [mul(w, rng.choice(shifts)) for w in ball]
+    pairs = [(v, w) for v in elements for w in elements]
+    rng.shuffle(pairs)
+    for v, w in pairs[:300]:
+        assert bruhat_leq(rd, v, w) == bruhat_leq_subword_oracle(rd, v, w), (v, w)
+
+
+@pytest.mark.parametrize(
+    "rd,lam,mu,expected",
+    [
+        (GL3, (999, 1, 0), (1000, 0, 0), True),
+        (GL3, (1000, 0, 0), (999, 1, 0), False),
+        (GL4, (300, 1, 0, 0), (301, 0, 0, 0), True),
+    ],
+)
+def test_bruhat_on_long_translations(rd, lam, mu, expected):
+    got = bruhat_leq(rd, translation_element(lam, rd), translation_element(mu, rd))
+    assert got == expected == dominance_leq(lam, mu, rd)
 
 
 def test_bruhat_needs_equal_omega_part():

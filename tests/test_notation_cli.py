@@ -168,6 +168,11 @@ def test_cli_exit_codes(capsys):
     assert "KappaMismatchError" in err
     code, _, _ = run_cli(capsys, "perm-check", "--n", "3", "--mu", "1,0,0")
     assert code == 0
+    for n in ("0", "-1"):
+        code, out, err = run_cli(capsys, "perm-check", "--n", n, "--mu", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: perm-check needs --n")
 
 
 def test_cli_level_flag(capsys):

@@ -70,6 +70,19 @@ def test_chain_prefixes_dominant_and_heights_add():
     assert total == GL3.coroot_height(tuple(a - b for a, b in zip(mu, lam)))
 
 
+def test_long_chain_is_found_without_recursion():
+    mu, lam = (1500, 0, 0), (500, 500, 500)
+    chain = stembridge_chain(lam, mu, GL3)
+    cur = mu
+    for cv, point in zip(chain.steps, chain.intermediates):
+        cur = tuple(a - b for a, b in zip(cur, cv))
+        assert cur == point and is_dominant(cur, GL3)
+    assert cur == lam
+    assert len(chain.steps) >= 1000
+    total = sum(GL3.coroot_height(cv) for cv in chain.steps)
+    assert total == GL3.coroot_height(tuple(a - b for a, b in zip(mu, lam)))
+
+
 @pytest.mark.parametrize("rd,bound", [(GL2, 3), (GL3, 3), (GSP4, 3)])
 def test_chain_exists_iff_preconditions(rd, bound):
     pi1 = fundamental_group(rd)
