@@ -72,3 +72,14 @@ from .gln_perm import (
     to_affine_perm,
 )
 from .notation import format_element, parse_element
+
+
+def clear_caches() -> None:
+    """Empty every module-level memo table (lru_cache) of the package."""
+    import sys
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for value in vars(module).values():
+                if callable(value) and hasattr(value, "cache_clear"):
+                    value.cache_clear()

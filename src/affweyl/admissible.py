@@ -1,11 +1,15 @@
 """Admissible sets, their minimal element, and parahoric images.
 
 Adm(mu) consists of the elements Bruhat-below some translation by a
-finite Weyl conjugate of mu.  Enumeration goes by closing each maximal
-translation downward through subwords of one fixed reduced word, then
-re-verifying every candidate against the definition through the
-independent Bruhat routine; any disagreement between the two paths is a
-hard internal error.
+finite Weyl conjugate of mu.  Candidates come from closing each maximal
+translation downward through subwords of one fixed reduced word.  Cover
+edges come from one-letter deletions: for a reduced word s_1..s_l*omega
+of w, the l products with one letter deleted are the elements w*t for
+the reflections t with l(wt) < l(w), and the lower covers of w are those
+of length l(w) - 1 (Bjorner-Brenti, Thm 1.4.3 and Cor 1.4.4).  The same
+covers prove the candidate set equal to Adm(mu): every lower cover of a
+candidate is a candidate, and every candidate is a maximal translation
+or a lower cover of one; any failure is a hard internal error.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .affine_weyl import (
     element_sort_key,
     identity_element,
     iwahori_generators,
-    kottwitz,
     length,
     mul,
     omega_part,
@@ -54,10 +57,7 @@ def _maximal_translations(mu: tuple[int, ...], rd: RootDatum) -> tuple[AffineWey
 
 def is_admissible(w: AffineWeylElement, mu: Sequence[int], rd: RootDatum) -> bool:
     """Membership test straight from the definition."""
-    targets = _maximal_translations(tuple(mu), rd)
-    if kottwitz(rd, w) != kottwitz(rd, targets[0]):
-        return False
-    return any(bruhat_leq(rd, w, t) for t in targets)
+    return any(bruhat_leq(rd, w, t) for t in _maximal_translations(tuple(mu), rd))
 
 
 def _subword_closure(rd: RootDatum, w: AffineWeylElement) -> set[AffineWeylElement]:
@@ -74,26 +74,59 @@ def _subword_closure(rd: RootDatum, w: AffineWeylElement) -> set[AffineWeylEleme
     return out
 
 
+def _lower_covers(rd: RootDatum, w: AffineWeylElement) -> set[AffineWeylElement]:
+    """The Bruhat lower covers of w: its one-letter deletions of length l(w) - 1."""
+    letters, omega = reduced_word(rd, w)
+    gens = iwahori_generators(rd)
+    # suffix[j] is the product of letters[j:] times omega
+    suffix = [omega]
+    for i in reversed(letters):
+        suffix.append(mul(gens[i], suffix[-1]))
+    suffix.reverse()
+    target = len(letters) - 1
+    out = set()
+    prefix = identity_element(rd)
+    for j, i in enumerate(letters):
+        v = mul(prefix, suffix[j + 1])
+        if length(rd, v) == target:
+            out.add(v)
+        prefix = mul(prefix, gens[i])
+    return out
+
+
 @lru_cache(maxsize=None)
 def adm(mu: tuple[int, ...], rd: RootDatum) -> AdmissibleSet:
-    """The admissible set of mu at Iwahori level, with its cover relations."""
+    """The admissible set of mu at Iwahori level, with its cover relations.
+
+    The subword closures of the maximal translations give the candidates
+    and the one-letter deletions give their lower covers.  Two checks on
+    the covers prove that the candidates are exactly Adm(mu):
+
+    - completeness: every lower cover of a candidate is a candidate, so
+      the set is closed downward and holds all of Adm(mu);
+    - soundness: every candidate is a maximal translation or a lower cover
+      of a candidate.  By downward induction on length, a longest
+      non-member could only be covered by a member, which is impossible;
+      so every candidate lies on a chain of covers below a maximal one.
+    """
     maximal = _maximal_translations(tuple(mu), rd)
     candidates: set[AffineWeylElement] = set()
     for t in maximal:
         candidates |= _subword_closure(rd, t)
-    verified = {w for w in candidates if is_admissible(w, mu, rd)}
-    if verified != candidates:
+    elements = tuple(sorted(candidates, key=lambda w: element_sort_key(rd, w)))
+    index = {w: i for i, w in enumerate(elements)}
+    edges = []
+    for j, w in enumerate(elements):
+        for v in _lower_covers(rd, w):
+            if v not in index:
+                raise AffineWeylError(
+                    "admissible enumeration mismatch: subword closure missed a lower cover"
+                )
+            edges.append((index[v], j))
+    if {elements[i] for i, _ in edges} | set(maximal) != candidates:
         raise AffineWeylError(
             "admissible enumeration mismatch: subword closure produced a non-member"
         )
-    elements = tuple(sorted(verified, key=lambda w: element_sort_key(rd, w)))
-    index = {w: i for i, w in enumerate(elements)}
-    edges = []
-    for w in elements:
-        lw = length(rd, w)
-        for v in elements:
-            if length(rd, v) == lw - 1 and bruhat_leq(rd, v, w):
-                edges.append((index[v], index[w]))
     mu_dom, _ = dominant_rep(tuple(mu), rd)
     return AdmissibleSet(mu_dom, elements, ParahoricLevel.iwahori(), tuple(sorted(edges)))
 

@@ -208,11 +208,13 @@ def omega_rep(rd: RootDatum, lam: Sequence[int]) -> AffineWeylElement:
 def bruhat_leq(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> bool:
     """Bruhat order, with elements comparable only in one Omega coset.
 
-    Walks the greedy reduced word of w with the lifting property: for a
-    left descent s of w, v <= w iff sv <= sw when s is a descent of v and
-    iff v <= sw otherwise.  Left multiplication keeps v in its own Omega
-    coset, so v can only reach w when both lie in the same one.
+    Elements of different Kottwitz classes lie in different Omega cosets
+    and are rejected at once.  Otherwise the greedy reduced word of w is
+    walked with the lifting property: for a left descent s of w, v <= w
+    iff sv <= sw when s is a descent of v and iff v <= sw otherwise.
     """
+    if kottwitz(rd, v) != kottwitz(rd, w):
+        return False
     letters, _ = reduced_word(rd, w)
     gens = iwahori_generators(rd)
     lv = length(rd, v)

@@ -1,4 +1,12 @@
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import affweyl
+from affweyl import admissible
 from affweyl.admissible import (
+    _lower_covers,
     adm,
     adm_K,
     adm_by_exhaustion,
@@ -7,22 +15,29 @@ from affweyl.admissible import (
     tau,
 )
 from affweyl.affine_weyl import (
+    AffineWeylError,
     ParahoricLevel,
     bruhat_leq,
+    bruhat_leq_subword_oracle,
     finite_reflection,
+    identity_element,
+    iwahori_generators,
     kottwitz,
     length,
     make_level,
     mul,
     omega_part,
+    omega_rep,
     sigma_apply,
     sigma_apply_cochar,
     sigma_from_name,
+    sigma_identity,
     translation_element,
     word_length_map as enumerate_ball,
 )
 from affweyl.notation import format_element
 from affweyl.root_datum import build_root_datum, dominant_rep, weyl_orbit
+from affweyl.straight_newton import b_set
 
 
 GL2 = build_root_datum({"preset": "GL", "n": 2})
@@ -187,3 +202,116 @@ def test_sigma_fixed_mu_fixes_adm():
     assert dominant_rep(sigma_apply_cochar(flip, mu), GL4)[0] == mu
     aset = set(adm(mu, GL4).elements)
     assert {sigma_apply(flip, w) for w in aset} == aset
+
+
+COVER_DATA = [
+    build_root_datum({"preset": "GSp", "n": 4}),
+    build_root_datum({"preset": "PGL", "n": 3}),
+    build_root_datum({"preset": "SL", "n": 3}),
+    GL3,
+]
+COVER_BALLS = [enumerate_ball(rd, 6) for rd in COVER_DATA]
+
+
+@st.composite
+def _word_times_omega(draw):
+    k = draw(st.integers(0, len(COVER_DATA) - 1))
+    rd = COVER_DATA[k]
+    gens = iwahori_generators(rd)
+    w = identity_element(rd)
+    for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=6)):
+        w = mul(w, gens[i])
+    shift = draw(st.lists(st.integers(-2, 2), min_size=rd.rank, max_size=rd.rank))
+    return k, mul(w, omega_rep(rd, shift))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_word_times_omega())
+def test_lower_covers_match_subword_oracle(case):
+    k, w = case
+    rd = COVER_DATA[k]
+    om = omega_part(rd, w)
+    lw = length(rd, w)
+    expected = {
+        v
+        for v in (mul(b, om) for b, lb in COVER_BALLS[k].items() if lb == lw - 1)
+        if bruhat_leq_subword_oracle(rd, v, w)
+    }
+    assert _lower_covers(rd, w) == expected
+
+
+def _pairwise_cover_edges(rd, elements):
+    lengths = [length(rd, w) for w in elements]
+    return tuple(sorted(
+        (i, j)
+        for j, w in enumerate(elements)
+        for i, v in enumerate(elements)
+        if lengths[i] == lengths[j] - 1 and bruhat_leq(rd, v, w)
+    ))
+
+
+@pytest.mark.parametrize(
+    "preset,n,mu",
+    [("GL", 4, (1, 1, 0, 0)), ("PGL", 4, (1, 0, 0)), ("GSp", 4, (2, 1, 1)), ("SL", 4, (1, 0, 1))],
+)
+def test_cover_edges_match_pairwise_scan(preset, n, mu):
+    rd = build_root_datum({"preset": preset, "n": n})
+    aset = adm(mu, rd)
+    assert aset.cover_edges == _pairwise_cover_edges(rd, aset.elements)
+
+
+def _edit_closure(monkeypatch, edit):
+    original = admissible._subword_closure
+    monkeypatch.setattr(admissible, "_subword_closure", lambda rd, w: edit(original(rd, w)))
+
+
+def test_planted_translation_is_refused(monkeypatch):
+    intruder = translation_element((2, -1), GL2)
+    assert kottwitz(GL2, intruder) == kottwitz(GL2, translation_element((1, 0), GL2))
+    _edit_closure(monkeypatch, lambda s: s | {intruder})
+    with pytest.raises(AffineWeylError):
+        adm.__wrapped__((1, 0), GL2)
+
+
+def test_planted_non_member_above_members_is_refused(monkeypatch):
+    # a length-2 element of tau's coset outside Adm: all its lower covers are members
+    mu = (1, 0, 0)
+    members = set(adm(mu, GL3).elements)
+    t = tau(mu, GL3)
+    intruder = next(
+        v
+        for v in (mul(b, t) for b, lb in enumerate_ball(GL3, 2).items() if lb == 2)
+        if v not in members
+    )
+    assert _lower_covers(GL3, intruder) <= members
+    _edit_closure(monkeypatch, lambda s: s | {intruder})
+    with pytest.raises(AffineWeylError, match="non-member"):
+        adm.__wrapped__(mu, GL3)
+
+
+def test_dropped_member_is_refused(monkeypatch):
+    mu = (1, 0, 0)
+    victim = next(w for w in adm(mu, GL3).elements if length(GL3, w) == 1)
+    _edit_closure(monkeypatch, lambda s: s - {victim})
+    with pytest.raises(AffineWeylError, match="missed a lower cover"):
+        adm.__wrapped__(mu, GL3)
+
+
+def _package_caches():
+    return [
+        value
+        for name, module in list(sys.modules.items())
+        if name.startswith("affweyl.")
+        for value in vars(module).values()
+        if callable(value) and hasattr(value, "cache_info")
+    ]
+
+
+def test_clear_caches_empties_every_memo():
+    sigma = sigma_identity(GL3)
+    first_adm, first_b = adm((1, 1, 0), GL3), b_set((1, 1, 0), GL3, sigma)
+    assert any(f.cache_info().currsize for f in _package_caches())
+    affweyl.clear_caches()
+    assert all(f.cache_info().currsize == 0 for f in _package_caches())
+    assert adm((1, 1, 0), GL3) == first_adm
+    assert b_set((1, 1, 0), GL3, sigma) == first_b
