@@ -75,9 +75,15 @@ from .notation import format_element, parse_element
 
 
 def clear_caches() -> None:
-    """Empty every module-level memo table (lru_cache) of the package."""
+    """Empty every module-level memo table (lru_cache) of the package.
+
+    The intern table of finite Weyl matrices is emptied as well.
+    """
     import sys
 
+    from .affine_weyl import clear_finite_parts
+
+    clear_finite_parts()
     for name, module in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for value in vars(module).values():

@@ -1,9 +1,14 @@
 """The extended affine Weyl group X_*(T) x W_0 with exact combinatorics.
 
-Elements are pairs (translation, finite part); the finite part is stored
-as an integer matrix acting on the cocharacter lattice.  Length is the
-closed Iwahori-Matsumoto count over the positive roots, reduced words are
-taken greedily with respect to the fixed base alcove (the alcove in the
+Elements are pairs (translation, finite part).  Each finite part is an
+integer matrix acting on the cocharacter lattice, interned the first time
+it is seen: one shared entry per matrix holds the matrix, its hash, a
+table of products with other entries, its inverse and the signs of
+u^-1 on the positive roots.  So `mul` reads the finite product from the
+table and only applies the matrix to the translation, `inv` reads the
+stored inverse, and `length` is one pass over the positive roots.
+Length is the closed Iwahori-Matsumoto count, reduced words are taken
+greedily with respect to the fixed base alcove (the alcove in the
 dominant chamber with a vertex at the origin), and the length-zero
 subgroup keeps track of the fundamental group.  The Bruhat order walks
 the cached greedy reduced word of the larger element with the lifting
@@ -11,15 +16,29 @@ property, so it keeps no memo of its own.
 
 >>> from affweyl.root_datum import build_root_datum
 >>> rd = build_root_datum({"preset": "GL", "n": 2})
->>> w = translation_element((1, 0), rd)
->>> length(rd, w)
-1
+>>> s0, s1 = iwahori_generators(rd)
+>>> w = mul(translation_element((1, 0), rd), s1)
+>>> w
+AffineWeylElement(translation=(1, 0), finite=((0, 1), (1, 0)))
+>>> length(rd, w), reduced_word(rd, w)[0]
+(0, ())
+>>> w == AffineWeylElement((1, 0), ((0, 1), (1, 0)))
+True
+>>> mul(w, inv(w)) == identity_element(rd)
+True
+
+Equal matrices share one entry, so the product of s1 with itself is read
+back as the very matrix of the identity:
+
+>>> mul(s1, s1).finite is identity_element(rd).finite
+True
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul as _times
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
@@ -42,15 +61,109 @@ class AffineWeylError(ValueError):
     """Invalid operation on affine Weyl elements."""
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
-    """Element t_lambda * u with u a finite Weyl matrix on X_*(T)."""
+class _Finite:
+    """The interned entry of one finite Weyl matrix u.
 
-    translation: Vec
-    finite: Mat
+    Its hash is that of the matrix, so an element hashes like the pair
+    (translation, matrix).  `products` maps an entry v to the entry of uv,
+    `inverse` is the entry of u^-1 once asked for, and `signs` is a pair
+    (datum, vector) with a 1 in the vector for each positive root a of the
+    datum with u^-1(a) < 0; one assignment replaces both, so a concurrent
+    reader never sees the vector of one datum paired with another.
+    """
+
+    __slots__ = ("matrix", "hash", "products", "inverse", "signs")
+
+    def __init__(self, matrix: Mat):
+        self.matrix = matrix
+        self.hash = hash(matrix)
+        self.products: dict[_Finite, _Finite] = {}
+        self.inverse: Optional[_Finite] = None
+        self.signs: tuple[Optional[RootDatum], tuple[int, ...]] = (None, ())
+
+    def __hash__(self) -> int:
+        return self.hash
+
+
+_FINITE_PARTS: dict[Mat, _Finite] = {}
+_ROWS: dict[Vec, Vec] = {}
+
+
+def _intern(matrix: Mat) -> _Finite:
+    u = _FINITE_PARTS.get(matrix)
+    if u is None:
+        # W_0 has few distinct rows (n unit vectors for GL_n), so entries share them
+        matrix = tuple([_ROWS.setdefault(row, row) for row in matrix])
+        u = _FINITE_PARTS[matrix] = _Finite(matrix)
+    return u
+
+
+def clear_finite_parts() -> None:
+    """Empty the intern table; elements held across this keep working.
+
+    Entries still held by such elements drop their links to other entries,
+    so the rest of the old table can be freed.
+    """
+    for u in _FINITE_PARTS.values():
+        u.products.clear()
+        u.inverse = None
+    _FINITE_PARTS.clear()
+    _ROWS.clear()
+
+
+class AffineWeylElement:
+    """Element t_lambda * u with u a finite Weyl matrix on X_*(T).
+
+    Immutable; equal and equally hashed to any element with the same
+    translation and matrix, also one built after the intern table was
+    emptied.
+    """
+
+    __slots__ = ("translation", "_u")
+
+    def __init__(self, translation: Vec, finite: Mat):
+        _set_translation(self, translation)
+        _set_u(self, _intern(finite))
+
+    @property
+    def finite(self) -> Mat:
+        return self._u.matrix
 
     def rank(self) -> int:
         return len(self.translation)
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineWeylElement:
+            return NotImplemented
+        return self.translation == other.translation and (
+            self._u is other._u or self._u.matrix == other._u.matrix
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.translation, self._u))
+
+    def __repr__(self) -> str:
+        return f"AffineWeylElement(translation={self.translation!r}, finite={self.finite!r})"
+
+    def __reduce__(self):
+        return AffineWeylElement, (self.translation, self.finite)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AffineWeylElement is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"AffineWeylElement is immutable; cannot delete {name!r}")
+
+
+_set_translation = AffineWeylElement.translation.__set__
+_set_u = AffineWeylElement._u.__set__
+
+
+def _element(translation: Vec, u: _Finite) -> AffineWeylElement:
+    w = object.__new__(AffineWeylElement)
+    _set_translation(w, translation)
+    _set_u(w, u)
+    return w
 
 
 def identity_element(rd: RootDatum) -> AffineWeylElement:
@@ -64,20 +177,23 @@ def translation_element(lam: Sequence[int], rd: RootDatum) -> AffineWeylElement:
 
 
 def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
-    if a.rank() != b.rank():
+    """(t_lambda u)(t_mu v) = t_(lambda + u mu) uv, with uv read from the table."""
+    lam, mu = a.translation, b.translation
+    if len(lam) != len(mu):
         raise AffineWeylError("rank mismatch in multiplication")
-    trans = tuple(x + y for x, y in zip(a.translation, mat_vec(a.finite, b.translation)))
-    return AffineWeylElement(trans, mat_mul(a.finite, b.finite))
-
-
-@lru_cache(maxsize=None)
-def _cached_inverse(m: Mat) -> Mat:
-    return mat_inverse(m)
+    u, v = a._u, b._u
+    uv = u.products.get(v)
+    if uv is None:
+        uv = u.products[v] = _intern(mat_mul(u.matrix, v.matrix))
+    return _element(tuple([x + sum(map(_times, row, mu)) for x, row in zip(lam, u.matrix)]), uv)
 
 
 def inv(a: AffineWeylElement) -> AffineWeylElement:
-    m_inv = _cached_inverse(a.finite)
-    return AffineWeylElement(tuple(-x for x in mat_vec(m_inv, a.translation)), m_inv)
+    u = a._u
+    u_inv = u.inverse
+    if u_inv is None:
+        u_inv = u.inverse = _intern(mat_inverse(u.matrix))
+    return _element(tuple(-x for x in mat_vec(u_inv.matrix, a.translation)), u_inv)
 
 
 def is_translation(w: AffineWeylElement, rd: RootDatum) -> bool:
@@ -147,23 +263,30 @@ def iwahori_generators(rd: RootDatum) -> tuple[AffineWeylElement, ...]:
     return tuple(affine) + tuple(finite)
 
 
+def _signs(rd: RootDatum, u: _Finite) -> tuple[int, ...]:
+    """1 for each positive root a with u^-1(a) < 0, else 0; kept on u."""
+    signs_rd, signs = u.signs
+    if signs_rd is not rd:
+        signs = tuple(
+            0 if _is_positive_root(rd, vec_mat(root, u.matrix)) else 1
+            for root in rd.positive_roots
+        )
+        u.signs = (rd, signs)
+    return signs
+
+
 @lru_cache(maxsize=None)
 def length(rd: RootDatum, w: AffineWeylElement) -> int:
     """Iwahori-Matsumoto length l(t_lambda u).
 
-    Sum over positive roots a of |<lambda, a>| when u^-1(a) stays positive
-    and of |<lambda, a> - 1| when it turns negative.
+    Sum over positive roots a of |<lambda, a> - s_a|, where s_a is 1 when
+    u^-1(a) is negative and 0 when it stays positive.
     """
     lam = w.translation
-    total = 0
-    for root in rd.positive_roots:
-        pulled = vec_mat(root, w.finite)
-        c = pairing(lam, root)
-        if _is_positive_root(rd, pulled):
-            total += abs(c)
-        else:
-            total += abs(c - 1)
-    return total
+    return sum(
+        abs(sum(map(_times, lam, root)) - s)
+        for root, s in zip(rd.positive_roots, _signs(rd, w._u))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -23,16 +24,16 @@ def identity_matrix(n: int) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_vec(a: Mat, v: Sequence[int]) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def vec_mat(v: Sequence[int], a: Mat) -> Vec:
     """Row vector times matrix; the dual action on covectors."""
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]) if a else 0))
+    return tuple([sum(map(mul, v, col)) for col in zip(*a)])
 
 
 def mat_inverse(a: Mat) -> Mat:

@@ -12,6 +12,7 @@ standard dot product in the chosen coordinates.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +58,20 @@ class RootDatum:
     positive_roots: tuple[Vec, ...]
     positive_coroots: tuple[Vec, ...]
     cartan_matrix: tuple[Vec, ...]
+
+    def __post_init__(self):
+        # every memo lookup hashes the datum, so hash its fields once
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a string hash differs between processes
+        return RootDatum, self._fields()
 
     @property
     def semisimple_rank(self) -> int:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import affweyl
-from affweyl import admissible
+from affweyl import admissible, affine_weyl
 from affweyl.admissible import (
     _lower_covers,
     adm,
@@ -311,7 +311,9 @@ def test_clear_caches_empties_every_memo():
     sigma = sigma_identity(GL3)
     first_adm, first_b = adm((1, 1, 0), GL3), b_set((1, 1, 0), GL3, sigma)
     assert any(f.cache_info().currsize for f in _package_caches())
+    assert affine_weyl._FINITE_PARTS
     affweyl.clear_caches()
     assert all(f.cache_info().currsize == 0 for f in _package_caches())
+    assert not affine_weyl._FINITE_PARTS
     assert adm((1, 1, 0), GL3) == first_adm
     assert b_set((1, 1, 0), GL3, sigma) == first_b

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -229,3 +230,12 @@ def test_projection_kernel_is_exactly_the_coroot_lattice():
         coeffs = solve_rational(gl3.simple_coroots, v)
         in_lattice = coeffs is not None and all(c.denominator == 1 for c in coeffs)
         assert (pi1.project(v) == pi1.zero()) == in_lattice
+
+
+def test_stored_hash_is_recomputed_on_unpickling():
+    gsp = rd("GSp", 4)
+    assert hash(gsp) == hash(rd("GSp", 4))
+    stale = rd("GSp", 4)
+    object.__setattr__(stale, "_hash", 0)  # as if hashed under another PYTHONHASHSEED
+    back = pickle.loads(pickle.dumps(stale))
+    assert back == gsp and hash(back) == hash(gsp)
