@@ -66,19 +66,24 @@ class _Finite:
 
     Its hash is that of the matrix, so an element hashes like the pair
     (translation, matrix).  `products` maps an entry v to the entry of uv,
-    `inverse` is the entry of u^-1 once asked for, and `signs` is a pair
-    (datum, vector) with a 1 in the vector for each positive root a of the
-    datum with u^-1(a) < 0; one assignment replaces both, so a concurrent
-    reader never sees the vector of one datum paired with another.
+    `inverse` is the entry of u^-1 once asked for, `twists` maps a
+    SigmaAction to the entry of sigma u sigma^-1 (None until the first
+    twist), `is_identity` says whether u is the identity, and `signs` is a
+    pair (datum, vector) with a 1 in the vector for each positive root a
+    of the datum with u^-1(a) < 0; one assignment replaces both, so a
+    concurrent reader never sees the vector of one datum paired with
+    another.
     """
 
-    __slots__ = ("matrix", "hash", "products", "inverse", "signs")
+    __slots__ = ("matrix", "hash", "products", "inverse", "twists", "is_identity", "signs")
 
     def __init__(self, matrix: Mat):
         self.matrix = matrix
         self.hash = hash(matrix)
         self.products: dict[_Finite, _Finite] = {}
         self.inverse: Optional[_Finite] = None
+        self.twists: Optional[dict[SigmaAction, _Finite]] = None
+        self.is_identity = matrix == identity_matrix(len(matrix))
         self.signs: tuple[Optional[RootDatum], tuple[int, ...]] = (None, ())
 
     def __hash__(self) -> int:
@@ -106,6 +111,7 @@ def clear_finite_parts() -> None:
     """
     for u in _FINITE_PARTS.values():
         u.products.clear()
+        u.twists = None
         u.inverse = None
     _FINITE_PARTS.clear()
     _ROWS.clear()
@@ -197,7 +203,7 @@ def inv(a: AffineWeylElement) -> AffineWeylElement:
 
 
 def is_translation(w: AffineWeylElement, rd: RootDatum) -> bool:
-    return w.finite == identity_matrix(rd.rank)
+    return w._u.is_identity and len(w.translation) == rd.rank
 
 
 def reflection_matrix(root: Vec, coroot: Vec) -> Mat:
@@ -486,10 +492,20 @@ def sigma_from_name(rd: RootDatum, name: str) -> SigmaAction:
 
 
 def sigma_apply(sigma: SigmaAction, w: AffineWeylElement) -> AffineWeylElement:
-    return AffineWeylElement(
-        mat_vec(sigma.matrix, w.translation),
-        mat_mul(sigma.matrix, mat_mul(w.finite, sigma.matrix_inv)),
-    )
+    """sigma(t_lambda u) = t_sigma(lambda) sigma u sigma^-1, the conjugate read from u's entry."""
+    if sigma.order == 1:
+        return w
+    u = w._u
+    twists = u.twists
+    if twists is None:
+        # most entries are never twisted, so the dict is made on first use
+        twists = u.twists = {}
+    twisted = twists.get(sigma)
+    if twisted is None:
+        twisted = twists[sigma] = _intern(
+            mat_mul(sigma.matrix, mat_mul(u.matrix, sigma.matrix_inv))
+        )
+    return _element(mat_vec(sigma.matrix, w.translation), twisted)
 
 
 def sigma_apply_cochar(sigma: SigmaAction, lam: Sequence[int]) -> Vec:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
@@ -18,7 +19,9 @@ Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=None)
 def identity_matrix(n: int) -> Mat:
+    """The n x n identity, one shared tuple per size."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -36,33 +39,42 @@ def vec_mat(v: Sequence[int], a: Mat) -> Vec:
     return tuple([sum(map(mul, v, col)) for col in zip(*a)])
 
 
+def scaled_inverse(a: Mat) -> tuple[int, Mat]:
+    """(d, d * a^-1) for an integer matrix a, with d = |det a|.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
+    integer, every division is exact, and the left block ends as +-det a
+    times the identity.  Raises ValueError if the matrix is singular.
+    """
+    n = len(a)
+    rows = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        row_k = rows[k]
+        pk = row_k[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(x * pk - f * y) // prev for x, y in zip(rows[i], row_k)]
+        prev = pk
+    sign = 1 if prev > 0 else -1
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in rows)
+
+
 def mat_inverse(a: Mat) -> Mat:
     """Inverse of an integer matrix that is invertible over the integers.
 
     Raises ValueError if the matrix is singular or the inverse is not
     integral.
     """
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not invertible over the integers")
-        inv.append(tuple(int(x) for x in row))
-    return tuple(inv)
+    d, inv = scaled_inverse(a)
+    if d != 1:
+        raise ValueError("matrix is not invertible over the integers")
+    return inv
 
 
 def solve_rational(columns: Sequence[Sequence[int]], target: Sequence) -> Optional[tuple[Fraction, ...]]:

@@ -3,7 +3,9 @@
 A RootDatum fixes a cocharacter lattice Z^rank together with simple roots
 (covectors) and simple coroots (vectors).  Positive roots and coroots are
 generated at build time by reflection closure and stored as matched lists:
-positive_roots[k] is the root whose coroot is positive_coroots[k].
+positive_roots[k] is the root whose coroot is positive_coroots[k].  The
+datum of a closed subsystem, such as a Levi, is derived from its parent's
+positive roots instead (sub_datum).
 
 Presets cover GL(n), SL(n), PGL(n) and GSp(2g); arbitrary finite-type data
 can be supplied explicitly.  The pairing between X_*(T) and X^*(T) is the
@@ -17,12 +19,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul as _times
 from typing import Mapping, Optional, Sequence, Union
 
 from .linalg import (
     Vec,
     hermite_row_form,
     mat_inverse,
+    scaled_inverse,
     smith_normal_form,
     solve_rational,
 )
@@ -135,24 +139,27 @@ def _check_cartan(cartan: Sequence[Sequence[int]]) -> None:
                 )
 
 
-def _det(m: list[list[int]]) -> Fraction:
+def _det(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
     n = len(m)
-    work = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            f = work[r][col] * inv
-            if f:
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det
+    work = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
+            if piv is None:
+                return 0
+            work[k], work[piv] = work[piv], work[k]
+            sign = -sign
+        pk, row_k = work[k][k], work[k]
+        for i in range(k + 1, n):
+            row_i = work[i]
+            f = row_i[k]
+            # exact: each entry is a minor of the input divided by the last pivot
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pk - f * row_k[j]) // prev
+        prev = pk
+    return sign * work[n - 1][n - 1] if n else 1
 
 
 def _reflection_closure(simple_roots, simple_coroots):
@@ -487,10 +494,26 @@ def fundamental_group(rd: RootDatum, sublattice: Optional[tuple[Vec, ...]] = Non
 
 
 def sub_datum(rd: RootDatum, positive_root_indices: Sequence[int], label: str) -> RootDatum:
-    """Root datum of a subsystem spanned by some of the positive roots.
+    """Root datum of a closed subsystem given by some positive roots of rd.
 
-    The simple system consists of the indecomposable elements: positive
-    roots of the subsystem that are not sums of two of them.
+    The indices must name every positive root of a closed subsystem, such
+    as the roots vanishing on a cocharacter (a Levi).  The simple system
+    consists of the indecomposable elements: positive roots of the
+    subsystem that are not sums of two of them.  The datum is derived, not
+    rebuilt by _build: its positive roots and coroots are the chosen ones
+    of rd, and the coefficients c of a coroot on the simple coroots come
+    from one inverse of the Cartan matrix A, since <coroot, alpha_j> is
+    sum_i c_i A[j][i].  Positive roots are sorted by height, then coroot,
+    as _build sorts them.  The derived datum is checked for:
+
+    - a Cartan matrix of finite type (_check_cartan);
+    - every coefficient being a non-negative integer, with the sum of
+      c_i times the simple coroots equal to the coroot;
+    - every simple reflection s_i mapping the positive coroots other than
+      the i-th simple one into the chosen set, so that the set is exactly
+      the positive system of the simple coroots.
+
+    Any failure raises RootDatumError.
     """
     idx = sorted(set(positive_root_indices))
     roots = [rd.positive_roots[k] for k in idx]
@@ -506,4 +529,36 @@ def sub_datum(rd: RootDatum, positive_root_indices: Sequence[int], label: str) -
         if not decomposable:
             simple_r.append(root)
             simple_c.append(coroot)
-    return _build((rd.rank, simple_r, simple_c), label)
+    cartan = _cartan_from_data(simple_r, simple_c)
+    _check_cartan(cartan)
+    # |det A| * A^-1 in integers, so each coefficient is one exact division
+    den, scaled = scaled_inverse(cartan)
+    coroot_set = set(coroots)
+    positives = []
+    for root, coroot in zip(roots, coroots):
+        pairings = [pairing(coroot, a) for a in simple_r]
+        coeffs = []
+        for row in scaled:
+            c, rem = divmod(sum(map(_times, row, pairings)), den)
+            if rem or c < 0:
+                raise RootDatumError(
+                    "a chosen coroot is not a non-negative integer combination of the simple coroots"
+                )
+            coeffs.append(c)
+        combination = tuple(sum(c * v[k] for c, v in zip(coeffs, simple_c)) for k in range(rd.rank))
+        if combination != coroot:
+            raise RootDatumError("a chosen coroot is outside the span of the simple coroots")
+        for p, sc in zip(pairings, simple_c):
+            if coroot != sc and tuple(x - p * y for x, y in zip(coroot, sc)) not in coroot_set:
+                raise RootDatumError("the chosen positive roots are not closed under simple reflections")
+        positives.append((sum(coeffs), coroot, root))
+    positives.sort(key=lambda t: (t[0], t[1]))
+    return RootDatum(
+        rank=rd.rank,
+        type_label=label,
+        simple_roots=tuple(simple_r),
+        simple_coroots=tuple(simple_c),
+        positive_roots=tuple(p[2] for p in positives),
+        positive_coroots=tuple(p[1] for p in positives),
+        cartan_matrix=cartan,
+    )

@@ -8,6 +8,15 @@ classes are closed under length-preserving conjugation by simple
 reflections and twisting by length-zero elements; the partition this
 generates is cross-checked against the (Newton, Kottwitz) partition and
 any mismatch raises.
+
+Newton points are computed in integers: the translation of the twisted
+power is made dominant and divided by m only at the end.  The
+centraliser Levi of a slope vector is derived from the parent datum by
+root_datum.sub_datum, which re-checks what it derives (finite-type
+Cartan matrix, non-negative integer coroot coefficients, a positive
+system closed under the simple reflections) but does not rebuild the
+datum by reflection closure; it is memoised by (datum, positive-root
+indices), and clear_caches() empties the memo.
 """
 
 from __future__ import annotations
@@ -62,10 +71,6 @@ class NewtonPoint:
     kappa: tuple[int, ...]
 
 
-def _as_fractions(v) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in v)
-
-
 @lru_cache(maxsize=None)
 def pi1_coinvariants(rd: RootDatum, sigma: SigmaAction) -> FinAbGroup:
     """pi_1 modulo the augmentation image of sigma (trivial for sigma = id)."""
@@ -118,20 +123,37 @@ def is_straight_bruteforce(rd: RootDatum, sigma: SigmaAction, w: AffineWeylEleme
 
 
 def newton_point(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tuple[tuple[Fraction, ...], NewtonPoint]:
-    """Raw slope vector of w and its dominant (Newton, Kottwitz) pair."""
+    """Raw slope vector of w and its dominant (Newton, Kottwitz) pair.
+
+    The integer translation of the twisted power is made dominant and only
+    then divided by m: W_0 acts linearly and m > 0 keeps every pairing's
+    sign, so the same reflections are applied as to the slope vector.
+    """
     m, power = twisted_power(rd, sigma, w)
     nu_raw = tuple(Fraction(x, m) for x in power.translation)
-    nu_dom, _ = dominant_rep(nu_raw, rd)
+    lam_dom, _ = dominant_rep(power.translation, rd)
+    nu_dom = tuple(Fraction(x, m) for x in lam_dom)
     den = lcm(*(x.denominator for x in nu_dom)) if nu_dom else 1
     kappa = pi1_coinvariants(rd, sigma).project(w.translation)
-    return nu_raw, NewtonPoint(tuple(nu_dom), den, kappa)
+    return nu_raw, NewtonPoint(nu_dom, den, kappa)
 
 
 def levi_datum(nu_raw: Sequence, rd: RootDatum) -> RootDatum:
-    """Sub root datum generated by the roots pairing to zero with nu."""
-    nu = _as_fractions(nu_raw)
-    idx = [k for k, a in enumerate(rd.positive_roots) if pairing(nu, a) == 0]
-    return sub_datum(rd, idx, f"levi:{rd.type_label}")
+    """Sub root datum generated by the roots pairing to zero with nu.
+
+    nu is scaled to an integer vector first, which vanishes on the same
+    roots; the datum is memoised by its set of positive roots.
+    """
+    nu = [Fraction(x) for x in nu_raw]
+    den = lcm(*(x.denominator for x in nu))
+    lam = tuple(x.numerator * (den // x.denominator) for x in nu)
+    idx = tuple(k for k, a in enumerate(rd.positive_roots) if pairing(lam, a) == 0)
+    return _levi(rd, idx)
+
+
+@lru_cache(maxsize=None)
+def _levi(rd: RootDatum, positive_root_indices: tuple[int, ...]) -> RootDatum:
+    return sub_datum(rd, positive_root_indices, f"levi:{rd.type_label}")
 
 
 def mu_bar(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[Fraction, ...]:
@@ -369,12 +391,14 @@ def components_bound_report(
     if not matching:
         raise AffineWeylError("the given Newton point is not in B(G, mu)")
     (cls,) = matching
+    # adm proves its elements are exactly Adm(mu), so membership is a lookup
+    adm_set = set(adm(tuple(mu_dom), rd).elements)
     witnesses = []
     for w in cls.members:
         nu_raw, _ = newton_point(rd, sigma, w)
         levi = levi_datum(nu_raw, rd)
         lam_right = mat_vec(inv(w).finite, w.translation)
-        if not _translation_admissible(lam_right, mu_dom, rd):
+        if translation_element(lam_right, rd) not in adm_set:
             raise ConsistencyError("translation part of a straight witness left Adm(mu)")
         lift = minuscule_lift(lam_right, mu_dom, rd)
         comps = levi.components()
@@ -403,8 +427,3 @@ def _restrict_sigma(levi: RootDatum, sigma: SigmaAction) -> SigmaAction:
             "sigma does not stabilize the Levi of this witness; no invariants defined"
         ) from exc
 
-
-def _translation_admissible(lam, mu_dom, rd: RootDatum) -> bool:
-    from .admissible import is_admissible
-
-    return is_admissible(translation_element(tuple(lam), rd), mu_dom, rd)

@@ -1,0 +1,211 @@
+"""Levi data derived from the parent datum, memoised, and integer Newton points.
+
+Every Levi that b_set and components_bound_report reach is compared with
+the datum _build makes from the same simple system: the old route, which
+closes the simple roots under reflections and tests every coroot for
+positivity on its own.
+"""
+
+import dataclasses
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from affweyl import clear_caches
+from affweyl import straight_newton
+from affweyl.affine_weyl import (
+    AffineWeylElement,
+    AffineWeylError,
+    iwahori_generators,
+    mul,
+    omega_rep,
+    sigma_apply,
+    sigma_from_name,
+    translation_element,
+)
+from affweyl.linalg import mat_mul, mat_vec
+from affweyl.root_datum import (
+    RootDatumError,
+    _build,
+    build_root_datum,
+    dominant_rep,
+    sub_datum,
+)
+from affweyl.stembridge import ChainPreconditionError
+from affweyl.straight_newton import (
+    NewtonPoint,
+    b_set,
+    components_bound_report,
+    newton_point,
+    pi1_coinvariants,
+    twisted_power,
+)
+
+
+def _rd(preset, n):
+    return build_root_datum({"preset": preset, "n": n})
+
+
+# (preset, n, mu, sigma names); flip exists on the type A presets only
+LADDER = [
+    ("GL", 2, (1, 0), ("id", "flip")),
+    ("GL", 3, (1, 1, 0), ("id", "flip")),
+    ("GL", 4, (1, 1, 0, 0), ("id", "flip")),
+    ("GL", 5, (1, 0, 0, 0, 0), ("id", "flip")),
+    ("GSp", 4, (1, 1, 1), ("id",)),
+    ("GSp", 6, (1, 1, 1, 1), ("id",)),
+    ("SL", 3, (1, 1), ("id", "flip")),
+    ("SL", 4, (1, 0, 1), ("id", "flip")),
+    ("PGL", 3, (1, 0), ("id", "flip")),
+    ("PGL", 4, (1, 0, 0), ("id", "flip")),
+]
+
+
+def _reached_levis(monkeypatch, cases, derive=sub_datum):
+    """(parent, label, Levi) for every Levi the Newton routines derive."""
+    records = []
+
+    def recording(rd, idx, label):
+        levi = derive(rd, idx, label)
+        records.append((rd, label, levi))
+        return levi
+
+    clear_caches()
+    monkeypatch.setattr(straight_newton, "sub_datum", recording)
+    try:
+        for preset, n, mu, sigmas in cases:
+            rd = _rd(preset, n)
+            for name in sigmas:
+                sigma = sigma_from_name(rd, name)
+                for b in b_set(mu, rd, sigma):
+                    try:
+                        components_bound_report(mu, b, rd, sigma)
+                    except (AffineWeylError, ChainPreconditionError):
+                        # a typed refusal comes after the witness Levi is derived
+                        pass
+    finally:
+        clear_caches()
+    return records
+
+
+def _mismatches(records):
+    return [
+        levi
+        for rd, label, levi in records
+        if levi != _build((rd.rank, levi.simple_roots, levi.simple_coroots), label)
+    ]
+
+
+def test_every_reached_levi_equals_the_rebuilt_datum(monkeypatch):
+    records = _reached_levis(monkeypatch, LADDER)
+    assert len(records) >= 80
+    # the torus, and Levis with one and with several simple roots
+    assert {len(levi.simple_roots) for _, _, levi in records} >= {0, 1, 2, 3}
+    assert not _mismatches(records)
+
+
+def _swap_two_roots(rd, idx, label):
+    levi = sub_datum(rd, idx, label)
+    roots = list(levi.positive_roots)
+    if len(roots) >= 2:
+        roots[0], roots[-1] = roots[-1], roots[0]
+    return dataclasses.replace(levi, positive_roots=tuple(roots))
+
+
+def _drop_one_root(rd, idx, label):
+    levi = sub_datum(rd, idx, label)
+    return dataclasses.replace(
+        levi,
+        positive_roots=levi.positive_roots[:-1],
+        positive_coroots=levi.positive_coroots[:-1],
+    )
+
+
+@pytest.mark.parametrize("derive", [_swap_two_roots, _drop_one_root])
+def test_negative_control_a_corrupted_derivation_is_caught(monkeypatch, derive):
+    cases = [("GL", 4, (1, 1, 0, 0), ("id",)), ("GSp", 4, (1, 1, 1), ("id",))]
+    records = _reached_levis(monkeypatch, cases, derive)
+    assert _mismatches(records)
+
+
+def test_sub_datum_rejects_a_set_that_is_not_a_whole_positive_system():
+    gl3 = _rd("GL", 3)
+    # e1-e2 and e2-e3 without their sum: s1 maps the coroot of e2-e3 outside the set
+    simple_only = [gl3.positive_coroots.index(c) for c in gl3.simple_coroots]
+    with pytest.raises(RootDatumError):
+        sub_datum(gl3, simple_only, "levi:GL3")
+    assert len(sub_datum(gl3, range(3), "levi:GL3").positive_roots) == 3
+
+
+def test_clear_caches_empties_the_levi_memo():
+    rd = _rd("GL", 4)
+    sigma = sigma_from_name(rd, "id")
+    for b in b_set((1, 1, 0, 0), rd, sigma):
+        components_bound_report((1, 1, 0, 0), b, rd, sigma)
+    assert straight_newton._levi.cache_info().currsize > 0
+    clear_caches()
+    assert straight_newton._levi.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# integer Newton points and the interned sigma action
+
+DATA = [
+    (_rd("GL", 3), "id"),
+    (_rd("GL", 4), "flip"),
+    (_rd("GSp", 4), "id"),
+    (_rd("SL", 3), "flip"),
+    (_rd("PGL", 4), "flip"),
+    (_rd("GL", 5), "flip"),
+]
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+
+@st.composite
+def _cases(draw):
+    rd, name = DATA[draw(st.integers(0, len(DATA) - 1))]
+    gens = iwahori_generators(rd)
+    lam = draw(st.lists(st.integers(-3, 3), min_size=rd.rank, max_size=rd.rank))
+    w = translation_element(lam, rd)
+    for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=6)):
+        w = mul(w, gens[i])
+    shift = draw(st.lists(st.integers(-2, 2), min_size=rd.rank, max_size=rd.rank))
+    return rd, sigma_from_name(rd, name), mul(w, omega_rep(rd, shift))
+
+
+@_PROPERTY
+@given(_cases())
+def test_newton_point_matches_the_fraction_route(case):
+    rd, sigma, w = case
+    m, power = twisted_power(rd, sigma, w)
+    nu_raw = tuple(Fraction(x, m) for x in power.translation)
+    nu_dom, word = dominant_rep(nu_raw, rd)
+    den = lcm(*(x.denominator for x in nu_dom))
+    kappa = pi1_coinvariants(rd, sigma).project(w.translation)
+    assert newton_point(rd, sigma, w) == (nu_raw, NewtonPoint(tuple(nu_dom), den, kappa))
+    # the integer vector takes the same reflections as the slope vector
+    assert dominant_rep(power.translation, rd)[1] == word
+
+
+def _plain_sigma_apply(sigma, w):
+    return AffineWeylElement(
+        mat_vec(sigma.matrix, w.translation),
+        mat_mul(sigma.matrix, mat_mul(w.finite, sigma.matrix_inv)),
+    )
+
+
+@_PROPERTY
+@given(_cases())
+def test_sigma_apply_matches_matrix_conjugation_across_clear_caches(case):
+    rd, sigma, w = case
+    assert sigma_apply(sigma, w) == _plain_sigma_apply(sigma, w)
+    clear_caches()
+    assert not w._u.twists
+    assert sigma_apply(sigma, w) == _plain_sigma_apply(sigma, w)
+    fresh = AffineWeylElement(w.translation, w.finite)
+    assert sigma_apply(sigma, fresh) == sigma_apply(sigma, w)
+    identity = sigma_from_name(rd, "id")
+    assert sigma_apply(identity, w) is w

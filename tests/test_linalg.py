@@ -1,4 +1,7 @@
+import itertools
 import random
+
+import pytest
 
 from affweyl.linalg import (
     hasse_diagram,
@@ -8,9 +11,11 @@ from affweyl.linalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    scaled_inverse,
     smith_normal_form,
     solve_rational,
 )
+from affweyl.root_datum import _det
 
 
 def random_matrix(rng, m, n, lo=-5, hi=5):
@@ -60,6 +65,37 @@ def test_mat_inverse_exact():
     m = ((2, 1), (1, 1))
     inv = mat_inverse(m)
     assert mat_mul(m, inv) == identity_matrix(2)
+
+
+def _leibniz_det(a):
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = sign
+        for i in range(n):
+            prod *= a[i][perm[i]]
+        total += prod
+    return total
+
+
+def test_bareiss_det_and_scaled_inverse_against_leibniz():
+    rng = random.Random(2)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, n, n, -2, 2)
+        det = _leibniz_det(a)
+        assert _det([list(row) for row in a]) == det
+        if det == 0:
+            with pytest.raises(ValueError):
+                scaled_inverse(a)
+            continue
+        d, scaled = scaled_inverse(a)
+        assert d == abs(det)
+        assert mat_mul(a, scaled) == tuple(tuple(d * x for x in row) for row in identity_matrix(n))
+        if d != 1:
+            with pytest.raises(ValueError):
+                mat_inverse(a)
 
 
 def test_hermite_row_form_canonical():
