@@ -2,10 +2,11 @@
 
 A RootDatum fixes a cocharacter lattice Z^rank together with simple roots
 (covectors) and simple coroots (vectors).  Positive roots and coroots are
-generated at build time by reflection closure and stored as matched lists:
+generated at build time by reflection closure, picked out by integer forms
+(|det A| times the fundamental weights) and stored as matched lists:
 positive_roots[k] is the root whose coroot is positive_coroots[k].  The
 datum of a closed subsystem, such as a Levi, is derived from its parent's
-positive roots instead (sub_datum).
+positive roots instead (sub_datum), with the forms of its simple system.
 
 Presets cover GL(n), SL(n), PGL(n) and GSp(2g); arbitrary finite-type data
 can be supplied explicitly.  The pairing between X_*(T) and X^*(T) is the
@@ -18,14 +19,16 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul as _times
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .linalg import (
     Vec,
     hermite_row_form,
     mat_inverse,
+    mat_mul,
+    mat_vec,
     scaled_inverse,
     smith_normal_form,
     solve_rational,
@@ -81,12 +84,21 @@ class RootDatum:
     def semisimple_rank(self) -> int:
         return len(self.simple_roots)
 
+    @cached_property
+    def _forms(self) -> tuple[int, tuple[Vec, ...]]:
+        return _fundamental_forms(self.simple_roots, self.cartan_matrix)
+
     def coroot_height(self, coroot: Coords) -> Fraction:
-        """Sum of the coefficients of a coroot over the simple coroots."""
-        coeffs = solve_rational(self.simple_coroots, coroot)
-        if coeffs is None:
+        """Sum of the coefficients of a coroot over the simple coroots.
+
+        >>> gl3 = build_root_datum({"preset": "GL", "n": 3})
+        >>> gl3.coroot_height((1, 0, -1))
+        Fraction(2, 1)
+        """
+        scaled = _scaled_coords(self._forms, self.simple_coroots, coroot)
+        if scaled is None:
             raise RootDatumError("vector is not in the span of the simple coroots")
-        return sum(coeffs, Fraction(0))
+        return Fraction(sum(scaled), self._forms[0])
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the Dynkin diagram, as index tuples."""
@@ -162,6 +174,30 @@ def _det(m: list[list[int]]) -> int:
     return sign * work[n - 1][n - 1] if n else 1
 
 
+def _fundamental_forms(simple_roots, cartan) -> tuple[int, tuple[Vec, ...]]:
+    """(d, d * varpi_i) with d = |det A|, as rows of d * A^-1 times the simple roots.
+
+    cartan[j][i] = <alpha_i^vee, alpha_j>, so <v, d * varpi_i> = d * c_i
+    when v = sum_i c_i alpha_i^vee.
+    """
+    d, scaled = scaled_inverse(cartan)
+    return d, mat_mul(scaled, simple_roots)
+
+
+def _scaled_coords(forms, simple_coroots, v: Sequence[int]) -> Optional[Vec]:
+    """d * c for the coefficients c of v, or None if sum c_i alpha_i^vee != v."""
+    d, covectors = forms
+    scaled = mat_vec(covectors, v)
+    back = [sum(c * cv[k] for c, cv in zip(scaled, simple_coroots)) for k in range(len(v))]
+    return scaled if back == [d * x for x in v] else None
+
+
+def _assemble(rank, label, simple_roots, simple_coroots, cartan, positives) -> RootDatum:
+    """The datum with positives (height key, coroot, root) sorted by key, then coroot."""
+    _, coroots, roots = zip(*sorted(positives)) if positives else ((), (), ())
+    return RootDatum(rank, label, tuple(simple_roots), tuple(simple_coroots), roots, coroots, cartan)
+
+
 def _reflection_closure(simple_roots, simple_coroots):
     """All (root, coroot) pairs of the system, by closing under reflections."""
     pairs = set(zip(simple_roots, simple_coroots))
@@ -222,47 +258,29 @@ def _build(data, label: str) -> RootDatum:
     cartan = _cartan_from_data(roots, coroots)
     _check_cartan(cartan)
     pairs = _reflection_closure(tuple(roots), tuple(coroots))
-    datum = RootDatum(
-        rank=rank,
-        type_label=label,
-        simple_roots=tuple(roots),
-        simple_coroots=tuple(coroots),
-        positive_roots=(),
-        positive_coroots=(),
-        cartan_matrix=cartan,
-    )
+    forms = _fundamental_forms(roots, cartan)
     positives = []
     for root, coroot in pairs:
-        coeffs = solve_rational(tuple(coroots), coroot) if coroots else None
-        if coeffs is None:
+        scaled = _scaled_coords(forms, coroots, coroot)
+        if scaled is None:
             raise RootDatumError("closure produced a coroot outside the simple-coroot span")
-        if all(c >= 0 for c in coeffs):
-            positives.append((sum(coeffs, Fraction(0)), coroot, root))
-    positives.sort(key=lambda t: (t[0], t[1]))
-    pos_coroots = tuple(p[1] for p in positives)
-    pos_roots = tuple(p[2] for p in positives)
+        if all(c >= 0 for c in scaled):
+            positives.append((sum(scaled), coroot, root))
     if 2 * len(positives) != len(pairs):
         raise RootDatumError("root system closure is not symmetric")
+    datum = _assemble(rank, label, roots, coroots, cartan, positives)
     for cv in coroots:
-        if cv not in pos_coroots:
+        if cv not in datum.positive_coroots:
             raise RootDatumError("a simple coroot is missing from the positive coroots")
     prefix = "".join(ch for ch in label if ch.isalpha())
     if prefix in _PRESET_ROOT_COUNTS:
         n = int("".join(ch for ch in label if ch.isdigit()))
         expected = _PRESET_ROOT_COUNTS[prefix](n)
-        if len(pos_coroots) != expected:
+        if len(positives) != expected:
             raise RootDatumError(
-                f"positive coroot count {len(pos_coroots)} != expected {expected} for {label}"
+                f"positive coroot count {len(positives)} != expected {expected} for {label}"
             )
-    return RootDatum(
-        rank=rank,
-        type_label=label,
-        simple_roots=tuple(roots),
-        simple_coroots=tuple(coroots),
-        positive_roots=pos_roots,
-        positive_coroots=pos_coroots,
-        cartan_matrix=cartan,
-    )
+    return datum
 
 
 def _gl_data(n: int):
@@ -357,20 +375,21 @@ def dominance_leq(lam: Coords, mu: Coords, rd: RootDatum, *, integral: bool = Tr
     With integral=True the coefficients must be non-negative integers; with
     integral=False non-negative rationals suffice.  Inputs are compared in
     place (callers wanting the dominance order pre-apply dominant_rep).
+    The difference is scaled to integers and paired with the forms of rd.
+
+    >>> gl2, half = build_root_datum({"preset": "GL", "n": 2}), (Fraction(1, 2), Fraction(-1, 2))
+    >>> dominance_leq((0, 0), half, gl2, integral=False), dominance_leq((0, 0), half, gl2)
+    (True, False)
     """
     if len(lam) != len(mu) or len(lam) != rd.rank:
         raise RootDatumError("rank mismatch in dominance comparison")
-    diff = tuple(Fraction(b) - Fraction(a) for a, b in zip(lam, mu))
-    if not rd.simple_coroots:
-        return all(x == 0 for x in diff)
-    coeffs = solve_rational(rd.simple_coroots, diff)
-    if coeffs is None:
+    diff = [Fraction(b) - Fraction(a) for a, b in zip(lam, mu)]
+    den = lcm(*(x.denominator for x in diff))
+    scaled = _scaled_coords(rd._forms, rd.simple_coroots, [int(x * den) for x in diff])
+    if scaled is None or any(c < 0 for c in scaled):
         return False
-    if any(c < 0 for c in coeffs):
-        return False
-    if integral and any(c.denominator != 1 for c in coeffs):
-        return False
-    return True
+    # the coefficients are scaled / (d * den)
+    return not integral or all(c % (rd._forms[0] * den) == 0 for c in scaled)
 
 
 def weyl_orbit(lam: Coords, rd: RootDatum) -> tuple[tuple, ...]:
@@ -501,19 +520,13 @@ def sub_datum(rd: RootDatum, positive_root_indices: Sequence[int], label: str) -
     consists of the indecomposable elements: positive roots of the
     subsystem that are not sums of two of them.  The datum is derived, not
     rebuilt by _build: its positive roots and coroots are the chosen ones
-    of rd, and the coefficients c of a coroot on the simple coroots come
-    from one inverse of the Cartan matrix A, since <coroot, alpha_j> is
-    sum_i c_i A[j][i].  Positive roots are sorted by height, then coroot,
-    as _build sorts them.  The derived datum is checked for:
-
-    - a Cartan matrix of finite type (_check_cartan);
-    - every coefficient being a non-negative integer, with the sum of
-      c_i times the simple coroots equal to the coroot;
-    - every simple reflection s_i mapping the positive coroots other than
-      the i-th simple one into the chosen set, so that the set is exactly
-      the positive system of the simple coroots.
-
-    Any failure raises RootDatumError.
+    of rd, their coefficients c are read off the forms of the new simple
+    system, and they are sorted as _build sorts them.  RootDatumError is
+    raised unless the Cartan matrix is of finite type (_check_cartan),
+    every coefficient is a non-negative integer with sum c_i alpha_i^vee
+    equal to the coroot, and every simple reflection s_i maps the chosen
+    coroots other than alpha_i^vee into the chosen set, so that the set is
+    exactly the positive system of the simple coroots.
     """
     idx = sorted(set(positive_root_indices))
     roots = [rd.positive_roots[k] for k in idx]
@@ -531,34 +544,20 @@ def sub_datum(rd: RootDatum, positive_root_indices: Sequence[int], label: str) -
             simple_c.append(coroot)
     cartan = _cartan_from_data(simple_r, simple_c)
     _check_cartan(cartan)
-    # |det A| * A^-1 in integers, so each coefficient is one exact division
-    den, scaled = scaled_inverse(cartan)
+    forms = _fundamental_forms(simple_r, cartan)
     coroot_set = set(coroots)
     positives = []
     for root, coroot in zip(roots, coroots):
-        pairings = [pairing(coroot, a) for a in simple_r]
-        coeffs = []
-        for row in scaled:
-            c, rem = divmod(sum(map(_times, row, pairings)), den)
-            if rem or c < 0:
-                raise RootDatumError(
-                    "a chosen coroot is not a non-negative integer combination of the simple coroots"
-                )
-            coeffs.append(c)
-        combination = tuple(sum(c * v[k] for c, v in zip(coeffs, simple_c)) for k in range(rd.rank))
-        if combination != coroot:
+        scaled = _scaled_coords(forms, simple_c, coroot)
+        if scaled is None:
             raise RootDatumError("a chosen coroot is outside the span of the simple coroots")
+        if any(c < 0 or c % forms[0] for c in scaled):
+            raise RootDatumError(
+                "a chosen coroot is not a non-negative integer combination of the simple coroots"
+            )
+        pairings = [pairing(coroot, a) for a in simple_r]
         for p, sc in zip(pairings, simple_c):
             if coroot != sc and tuple(x - p * y for x, y in zip(coroot, sc)) not in coroot_set:
                 raise RootDatumError("the chosen positive roots are not closed under simple reflections")
-        positives.append((sum(coeffs), coroot, root))
-    positives.sort(key=lambda t: (t[0], t[1]))
-    return RootDatum(
-        rank=rd.rank,
-        type_label=label,
-        simple_roots=tuple(simple_r),
-        simple_coroots=tuple(simple_c),
-        positive_roots=tuple(p[2] for p in positives),
-        positive_coroots=tuple(p[1] for p in positives),
-        cartan_matrix=cartan,
-    )
+        positives.append((sum(scaled), coroot, root))
+    return _assemble(rd.rank, label, simple_r, simple_c, cartan, positives)

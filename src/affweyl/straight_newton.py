@@ -13,10 +13,11 @@ Newton points are computed in integers: the translation of the twisted
 power is made dominant and divided by m only at the end.  The
 centraliser Levi of a slope vector is derived from the parent datum by
 root_datum.sub_datum, which re-checks what it derives (finite-type
-Cartan matrix, non-negative integer coroot coefficients, a positive
-system closed under the simple reflections) but does not rebuild the
-datum by reflection closure; it is memoised by (datum, positive-root
-indices), and clear_caches() empties the memo.
+Cartan matrix, non-negative integer coroot coefficients read off the
+same fundamental-weight forms _build uses, a positive system closed
+under the simple reflections) but does not rebuild the datum by
+reflection closure; it is memoised by (datum, positive-root indices),
+and clear_caches() empties the memo.
 """
 
 from __future__ import annotations
