@@ -223,10 +223,14 @@ def build_root_datum(spec: Mapping) -> RootDatum:
 
     Presets: {"preset": "GL"|"SL"|"PGL"|"GSp", "n": int}.  Explicit:
     {"rank": int, "simple_roots": [[...]], "simple_coroots": [[...]]}.
+    Sizes and coordinates must be ints (not bools, floats or strings);
+    a spec of any other shape raises RootDatumError.
     """
+    if not isinstance(spec, Mapping):
+        raise RootDatumError(f"group spec must be a mapping, not {type(spec).__name__}")
     if "preset" in spec:
         preset = spec["preset"]
-        n = int(spec["n"])
+        n = _spec_int(_spec_field(spec, "n"), "n")
         if preset == "GL":
             return _build(_gl_data(n), f"GL{n}")
         if preset == "SL":
@@ -238,14 +242,31 @@ def build_root_datum(spec: Mapping) -> RootDatum:
                 raise RootDatumError("GSp preset needs an even n >= 2")
             return _build(_gsp_data(n // 2), f"GSp{n}")
         raise RootDatumError(f"unknown preset {preset!r}")
-    try:
-        rank = int(spec["rank"])
-        roots = [tuple(int(x) for x in r) for r in spec["simple_roots"]]
-        coroots = [tuple(int(x) for x in r) for r in spec["simple_coroots"]]
-    except KeyError as exc:
-        raise RootDatumError(f"missing field {exc} in group spec") from exc
+    rank = _spec_int(_spec_field(spec, "rank"), "rank")
+    roots = _spec_vectors(spec, "simple_roots")
+    coroots = _spec_vectors(spec, "simple_coroots")
     label = str(spec.get("label", f"custom(rank={rank})"))
     return _build((rank, roots, coroots), label)
+
+
+def _spec_field(spec: Mapping, key: str):
+    if key not in spec:
+        raise RootDatumError(f"missing field {key!r} in group spec")
+    return spec[key]
+
+
+def _spec_int(value, what: str) -> int:
+    # refused rather than converted: int() would truncate 3.5 and accept "3"
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise RootDatumError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _spec_vectors(spec: Mapping, key: str) -> list[Vec]:
+    value = _spec_field(spec, key)
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, (list, tuple)) for v in value):
+        raise RootDatumError(f"{key} must be a list of integer lists")
+    return [tuple(_spec_int(x, f"an entry of {key}") for x in v) for v in value]
 
 
 def _build(data, label: str) -> RootDatum:
