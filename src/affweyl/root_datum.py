@@ -243,6 +243,8 @@ def build_root_datum(spec: Mapping) -> RootDatum:
             return _build(_gsp_data(n // 2), f"GSp{n}")
         raise RootDatumError(f"unknown preset {preset!r}")
     rank = _spec_int(_spec_field(spec, "rank"), "rank")
+    if rank < 0:
+        raise RootDatumError(f"rank must be non-negative, not {rank}")
     roots = _spec_vectors(spec, "simple_roots")
     coroots = _spec_vectors(spec, "simple_coroots")
     label = str(spec.get("label", f"custom(rank={rank})"))

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affweyl.affine_weyl import (
     AffineWeylElement,
@@ -365,3 +366,33 @@ def test_kottwitz_surjective_onto_pi1():
             target = pi1.project(section)
             assert kottwitz(rd, omega_rep(rd, section)) == target
             assert length(rd, omega_rep(rd, section)) == 0
+
+
+COSET_DATA = [GL3, GSP4, build_root_datum({"preset": "SL", "n": 3}), build_root_datum({"preset": "PGL", "n": 3})]
+
+
+@st.composite
+def _coset_cases(draw):
+    rd = draw(st.sampled_from(COSET_DATA))
+    gens = iwahori_generators(rd)
+    lam = draw(st.lists(st.integers(-2, 2), min_size=rd.rank, max_size=rd.rank))
+    w = translation_element(lam, rd)
+    for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=6)):
+        w = mul(w, gens[i])
+    shift = draw(st.lists(st.integers(-1, 1), min_size=rd.rank, max_size=rd.rank))
+    w = mul(omega_rep(rd, shift), w)
+    # each datum is irreducible, so any proper subset of the affine nodes is a valid level
+    indices = draw(st.sets(st.integers(0, len(gens) - 1), max_size=len(gens) - 1))
+    return rd, w, make_level(rd, indices)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_coset_cases())
+def test_double_coset_rep_is_the_unique_shortest_element(case):
+    rd, w, level = case
+    wk = finite_parahoric_subgroup(rd, level)
+    coset = {mul(mul(u, w), v) for u in wk for v in wk}
+    rep = double_coset_rep(rd, w, level)
+    assert rep in coset
+    shortest = min(length(rd, x) for x in coset)
+    assert [x for x in coset if length(rd, x) == shortest] == [rep]

@@ -1,9 +1,10 @@
 """Levi data derived from the parent datum, memoised, and integer Newton points.
 
 Every Levi that b_set and components_bound_report reach is compared with
-the datum _build makes from the same simple system: the old route, which
-closes the simple roots under reflections and tests every coroot for
-positivity on its own.
+the datum _build makes from the same simple system.  Both routes read
+coroot coordinates off the same fundamental-weight forms, so the positive
+systems, coroot_height and dominance_leq are also checked against an
+independent Fraction solve (solve_rational).
 """
 
 import dataclasses
@@ -25,11 +26,14 @@ from affweyl.affine_weyl import (
     sigma_from_name,
     translation_element,
 )
-from affweyl.linalg import mat_mul, mat_vec
+from affweyl import root_datum
+from affweyl.linalg import mat_mul, mat_vec, solve_rational
 from affweyl.root_datum import (
+    RootDatum,
     RootDatumError,
     _build,
     build_root_datum,
+    dominance_leq,
     dominant_rep,
     sub_datum,
 )
@@ -209,3 +213,117 @@ def test_sigma_apply_matches_matrix_conjugation_across_clear_caches(case):
     assert sigma_apply(sigma, fresh) == sigma_apply(sigma, w)
     identity = sigma_from_name(rd, "id")
     assert sigma_apply(identity, w) is w
+
+
+# ---------------------------------------------------------------------------
+# simple-coroot coordinates against an independent Fraction solve
+
+A1_X_C2 = build_root_datum(
+    {
+        "rank": 5,
+        "simple_roots": [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 2, -1]],
+        "simple_coroots": [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, 0]],
+    }
+)
+POSITIVE_SYSTEM_DATA = (
+    [_rd("GL", n) for n in range(1, 8)]
+    + [_rd(p, n) for p in ("SL", "PGL") for n in range(2, 6)]
+    + [_rd("GSp", n) for n in (2, 4, 6, 8)]
+    + [A1_X_C2]
+)
+
+
+def _check_positive_system(rd):
+    """Coefficients by solve_rational: non-negative, summing to coroot_height, sorted."""
+    keys = []
+    for cv in rd.positive_coroots:
+        coeffs = solve_rational(rd.simple_coroots, cv)
+        assert coeffs is not None and all(c >= 0 for c in coeffs), (rd.type_label, cv)
+        assert sum(coeffs) == rd.coroot_height(cv), (rd.type_label, cv)
+        keys.append((sum(coeffs), cv))
+    assert keys == sorted(keys), rd.type_label
+
+
+@pytest.mark.parametrize("rd", POSITIVE_SYSTEM_DATA, ids=lambda rd: rd.type_label)
+def test_positive_system_matches_the_fraction_solve(rd):
+    _check_positive_system(rd)
+
+
+def test_every_reached_levi_has_the_fraction_solve_positive_system(monkeypatch):
+    records = _reached_levis(monkeypatch, LADDER)
+    assert len(records) >= 80
+    for _, _, levi in records:
+        _check_positive_system(levi)
+
+
+def _reference_dominance_leq(lam, mu, rd, integral):
+    diff = [Fraction(b) - Fraction(a) for a, b in zip(lam, mu)]
+    if not rd.simple_coroots:
+        return not any(diff)
+    coeffs = solve_rational(rd.simple_coroots, diff)
+    if coeffs is None or any(c < 0 for c in coeffs):
+        return False
+    return not integral or all(c.denominator == 1 for c in coeffs)
+
+
+DOMINANCE_DATA = [_rd("GL", n) for n in (1, 2, 3, 5)] + [
+    _rd("SL", 4),
+    _rd("PGL", 4),
+    _rd("GSp", 4),
+    _rd("GSp", 6),
+    A1_X_C2,
+]
+_SMALL = st.integers(-4, 4)
+_RATIONAL = st.builds(Fraction, _SMALL, st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def _dominance_cases(draw):
+    rd = draw(st.sampled_from(DOMINANCE_DATA))
+    entries = draw(st.sampled_from([_SMALL, _RATIONAL]))
+    lam = tuple(draw(st.lists(entries, min_size=rd.rank, max_size=rd.rank)))
+    if draw(st.booleans()):
+        # mu - lam in the span of the simple coroots, coefficients of either sign
+        coeffs = draw(st.lists(entries, min_size=rd.semisimple_rank, max_size=rd.semisimple_rank))
+        mu = tuple(
+            x + sum(c * cv[k] for c, cv in zip(coeffs, rd.simple_coroots)) for k, x in enumerate(lam)
+        )
+    else:
+        mu = tuple(draw(st.lists(entries, min_size=rd.rank, max_size=rd.rank)))
+    return rd, lam, mu, draw(st.booleans())
+
+
+def _check_dominance(case):
+    rd, lam, mu, integral = case
+    expected = _reference_dominance_leq(lam, mu, rd, integral)
+    assert dominance_leq(lam, mu, rd, integral=integral) == expected, case
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_dominance_cases())
+def test_dominance_leq_matches_the_fraction_solve(case):
+    _check_dominance(case)
+
+
+def _one_entry_off(forms):
+    d, covectors = forms
+    if not covectors:
+        return forms
+    first = (covectors[0][0] + 1,) + covectors[0][1:]
+    return d, (first,) + covectors[1:]
+
+
+def test_negative_control_one_wrong_form_entry_fails_both_checks(monkeypatch):
+    real = root_datum._fundamental_forms
+    monkeypatch.setattr(root_datum, "_fundamental_forms", lambda *a: _one_entry_off(real(*a)))
+    # a property on the class shadows the forms already cached on a datum
+    monkeypatch.setattr(
+        RootDatum,
+        "_forms",
+        property(lambda rd: _one_entry_off(real(rd.simple_roots, rd.cartan_matrix))),
+    )
+    with pytest.raises((AssertionError, RootDatumError)):
+        for rd in POSITIVE_SYSTEM_DATA:
+            _check_positive_system(rd)
+    with pytest.raises(AssertionError):
+        test_dominance_leq_matches_the_fraction_solve()

@@ -289,3 +289,25 @@ def test_oracle_suite_scope_filter(capsys):
     assert "PASS" in out
     code, _, err = run_cli(capsys, "oracle-suite", "--scope", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        5,
+        {"preset": "GL"},
+        {"preset": "GL", "n": "x"},
+        {"preset": "GL", "n": 3.5},
+        {"rank": 2, "simple_roots": 5, "simple_coroots": [[1, -1]]},
+        {"rank": 2, "simple_roots": [[1.9, -1]], "simple_coroots": [[1, -1]]},
+        {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [1]},
+    ],
+)
+def test_cli_config_with_a_malformed_group_spec(tmp_path, capsys, group):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": group, "mu": "1,0"}))
+    code, out, err = run_cli(capsys, "adm", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid group spec: ")
+    assert "Traceback" not in err

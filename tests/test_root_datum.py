@@ -239,3 +239,36 @@ def test_stored_hash_is_recomputed_on_unpickling():
     object.__setattr__(stale, "_hash", 0)  # as if hashed under another PYTHONHASHSEED
     back = pickle.loads(pickle.dumps(stale))
     assert back == gsp and hash(back) == hash(gsp)
+
+
+A1 = {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]}
+MALFORMED_SPECS = [
+    ({"preset": "GL"}, "missing field 'n'"),
+    ({"preset": "GL", "n": "x"}, "n must be an integer"),
+    ({"preset": "GL", "n": "3"}, "n must be an integer"),
+    ({"preset": "GL", "n": 3.5}, "n must be an integer"),
+    ({"preset": "GL", "n": True}, "n must be an integer"),
+    (5, "must be a mapping"),
+    ([["preset", "GL"], ["n", 3]], "must be a mapping"),
+    (None, "must be a mapping"),
+    ({**A1, "rank": 2.0}, "rank must be an integer"),
+    ({"rank": -1, "simple_roots": [], "simple_coroots": []}, "rank must be non-negative"),
+    ({**A1, "simple_roots": 5}, "simple_roots must be a list of integer lists"),
+    ({**A1, "simple_roots": [5]}, "simple_roots must be a list of integer lists"),
+    ({**A1, "simple_coroots": "1,-1"}, "simple_coroots must be a list of integer lists"),
+    ({**A1, "simple_roots": [[1.9, -1]]}, "an entry of simple_roots must be an integer"),
+    ({**A1, "simple_coroots": [[1, "-1"]]}, "an entry of simple_coroots must be an integer"),
+    ({"rank": 2, "simple_roots": [[1, -1]]}, "missing field 'simple_coroots'"),
+]
+
+
+@pytest.mark.parametrize("spec, message", MALFORMED_SPECS)
+def test_malformed_spec_raises_root_datum_error(spec, message):
+    with pytest.raises(RootDatumError, match=message):
+        build_root_datum(spec)
+
+
+def test_well_formed_specs_still_build():
+    assert build_root_datum(A1).positive_coroots == ((1, -1),)
+    assert build_root_datum({**A1, "simple_roots": ((1, -1),)}).rank == 2
+    assert build_root_datum({"preset": "GL", "n": 3}).type_label == "GL3"
