@@ -10,6 +10,14 @@ of length l(w) - 1 (Bjorner-Brenti, Thm 1.4.3 and Cor 1.4.4).  The same
 covers prove the candidate set equal to Adm(mu): every lower cover of a
 candidate is a candidate, and every candidate is a maximal translation
 or a lower cover of one; any failure is a hard internal error.
+
+The parahoric image Adm_K(mu) is kept as the members of Adm(mu) with no
+left and no right descent in K: these are the minimal double coset
+representatives, and each lies below every member of its coset.  Its
+closure poset is read off the same covers.  Adm(mu) is closed downward
+and Bruhat intervals are graded (Bjorner-Brenti, Thm 2.2.6), so v <= w
+in Adm(mu) iff v is reached from w down cover edges; one pass over the
+edges gives every element its down-set of nodes as a bitmask.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from .affine_weyl import (
     AffineWeylError,
     ParahoricLevel,
     bruhat_leq,
-    double_coset_rep,
     element_sort_key,
     identity_element,
     iwahori_generators,
@@ -141,8 +148,11 @@ def adm_K(
     mu: Sequence[int], rd: RootDatum, level: ParahoricLevel
 ) -> tuple[AffineWeylElement, ...]:
     """Image of Adm(mu) in the double coset space, as minimal-length reps."""
-    reps = {double_coset_rep(rd, w, level) for w in adm(tuple(mu), rd).elements}
-    return tuple(sorted(reps, key=lambda w: element_sort_key(rd, w)))
+    gens = [iwahori_generators(rd)[i] for i in level.generators]
+    return tuple(
+        w for w in adm(tuple(mu), rd).elements
+        if all(length(rd, mul(s, w)) > length(rd, w) < length(rd, mul(w, s)) for s in gens)
+    )
 
 
 @dataclass(frozen=True)
@@ -150,8 +160,8 @@ class KRPoset:
     """Closure poset of the stratification indexed by Adm_K(mu).
 
     Nodes are minimal-length double coset representatives, ranked by
-    length; edges are the covering relations of the order induced by
-    Bruhat comparison of representatives.
+    length; edges are the covering relations of the Bruhat order among
+    the representatives.
     """
 
     nodes: tuple[AffineWeylElement, ...]
@@ -161,12 +171,19 @@ class KRPoset:
 
 
 def kr_poset(mu: Sequence[int], rd: RootDatum, level: ParahoricLevel) -> KRPoset:
+    """Bruhat order on Adm_K(mu), walked down the cover edges of Adm(mu)."""
+    aset = adm(tuple(mu), rd)
     nodes = adm_K(mu, rd, level)
-    edges, bottoms = hasse_diagram([[bruhat_leq(rd, v, w) for w in nodes] for v in nodes])
+    bit = {w: 1 << a for a, w in enumerate(nodes)}
+    # down[j] masks the nodes below element j; sorted edges go up in length,
+    # so one pass completes down[i] before edge (i, j) reads it
+    down = [bit.get(w, 0) for w in aset.elements]
+    for i, j in aset.cover_edges:
+        down[j] |= down[i]
+    edges, bottoms = hasse_diagram([d for w, d in zip(aset.elements, down) if w in bit])
     if len(bottoms) != 1:
         raise AffineWeylError("stratification poset does not have a unique bottom")
-    tau_rep = double_coset_rep(rd, tau(mu, rd), level)
-    if nodes[bottoms[0]] != tau_rep:
+    if nodes[bottoms[0]] != tau(mu, rd):
         raise AffineWeylError("poset bottom is not the coset of the minimal element")
     ranks = tuple(length(rd, w) for w in nodes)
     return KRPoset(nodes, ranks, edges, bottoms[0])

@@ -45,8 +45,9 @@ class ConfigError(Exception):
 
 def _parse_group(text: str):
     for preset in ("GSp", "PGL", "GL", "SL"):
-        if text.startswith(preset) and text[len(preset):].isdigit():
-            return {"preset": preset, "n": int(text[len(preset):])}
+        digits = text[len(preset):]
+        if text.startswith(preset) and digits.isascii() and digits.isdigit():
+            return {"preset": preset, "n": int(digits)}
     raise ConfigError(f"cannot parse group {text!r}; expected e.g. GL3, GSp4, PGL3")
 
 
@@ -80,7 +81,7 @@ def _parse_level(rd, text: Optional[str], sigma):
         item = item.strip()
         if item.startswith("s"):
             item = item[1:]
-        if not item.isdigit():
+        if not (item.isascii() and item.isdigit()):
             raise ConfigError(f"cannot parse level generator {item!r}")
         indices.append(int(item))
     try:
@@ -142,8 +143,11 @@ def _meta_line(args, rd) -> str:
 
 def _emit(text: str, out: Optional[str]):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -225,16 +229,20 @@ def cmd_adm(args) -> int:
     return 0
 
 
-def _emit_poset(args, rd, mu, level) -> int:
-    poset = kr_poset(mu, rd, level)
-    lines = [_meta_line(args, rd), "digraph kr_poset {", "  rankdir=BT;"]
-    for i, node in enumerate(poset.nodes):
-        lines.append(f'  n{i} [label="{format_element(rd, node)} (l={poset.ranks[i]})"];')
-    for a, b in poset.edges:
-        lines.append(f"  n{a} -> n{b};")
+def _emit_dot(args, rd, name: str, labels, edges) -> int:
+    """A DOT digraph with one node per label, drawn bottom to top."""
+    lines = [_meta_line(args, rd), f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)]
+    lines += [f"  n{a} -> n{b};" for a, b in edges]
     lines.append("}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _emit_poset(args, rd, mu, level) -> int:
+    poset = kr_poset(mu, rd, level)
+    labels = [f"{format_element(rd, w)} (l={r})" for w, r in zip(poset.nodes, poset.ranks)]
+    return _emit_dot(args, rd, "kr_poset", labels, poset.edges)
 
 
 def cmd_poset(args) -> int:
@@ -267,13 +275,7 @@ def cmd_newton(args) -> int:
     mu = _dominant_mu(args, rd, "newton")
     classes, rows, edges = _newton_rows(rd, mu, sigma)
     if args.poset or args.format == "dot":
-        lines = [_meta_line(args, rd), "digraph newton_poset {", "  rankdir=BT;"]
-        for i, row in enumerate(rows):
-            lines.append(f'  n{i} [label="{row[2]}"];')
-        lines += [f"  n{a} -> n{b};" for a, b in edges]
-        lines.append("}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
+        return _emit_dot(args, rd, "newton_poset", [row[2] for row in rows], edges)
     header = ("id", "representative", "nu", "denominator", "kappa", "members", "basic")
     _emit_rows(args, rd, "classes", header, rows)
     return 0

@@ -3,16 +3,17 @@
 Everything here works over Python ints and fractions.Fraction; no floats
 ever enter the computations.  Matrices are tuples of row tuples, vectors
 are tuples.  The Smith normal form tracks the row transform and its
-inverse, which is what lattice-quotient presentations need.  Boolean
-order matrices are reduced to their Hasse diagrams here as well.
+inverse, which is what lattice-quotient presentations need.  Finite
+partial orders, given as down-set bitmasks, are reduced to their Hasse
+diagrams here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, reduce
+from operator import and_, mul
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -297,23 +298,30 @@ def hermite_row_form(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
     return tuple(tuple(r) for r in out)
 
 
-def hasse_diagram(
-    leq: Sequence[Sequence[bool]],
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Cover edges and bottoms of a finite partial order.
+def _bits(mask: int):
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
-    leq[i][j] says whether element i is below element j.  Returns the
-    pairs (i, j) with i < j and nothing strictly between, in row-major
-    order, and the indices of the elements below every element.
+
+def hasse_diagram(
+    down: Sequence[int],
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Cover edges and bottoms of a finite partial order, from down-sets.
+
+    Bit i of down[j] says whether element i is below element j, and bit j
+    is set.  The lower covers of j are its strict down-set minus the
+    strict down-sets of the elements in it.  Returns the pairs (i, j) with
+    i < j and nothing strictly between, in row-major order, and the
+    indices of the elements below every element.
     """
-    n = len(leq)
-    edges = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-        and leq[i][j]
-        and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
-    )
-    bottoms = tuple(i for i in range(n) if all(leq[i]))
-    return edges, bottoms
+    strict = [d & ~(1 << j) for j, d in enumerate(down)]
+    edges = []
+    for j, below in enumerate(strict):
+        covers = below
+        for i in _bits(below):
+            covers &= ~strict[i]
+        edges += [(i, j) for i in _bits(covers)]
+    bottoms = tuple(_bits(reduce(and_, down, (1 << len(down)) - 1)))
+    return tuple(sorted(edges)), bottoms

@@ -14,34 +14,38 @@ import re
 from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
-    finite_reflection,
+    _signs,
     identity_element,
     iwahori_generators,
     mul,
     omega_rep,
     translation_element,
 )
-from .linalg import mat_mul, vec_mat
 from .root_datum import RootDatum
 
 _TERM_RE = re.compile(r"^(e|t\[(?P<tv>-?\d+(,-?\d+)*)\]|s(?P<si>\d+)|tau\[(?P<ov>-?\d+(,-?\d+)*)\])$")
 
 
 def _finite_word(rd: RootDatum, w: AffineWeylElement) -> list[int]:
-    """Greedy reduced word of the finite part, in finite generator indices."""
-    neg_roots = {tuple(-x for x in a) for a in rd.positive_roots}
-    cur = w.finite
+    """Greedy reduced word of the finite part, in finite generator indices.
+
+    s_i is a left descent of u iff u^-1 sends the simple root a_i to a
+    negative root, which the sign vector of u's interned entry records.
+    """
+    simple = [rd.positive_roots.index(a) for a in rd.simple_roots]
+    gens = iwahori_generators(rd)[len(rd.components()):]
+    cur = AffineWeylElement((0,) * rd.rank, w.finite)
     word: list[int] = []
     while True:
-        for i, alpha in enumerate(rd.simple_roots):
-            if vec_mat(alpha, cur) in neg_roots:
-                word.append(i)
-                cur = mat_mul(finite_reflection(rd, i).finite, cur)
-                break
-        else:
-            if any(cur[i][j] != (1 if i == j else 0) for i in range(len(cur)) for j in range(len(cur))):
-                raise AffineWeylError("finite part is not in the finite Weyl group")
-            return word
+        signs = _signs(rd, cur._u)
+        i = next((i for i, p in enumerate(simple) if signs[p]), None)
+        if i is None:
+            break
+        word.append(i)
+        cur = mul(gens[i], cur)
+    if not cur._u.is_identity:
+        raise AffineWeylError("finite part is not in the finite Weyl group")
+    return word
 
 
 def format_element(rd: RootDatum, w: AffineWeylElement) -> str:

@@ -306,9 +306,10 @@ def newton_poset(
     The basic point is the unique bottom of the dominance order; its index
     is returned, and a set without a unique bottom raises.
     """
-    edges, bottoms = hasse_diagram(
-        [[dominance_leq(p.nu, q.nu, rd, integral=False) for q in points] for p in points]
-    )
+    edges, bottoms = hasse_diagram([
+        sum(1 << i for i, p in enumerate(points) if dominance_leq(p.nu, q.nu, rd, integral=False))
+        for q in points
+    ])
     if len(bottoms) != 1:
         raise ConsistencyError("Newton set does not have a unique basic point")
     return edges, bottoms[0]

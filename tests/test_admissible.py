@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import affweyl
 from affweyl import admissible, affine_weyl
 from affweyl.admissible import (
+    AdmissibleSet,
     _lower_covers,
     adm,
     adm_K,
@@ -19,6 +20,8 @@ from affweyl.affine_weyl import (
     ParahoricLevel,
     bruhat_leq,
     bruhat_leq_subword_oracle,
+    double_coset_rep,
+    element_sort_key,
     finite_reflection,
     identity_element,
     iwahori_generators,
@@ -38,6 +41,7 @@ from affweyl.affine_weyl import (
 from affweyl.notation import format_element
 from affweyl.root_datum import build_root_datum, dominant_rep, weyl_orbit
 from affweyl.straight_newton import b_set
+from test_linalg import hasse_by_cubic_scan
 
 
 GL2 = build_root_datum({"preset": "GL", "n": 2})
@@ -258,6 +262,72 @@ def test_cover_edges_match_pairwise_scan(preset, n, mu):
     rd = build_root_datum({"preset": preset, "n": n})
     aset = adm(mu, rd)
     assert aset.cover_edges == _pairwise_cover_edges(rd, aset.elements)
+
+
+def _kr_poset_by_pairwise_scan(mu, rd, level):
+    """Reference: reps by double_coset_rep, order by a pairwise bruhat_leq matrix."""
+    reps = {double_coset_rep(rd, w, level) for w in adm(mu, rd).elements}
+    nodes = tuple(sorted(reps, key=lambda w: element_sort_key(rd, w)))
+    edges, bottoms = hasse_by_cubic_scan([[bruhat_leq(rd, v, w) for w in nodes] for v in nodes])
+    return nodes, tuple(length(rd, w) for w in nodes), edges, bottoms
+
+
+KR_CASES = [
+    ("GL", 4, (1, 1, 0, 0), [1]),
+    ("GL", 4, (1, 1, 0, 0), [0, 2]),
+    ("GL", 4, (1, 1, 0, 0), []),
+    ("SL", 4, (1, 0, 1), [1]),
+    ("SL", 4, (1, 0, 1), [2, 3]),
+    ("GSp", 4, (2, 1, 1), [1]),
+    ("GSp", 4, (1, 1, 1), [0, 2]),
+    ("PGL", 4, (1, 0, 0), [1]),
+    ("PGL", 4, (1, 0, 0), [0, 1]),
+    ("GL", 3, (2, 1, 0), [0]),
+]
+
+
+@pytest.mark.parametrize("preset,n,mu,gens", KR_CASES)
+def test_kr_poset_matches_pairwise_scan(preset, n, mu, gens):
+    rd = build_root_datum({"preset": preset, "n": n})
+    level = make_level(rd, gens)
+    poset = kr_poset(mu, rd, level)
+    nodes, ranks, edges, bottoms = _kr_poset_by_pairwise_scan(mu, rd, level)
+    assert (poset.nodes, poset.ranks, poset.edges, (poset.bottom,)) == (nodes, ranks, edges, bottoms)
+
+
+def test_kr_poset_sees_a_dropped_cover_edge(monkeypatch):
+    mu, level = (1, 1, 0, 0), make_level(GL4, [1])
+    aset = adm(mu, GL4)
+    before = kr_poset(mu, GL4, level)
+    position = {w: a for a, w in enumerate(before.nodes)}
+    # the last cover edge between two nodes; it is above the bottom, so one remains
+    i, j = [(i, j) for i, j in aset.cover_edges if {aset.elements[i], aset.elements[j]} <= position.keys()][-1]
+    pair = (position[aset.elements[i]], position[aset.elements[j]])
+    assert pair in before.edges and pair[0] != before.bottom
+    edges = tuple(e for e in aset.cover_edges if e != (i, j))
+    monkeypatch.setattr(admissible, "adm", lambda mu, rd: AdmissibleSet(aset.mu, aset.elements, aset.level, edges))
+    after = kr_poset(mu, GL4, level)
+    assert after.nodes == before.nodes
+    assert pair not in after.edges
+
+
+def test_kr_poset_makes_no_pairwise_calls():
+    watched = {bruhat_leq.__code__, double_coset_rep.__code__}
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            seen.append(frame.f_code.co_name)
+
+    adm.cache_clear()  # so that kr_poset's own call to adm does its work as well
+    sys.setprofile(profile)
+    try:
+        for preset, n, mu, gens in KR_CASES:
+            rd = build_root_datum({"preset": preset, "n": n})
+            kr_poset(mu, rd, make_level(rd, gens))
+    finally:
+        sys.setprofile(None)
+    assert seen == []
 
 
 def _edit_closure(monkeypatch, edit):

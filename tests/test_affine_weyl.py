@@ -396,3 +396,28 @@ def test_double_coset_rep_is_the_unique_shortest_element(case):
     assert rep in coset
     shortest = min(length(rd, x) for x in coset)
     assert [x for x in coset if length(rd, x) == shortest] == [rep]
+
+
+@st.composite
+def _bruhat_pairs(draw):
+    """w a word times an Omega part; v a subword of it times the same or another Omega part."""
+    rd = draw(st.sampled_from(COSET_DATA))
+    gens = iwahori_generators(rd)
+    letters = draw(st.lists(st.integers(0, len(gens) - 1), max_size=6))
+    kept = draw(st.lists(st.booleans(), min_size=len(letters), max_size=len(letters)))
+    shifts = st.lists(st.integers(-1, 1), min_size=rd.rank, max_size=rd.rank)
+    shift_w = draw(shifts)
+    shift_v = draw(st.one_of(st.just(shift_w), shifts))
+    v, w = identity_element(rd), identity_element(rd)
+    for i, keep in zip(letters, kept):
+        w = mul(w, gens[i])
+        if keep:
+            v = mul(v, gens[i])
+    return rd, mul(v, omega_rep(rd, shift_v)), mul(w, omega_rep(rd, shift_w))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_bruhat_pairs())
+def test_bruhat_leq_matches_subword_oracle_property(case):
+    rd, v, w = case
+    assert bruhat_leq(rd, v, w) == bruhat_leq_subword_oracle(rd, v, w)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affweyl.linalg import (
     hasse_diagram,
@@ -106,10 +107,30 @@ def test_hermite_row_form_canonical():
     assert a[0][0] > 0
 
 
+def hasse_by_cubic_scan(leq):
+    """Reference: covers and bottoms of a boolean order matrix by a triple loop."""
+    n = len(leq)
+    edges = tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and leq[i][j]
+        and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))
+    )
+    bottoms = tuple(i for i in range(n) if all(leq[i]))
+    return edges, bottoms
+
+
+def down_sets(leq):
+    """Column j of a boolean order matrix as the bitmask of the elements below j."""
+    return [sum(1 << i for i in range(len(leq)) if leq[i][j]) for j in range(len(leq))]
+
+
 def test_hasse_diagram_of_subsets_by_inclusion():
     subsets = list(range(8))  # bit masks of the subsets of {0, 1, 2}
     leq = [[a & b == a for b in subsets] for a in subsets]
-    edges, bottoms = hasse_diagram(leq)
+    edges, bottoms = hasse_diagram(down_sets(leq))
     assert bottoms == (0,)
     assert len(edges) == 12
     assert all(bin(b ^ a).count("1") == 1 and a & b == a for a, b in edges)
@@ -119,6 +140,30 @@ def test_hasse_diagram_of_subsets_by_inclusion():
 def test_hasse_diagram_antichain_and_chain():
     n = 4
     antichain = [[i == j for j in range(n)] for i in range(n)]
-    assert hasse_diagram(antichain) == ((), ())
+    assert hasse_diagram(down_sets(antichain)) == ((), ())
     chain = [[i <= j for j in range(n)] for i in range(n)]
-    assert hasse_diagram(chain) == (((0, 1), (1, 2), (2, 3)), (0,))
+    assert hasse_diagram(down_sets(chain)) == (((0, 1), (1, 2), (2, 3)), (0,))
+
+
+@st.composite
+def _finite_posets(draw):
+    """The order matrix of a random finite poset, its elements in shuffled positions."""
+    n = draw(st.integers(0, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    related = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    place = draw(st.permutations(range(n)))
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in related:
+        leq[a][b] = True
+    # transitive closure; relations only run up in index, so it stays antisymmetric
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                leq[a][b] = leq[a][b] or (leq[a][k] and leq[k][b])
+    return [[leq[place[i]][place[j]] for j in range(n)] for i in range(n)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_finite_posets())
+def test_hasse_diagram_matches_cubic_scan(leq):
+    assert hasse_diagram(down_sets(leq)) == hasse_by_cubic_scan(leq)

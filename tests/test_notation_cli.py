@@ -2,18 +2,24 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affweyl.affine_weyl import (
+    AffineWeylElement,
     AffineWeylError,
+    finite_reflection,
     identity_element,
     iwahori_generators,
     mul,
     omega_rep,
+    sigma_apply,
     sigma_from_name,
+    sigma_identity,
     translation_element,
 )
 from affweyl.cli import main
-from affweyl.notation import format_element, parse_element
+from affweyl.linalg import identity_matrix, mat_mul, vec_mat
+from affweyl.notation import _finite_word, format_element, parse_element
 from affweyl.oracles import available_scopes, run_oracle_suite
 from affweyl.root_datum import build_root_datum, dominance_leq
 from affweyl.straight_newton import b_set
@@ -57,6 +63,61 @@ def test_roundtrip_random():
                 w = mul(w, gens[rng.randrange(len(gens))])
             w = mul(w, omega_rep(rd, tuple(rng.randint(-2, 2) for _ in range(rd.rank))))
             assert parse_element(rd, format_element(rd, w)) == w
+
+
+def finite_word_by_matrices(rd, w):
+    """Reference greedy word: descents from a negative-root set, steps by matrix products."""
+    neg_roots = {tuple(-x for x in a) for a in rd.positive_roots}
+    cur = w.finite
+    word = []
+    while True:
+        for i, alpha in enumerate(rd.simple_roots):
+            if vec_mat(alpha, cur) in neg_roots:
+                word.append(i)
+                cur = mat_mul(finite_reflection(rd, i).finite, cur)
+                break
+        else:
+            if cur != identity_matrix(rd.rank):
+                raise AffineWeylError("finite part is not in the finite Weyl group")
+            return word
+
+
+ROUNDTRIP_DATA = [GL3, GSP4, build_root_datum({"preset": "SL", "n": 3}), build_root_datum({"preset": "PGL", "n": 3})]
+
+
+@st.composite
+def _notation_cases(draw):
+    """A word times an Omega part and a translation, twisted by the flip where there is one."""
+    rd = draw(st.sampled_from(ROUNDTRIP_DATA))
+    gens = iwahori_generators(rd)
+    w = translation_element(draw(st.lists(st.integers(-3, 3), min_size=rd.rank, max_size=rd.rank)), rd)
+    for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=8)):
+        w = mul(w, gens[i])
+    w = mul(w, omega_rep(rd, draw(st.lists(st.integers(-2, 2), min_size=rd.rank, max_size=rd.rank))))
+    sigma = sigma_identity(rd) if rd is GSP4 else sigma_from_name(rd, draw(st.sampled_from(["id", "flip"])))
+    return rd, sigma_apply(sigma, w)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_notation_cases())
+def test_format_parse_roundtrip_property(case):
+    rd, w = case
+    assert _finite_word(rd, w) == finite_word_by_matrices(rd, w)
+    assert parse_element(rd, format_element(rd, w)) == w
+
+
+@pytest.mark.parametrize("rd,matrix", [
+    (GL3, ((0, 0, -1), (0, -1, 0), (-1, 0, 0))),  # the flip of GL3
+    (GL3, ((-1, 0, 0), (0, -1, 0), (0, 0, -1))),
+    (GSP4, ((2, 0, 0), (0, 1, 0), (0, 0, 1))),
+])
+def test_finite_parts_outside_the_finite_weyl_group_are_refused(rd, matrix):
+    w = AffineWeylElement((0,) * rd.rank, matrix)
+    for word in (_finite_word, finite_word_by_matrices):
+        with pytest.raises(AffineWeylError):
+            word(rd, w)
+    with pytest.raises(AffineWeylError):
+        format_element(rd, w)
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +316,30 @@ def test_cli_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("# group=GL2")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("describe", "--group", "GL\u00b2"), "error: cannot parse group"),
+    (("adm", "--group", "GL2", "--mu", "1,0", "--level", "s\u00b9"), "error: cannot parse level generator"),
+])
+def test_cli_superscript_digits_are_refused(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("adm", "--group", "GL2", "--mu", "1,0"),
+    ("oracle-suite", "--scope", "length"),
+])
+@pytest.mark.parametrize("where", ["missing-dir/out.txt", "."])
+def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, argv, where):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / where))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output file")
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
 
 
 def test_cli_newton_with_flip(capsys):
