@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import __version__, oracles
-from .admissible import adm, kr_poset
+from .admissible import adm, adm_K, kr_poset
 from .affine_weyl import (
     AffineWeylError,
     ParahoricLevel,
@@ -52,10 +52,13 @@ def _parse_group(text: str):
 
 
 def _parse_vector(text: str):
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse coordinate list {text!r}") from exc
+    """Comma-separated integers; digits must be ASCII, as in --group and --level."""
+    if text.isascii():
+        try:
+            return tuple(int(x) for x in text.split(","))
+        except ValueError:
+            pass
+    raise ConfigError(f"cannot parse coordinate list {text!r}")
 
 
 def _parse_cochar(text: str, rd, flag: str):
@@ -208,8 +211,6 @@ def cmd_describe(args) -> int:
 
 
 def _adm_rows(rd, mu, level):
-    from .admissible import adm_K
-
     if level.generators:
         elements = adm_K(mu, rd, level)
     else:
@@ -245,11 +246,6 @@ def _emit_poset(args, rd, mu, level) -> int:
     return _emit_dot(args, rd, "kr_poset", labels, poset.edges)
 
 
-def cmd_poset(args) -> int:
-    args.poset = True
-    return cmd_adm(args)
-
-
 def _newton_rows(rd, mu, sigma):
     """Classes, their table rows and the cover edges of their Newton points."""
     classes = straight_classes(mu, rd, sigma)
@@ -283,6 +279,8 @@ def cmd_newton(args) -> int:
 
 def cmd_components_bound(args) -> int:
     rd, sigma, level = _build_context(args)
+    if args.format == "dot":
+        raise ConfigError("components-bound has no poset; dot output is not available")
     mu = _dominant_mu(args, rd, "components-bound")
     classes, rows, _ = _newton_rows(rd, mu, sigma)
     target = None
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poset", help="closure poset of the admissible set as DOT")
     common(p)
-    p.set_defaults(fn=cmd_poset, poset=True)
+    p.set_defaults(fn=cmd_adm, poset=True)
 
     p = sub.add_parser("newton", help="straight classes and Newton points")
     common(p)

@@ -2,8 +2,8 @@
 
 Everything here works over Python ints and fractions.Fraction; no floats
 ever enter the computations.  Matrices are tuples of row tuples, vectors
-are tuples.  The Smith normal form tracks the row transform and its
-inverse, which is what lattice-quotient presentations need.  Finite
+are tuples.  The Smith normal form returns both unimodular transforms;
+its row transform is what lattice-quotient presentations read.  Finite
 partial orders, given as down-set bitmasks, are reduced to their Hasse
 diagrams here as well.
 """
@@ -113,10 +113,8 @@ class SmithForm:
     """U @ A @ V == D with U, V unimodular; diag(D) in divisibility order."""
 
     u: Mat
-    u_inv: Mat
     d: Mat
     v: Mat
-    v_inv: Mat
 
     @property
     def diagonal(self) -> Vec:
@@ -125,44 +123,36 @@ class SmithForm:
 
 
 def smith_normal_form(a: Mat) -> SmithForm:
-    """Smith normal form with both transforms and their inverses.
+    """Smith normal form U A V = D with both unimodular transforms.
 
-    Pure integer row/column reduction; the invariants U A V = D,
-    U U^-1 = I and V^-1 V = I hold at every step.
+    Pure integer row/column reduction; U A V = D holds at every step, and
+    U and V change only by swaps, negations and integer row or column
+    additions, so they stay unimodular.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
     u = [list(row) for row in identity_matrix(m)]
-    u_inv = [list(row) for row in identity_matrix(m)]
     v = [list(row) for row in identity_matrix(n)]
-    v_inv = [list(row) for row in identity_matrix(n)]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
-        for r in range(m):
-            u_inv[r][i], u_inv[r][j] = u_inv[r][j], u_inv[r][i]
 
     def row_add(i, j, c):
         # row_i += c * row_j
         d[i] = [x + c * y for x, y in zip(d[i], d[j])]
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in range(m):
-            u_inv[r][j] -= c * u_inv[r][i]
 
     def row_neg(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
-        for r in range(m):
-            u_inv[r][i] = -u_inv[r][i]
 
     def col_swap(i, j):
         for r in range(m):
             d[r][i], d[r][j] = d[r][j], d[r][i]
         for r in range(n):
             v[r][i], v[r][j] = v[r][j], v[r][i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def col_add(i, j, c):
         # col_i += c * col_j
@@ -170,14 +160,12 @@ def smith_normal_form(a: Mat) -> SmithForm:
             d[r][i] += c * d[r][j]
         for r in range(n):
             v[r][i] += c * v[r][j]
-        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def col_neg(i):
         for r in range(m):
             d[r][i] = -d[r][i]
         for r in range(n):
             v[r][i] = -v[r][i]
-        v_inv[i] = [-x for x in v_inv[i]]
 
     def pivot_pos(t):
         best = None
@@ -236,7 +224,7 @@ def smith_normal_form(a: Mat) -> SmithForm:
         t += 1
 
     freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return SmithForm(freeze(u), freeze(u_inv), freeze(d), freeze(v), freeze(v_inv))
+    return SmithForm(freeze(u), freeze(d), freeze(v))
 
 
 def integer_kernel(a: Mat) -> tuple[Vec, ...]:

@@ -26,12 +26,10 @@ from typing import Mapping, Optional, Sequence, Union
 from .linalg import (
     Vec,
     hermite_row_form,
-    mat_inverse,
     mat_mul,
     mat_vec,
     scaled_inverse,
     smith_normal_form,
-    solve_rational,
 )
 
 Coords = Union[Sequence[int], Sequence[Fraction]]
@@ -437,21 +435,20 @@ class FinAbGroup:
 
     invariant_factors lists the cyclic orders in divisibility order with 0
     meaning an infinite cyclic factor; trivial factors are dropped.  The
-    projection maps lattice vectors to normal-form tuples and its kernel is
-    exactly the sublattice L used to build the group.
+    projection pairs a lattice vector with one row per factor, reducing
+    modulo the factor, and its kernel is exactly the sublattice L used to
+    build the group.
     """
 
     ambient_rank: int
     invariant_factors: tuple[int, ...]
     _rows: tuple[Vec, ...]
-    _moduli: tuple[int, ...]
-    _sections: tuple[Vec, ...]
 
     def project(self, v: Coords) -> Vec:
         if len(v) != self.ambient_rank:
             raise RootDatumError("rank mismatch in fundamental group projection")
         out = []
-        for row, d in zip(self._rows, self._moduli):
+        for row, d in zip(self._rows, self.invariant_factors):
             x = sum(int(a) * int(b) for a, b in zip(row, v))
             out.append(x % d if d else x)
         return tuple(out)
@@ -465,10 +462,6 @@ class FinAbGroup:
             for a, b, d in zip(x, y, self.invariant_factors)
         )
 
-    def generator_sections(self) -> tuple[Vec, ...]:
-        """One lattice preimage per normal-form generator."""
-        return self._sections
-
     def describe(self) -> str:
         if not self.invariant_factors:
             return "1"
@@ -476,63 +469,41 @@ class FinAbGroup:
 
 
 def quotient_group(ambient_rank: int, sublattice_columns: Sequence[Sequence[int]]) -> FinAbGroup:
-    """Present Z^ambient_rank modulo the span of the given columns."""
+    """Present Z^ambient_rank modulo the span of the given columns.
+
+    With U A V = D the Smith form of the column matrix A, row i of U
+    projects onto Z/d_i; unit factors are dropped and the free rows are put
+    in Hermite form, so equal lattices present identically.
+
+    >>> g = quotient_group(2, [(2, 0)])
+    >>> g.describe(), g.project((3, 5)), g.project((2, 0)) == g.zero()
+    ('Z/2 x Z', (1, 5), True)
+    """
     cols = [tuple(int(x) for x in c) for c in sublattice_columns]
     for c in cols:
         if len(c) != ambient_rank:
             raise RootDatumError("sublattice columns have the wrong length")
-    if not cols:
-        eye = tuple(tuple(1 if i == j else 0 for j in range(ambient_rank)) for i in range(ambient_rank))
-        return FinAbGroup(ambient_rank, (0,) * ambient_rank, eye, (0,) * ambient_rank, eye)
     mat = tuple(tuple(c[i] for c in cols) for i in range(ambient_rank))
     sf = smith_normal_form(mat)
-    diag = list(sf.diagonal) + [0] * (ambient_rank - len(sf.diagonal))
-    torsion_rows, torsion_mods, torsion_secs = [], [], []
-    free_rows, free_secs = [], []
-    for i in range(ambient_rank):
-        d = diag[i]
-        section = tuple(sf.u_inv[r][i] for r in range(ambient_rank))
-        if d == 1:
-            continue
+    diag = sf.diagonal + (0,) * (ambient_rank - len(sf.diagonal))
+    torsion_rows, torsion_mods, free_rows = [], [], []
+    for row, d in zip(sf.u, diag):
         if d == 0:
-            free_rows.append(sf.u[i])
-            free_secs.append(section)
-        else:
-            torsion_rows.append(tuple(x % d for x in sf.u[i]))
+            free_rows.append(row)
+        elif d != 1:
+            torsion_rows.append(tuple(x % d for x in row))
             torsion_mods.append(d)
-            torsion_secs.append(section)
     # canonicalize the free quotient map so equal lattices present identically
-    if free_rows:
-        canon = list(hermite_row_form(free_rows))
-        free_secs = _transform_sections(canon, free_rows, free_secs)
-        free_rows = canon
-    rows = tuple(torsion_rows) + tuple(tuple(r) for r in free_rows)
-    mods = tuple(torsion_mods) + (0,) * len(free_rows)
-    sections = tuple(torsion_secs) + tuple(free_secs)
-    return FinAbGroup(ambient_rank, mods, rows, mods, sections)
-
-
-def _transform_sections(new_rows, old_rows, old_secs):
-    """Sections matching a unimodular change of the free projection rows."""
-    coeffs = []
-    for row in new_rows:
-        sol = solve_rational(tuple(old_rows), row)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise RootDatumError("internal error canonicalizing the free quotient")
-        coeffs.append(tuple(int(c) for c in sol))
-    t_inv = mat_inverse(tuple(coeffs))
-    n = len(old_secs[0])
-    return [
-        tuple(sum(t_inv[i][j] * old_secs[i][k] for i in range(len(old_secs))) for k in range(n))
-        for j in range(len(new_rows))
-    ]
+    free_rows = hermite_row_form(free_rows)
+    return FinAbGroup(
+        ambient_rank, tuple(torsion_mods) + (0,) * len(free_rows), tuple(torsion_rows) + free_rows
+    )
 
 
 @lru_cache(maxsize=None)
-def fundamental_group(rd: RootDatum, sublattice: Optional[tuple[Vec, ...]] = None) -> FinAbGroup:
-    """X_*(T) modulo the coroot lattice (or a supplied sublattice)."""
-    cols = sublattice if sublattice is not None else rd.simple_coroots
-    return quotient_group(rd.rank, cols)
+def fundamental_group(rd: RootDatum) -> FinAbGroup:
+    """X_*(T) modulo the coroot lattice."""
+    return quotient_group(rd.rank, rd.simple_coroots)
 
 
 def sub_datum(rd: RootDatum, positive_root_indices: Sequence[int], label: str) -> RootDatum:

@@ -362,10 +362,12 @@ def test_translation_normal_form():
 def test_kottwitz_surjective_onto_pi1():
     for rd in (GL3, GSP4):
         pi1 = fundamental_group(rd)
-        for section in pi1.generator_sections():
-            target = pi1.project(section)
-            assert kottwitz(rd, omega_rep(rd, section)) == target
-            assert length(rd, omega_rep(rd, section)) == 0
+        # the standard basis generates X_*(T), so its images generate pi_1
+        for i in range(rd.rank):
+            basis = tuple(int(j == i) for j in range(rd.rank))
+            target = pi1.project(basis)
+            assert kottwitz(rd, omega_rep(rd, basis)) == target
+            assert length(rd, omega_rep(rd, basis)) == 0
 
 
 COSET_DATA = [GL3, GSP4, build_root_datum({"preset": "SL", "n": 3}), build_root_datum({"preset": "PGL", "n": 3})]

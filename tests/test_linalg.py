@@ -31,8 +31,8 @@ def test_smith_form_properties():
         a = random_matrix(rng, m, n)
         sf = smith_normal_form(a)
         assert mat_mul(mat_mul(sf.u, a), sf.v) == sf.d
-        assert mat_mul(sf.u, sf.u_inv) == identity_matrix(m)
-        assert mat_mul(sf.v_inv, sf.v) == identity_matrix(n)
+        assert scaled_inverse(sf.u)[0] == 1
+        assert scaled_inverse(sf.v)[0] == 1
         diag = sf.diagonal
         for i in range(m):
             for j in range(n):

@@ -330,6 +330,31 @@ def test_cli_superscript_digits_are_refused(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
+    ("adm", "--group", "GL2", "--mu", "\u0661,\u0660"),
+    ("stembridge", "--group", "GL2", "--mu", "1,0", "--lambda", "\u0661,\u0660"),
+    ("perm-check", "--n", "2", "--mu", "\uff11,0"),
+])
+def test_cli_non_ascii_coordinates_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse coordinate list")
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("describe", "--group", "GL2"),
+    ("components-bound", "--group", "GL2", "--mu", "1,0", "--b", "basic"),
+    ("stembridge", "--group", "GL2", "--mu", "1,0", "--lambda", "1,0"),
+])
+def test_cli_commands_without_a_poset_refuse_dot(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "dot")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {argv[0]} has no poset; dot output is not available")
+
+
+@pytest.mark.parametrize("argv", [
     ("adm", "--group", "GL2", "--mu", "1,0"),
     ("oracle-suite", "--scope", "length"),
 ])

@@ -2,17 +2,22 @@ import itertools
 import pickle
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from affweyl.linalg import hermite_row_form
 from affweyl.root_datum import (
     RootDatumError,
+    _det,
     build_root_datum,
     dominance_leq,
     dominant_rep,
     fundamental_group,
     is_dominant,
     pairing,
+    quotient_group,
     simple_reflection,
     weyl_orbit,
 )
@@ -212,11 +217,49 @@ def test_gl1_degenerate_datum():
 
 
 def test_fundamental_group_with_explicit_sublattice():
-    gl2 = rd("GL", 2)
-    doubled = fundamental_group(gl2, sublattice=((2, -2),))
+    doubled = quotient_group(2, [(2, -2)])
     assert doubled.describe() == "Z/2 x Z"
     assert doubled.project((2, -2)) == doubled.zero()
     assert doubled.project((1, -1)) != doubled.zero()
+
+
+@st.composite
+def _quotient_cases(draw):
+    """Ambient rank, columns (possibly dependent or zero) and two vectors."""
+    n = draw(st.integers(0, 4))
+    vec = st.tuples(*[st.integers(-6, 6)] * n)
+    cols = draw(st.lists(vec, max_size=4))
+    if cols and draw(st.booleans()):
+        # a column that depends on the others
+        k = draw(st.integers(-2, 2))
+        cols.append(tuple(k * a + b for a, b in zip(cols[0], cols[-1])))
+    return n, cols, draw(vec), draw(vec)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_quotient_cases())
+def test_quotient_group_on_random_columns(case):
+    n, cols, u, v = case
+    group = quotient_group(n, cols)
+    span = hermite_row_form(cols)
+    for x in (u, v):
+        # x is in the integer span iff appending it leaves the Hermite form unchanged
+        assert (group.project(x) == group.zero()) == (hermite_row_form(cols + [x]) == span)
+    total = tuple(a + b for a, b in zip(u, v))
+    assert group.project(total) == group.add(group.project(u), group.project(v))
+    det = _det([list(c) for c in cols]) if len(cols) == n else 0
+    if det:
+        assert prod(group.invariant_factors) == abs(det)
+    # another generating set of the same lattice has the same factors and,
+    # the free rows being in Hermite form, the same free coordinates
+    regen = [tuple(-x for x in c) for c in reversed(cols)]
+    if cols:
+        regen.append(tuple(map(sum, zip(*cols[:2]))))
+    other = quotient_group(n, regen)
+    assert other.invariant_factors == group.invariant_factors
+    free = slice(len(group.invariant_factors) - group.invariant_factors.count(0), None)
+    for x in (u, v):
+        assert other.project(x)[free] == group.project(x)[free]
 
 
 def test_projection_kernel_is_exactly_the_coroot_lattice():
