@@ -33,6 +33,8 @@ from .affine_weyl import (
     bruhat_leq,
     element_sort_key,
     identity_element,
+    inv,
+    is_left_descent,
     iwahori_generators,
     length,
     mul,
@@ -148,10 +150,11 @@ def adm_K(
     mu: Sequence[int], rd: RootDatum, level: ParahoricLevel
 ) -> tuple[AffineWeylElement, ...]:
     """Image of Adm(mu) in the double coset space, as minimal-length reps."""
-    gens = [iwahori_generators(rd)[i] for i in level.generators]
     return tuple(
         w for w in adm(tuple(mu), rd).elements
-        if all(length(rd, mul(s, w)) > length(rd, w) < length(rd, mul(w, s)) for s in gens)
+        if not any(
+            is_left_descent(rd, w, i) or is_left_descent(rd, inv(w), i) for i in level.generators
+        )
     )
 
 

@@ -7,12 +7,15 @@ table of products with other entries, its inverse and the signs of
 u^-1 on the positive roots.  So `mul` reads the finite product from the
 table and only applies the matrix to the translation, `inv` reads the
 stored inverse, and `length` is one pass over the positive roots.
-Length is the closed Iwahori-Matsumoto count, reduced words are taken
+Length is the closed Iwahori-Matsumoto count.  Reduced words are taken
 greedily with respect to the fixed base alcove (the alcove in the
-dominant chamber with a vertex at the origin), and the length-zero
-subgroup keeps track of the fundamental group.  The Bruhat order walks
-the cached greedy reduced word of the larger element with the lifting
-property, so it keeps no memo of its own.
+dominant chamber with a vertex at the origin): a simple reflection is a
+left descent when its wall separates that alcove from its image, which
+is_left_descent reads off one pairing with the translation and one entry
+of the sign vector.  The length-zero subgroup keeps track of the
+fundamental group.  The Bruhat order walks the cached greedy reduced
+word of the larger element with the lifting property, so it keeps no
+memo of its own.
 
 >>> from affweyl.root_datum import build_root_datum
 >>> rd = build_root_datum({"preset": "GL", "n": 2})
@@ -234,23 +237,28 @@ def _is_positive_root(rd: RootDatum, covector: Vec) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _highest_roots(rd: RootDatum) -> tuple[tuple[Vec, Vec], ...]:
-    """Highest (root, coroot) pair of each irreducible component.
+def _walls(rd: RootDatum) -> tuple[tuple[Vec, int, bool], ...]:
+    """The wall of each affine simple reflection, in generator order.
 
-    The height of a root is read from its pairing with the sum of the
-    positive coroots (2 rho^vee); a root lies in the component that holds
-    every simple coroot it pairs non-trivially with.
+    An entry (root, k, affine) names the wall <x, root> = 1 of a
+    component's highest root when affine is true and the wall
+    <x, root> = 0 of a simple root otherwise; k is the position of root in
+    rd.positive_roots.  The height of a root is read from its pairing with
+    the sum of the positive coroots (2 rho^vee); a root lies in the
+    component that holds every simple coroot it pairs non-trivially with.
     """
+    roots = rd.positive_roots
     two_rho_vee = tuple(sum(c) for c in zip(*rd.positive_coroots))
-    out = []
+    walls = []
     for comp in rd.components():
         in_comp = [
-            (root, coroot)
-            for root, coroot in zip(rd.positive_roots, rd.positive_coroots)
+            k for k, root in enumerate(roots)
             if all(i in comp for i, sc in enumerate(rd.simple_coroots) if pairing(sc, root))
         ]
-        out.append(max(in_comp, key=lambda rc: pairing(two_rho_vee, rc[0])))
-    return tuple(out)
+        k = max(in_comp, key=lambda k: pairing(two_rho_vee, roots[k]))
+        walls.append((roots[k], k, True))
+    walls += [(root, roots.index(root), False) for root in rd.simple_roots]
+    return tuple(walls)
 
 
 @lru_cache(maxsize=None)
@@ -261,12 +269,14 @@ def iwahori_generators(rd: RootDatum) -> tuple[AffineWeylElement, ...]:
     reflection in the wall <x, theta> = 1 and s1..sr the finite simple
     reflections.
     """
-    affine = []
-    for root, coroot in _highest_roots(rd):
-        refl = reflection_matrix(root, coroot)
-        affine.append(AffineWeylElement(coroot, refl))
-    finite = [finite_reflection(rd, i) for i in range(rd.semisimple_rank)]
-    return tuple(affine) + tuple(finite)
+    zero = (0,) * rd.rank
+    return tuple(
+        AffineWeylElement(
+            rd.positive_coroots[k] if affine else zero,
+            reflection_matrix(root, rd.positive_coroots[k]),
+        )
+        for root, k, affine in _walls(rd)
+    )
 
 
 def _signs(rd: RootDatum, u: _Finite) -> tuple[int, ...]:
@@ -279,6 +289,30 @@ def _signs(rd: RootDatum, u: _Finite) -> tuple[int, ...]:
         )
         u.signs = (rd, signs)
     return signs
+
+
+def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
+    """Whether the i-th affine simple reflection s satisfies l(sw) < l(w).
+
+    That holds exactly when the wall of s separates the base alcove A from
+    w(A).  For w = t_lambda u and a positive root a, w(A) lies in the strip
+    d < <x, a> < d + 1 with d = <lambda, a> - 1 if u^-1(a) < 0 and
+    d = <lambda, a> otherwise.  So a finite s_i is a descent iff
+    <lambda, a_i> < 0, or = 0 with u^-1(a_i) < 0; the affine s_0 of a
+    component with highest root theta is one iff <lambda, theta> > 1, or
+    = 1 with u^-1(theta) > 0.  One pairing and one sign are read.
+
+    >>> from affweyl.root_datum import build_root_datum
+    >>> rd = build_root_datum({"preset": "GL", "n": 2})
+    >>> s0, s1 = iwahori_generators(rd)
+    >>> is_left_descent(rd, s1, 1)
+    True
+    >>> is_left_descent(rd, translation_element((1, -1), rd), 0)
+    True
+    """
+    root, k, affine = _walls(rd)[i]
+    d = sum(map(_times, w.translation, root)) - _signs(rd, w._u)[k]
+    return d > 0 if affine else d < 0
 
 
 @lru_cache(maxsize=None)
@@ -301,21 +335,21 @@ def reduced_word(rd: RootDatum, w: AffineWeylElement) -> tuple[tuple[int, ...], 
 
     Returns (letters, omega) with w equal to the product of the listed
     generators times omega, len(letters) == length(w) and length(omega) == 0.
+    Each of the length(w) steps strips the first generator that is a left
+    descent of what is left; the remainder is checked to have length zero,
+    which a wrongly claimed descent would break.
     """
     gens = iwahori_generators(rd)
     letters: list[int] = []
     cur = w
-    cur_len = length(rd, cur)
-    while cur_len > 0:
-        for i, s in enumerate(gens):
-            nxt = mul(s, cur)
-            if length(rd, nxt) < cur_len:
-                letters.append(i)
-                cur = nxt
-                cur_len -= 1
-                break
-        else:
-            raise AffineWeylError("no descent found; length function is inconsistent")
+    for _ in range(length(rd, w)):
+        i = next((i for i in range(len(gens)) if is_left_descent(rd, cur, i)), None)
+        if i is None:
+            raise AffineWeylError("no descent found; descent test and length disagree")
+        letters.append(i)
+        cur = mul(gens[i], cur)
+    if length(rd, cur) != 0:
+        raise AffineWeylError("greedy descent left a remainder of positive length")
     return tuple(letters), cur
 
 
@@ -352,9 +386,8 @@ def bruhat_leq(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> boo
         if lv >= lw:
             break
         s = gens[i]
-        sv = mul(s, v)
-        if length(rd, sv) < lv:
-            v, lv = sv, lv - 1
+        if is_left_descent(rd, v, i):
+            v, lv = mul(s, v), lv - 1
         w, lw = mul(s, w), lw - 1
     return v == w
 
@@ -562,22 +595,21 @@ def make_level(rd: RootDatum, indices: Iterable[int], sigma: Optional[SigmaActio
 
 
 def double_coset_rep(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel) -> AffineWeylElement:
-    """Minimal-length element of W_K w W_K, by greedy two-sided descent."""
+    """Minimal-length element of W_K w W_K, by greedy two-sided descent.
+
+    s is a right descent of w exactly when it is a left descent of w^-1.
+    """
     gens = iwahori_generators(rd)
     cur = w
-    cur_len = length(rd, cur)
     changed = True
     while changed:
         changed = False
         for i in level.generators:
-            left = mul(gens[i], cur)
-            if length(rd, left) < cur_len:
-                cur, cur_len = left, cur_len - 1
+            if is_left_descent(rd, cur, i):
+                cur = mul(gens[i], cur)
                 changed = True
-                continue
-            right = mul(cur, gens[i])
-            if length(rd, right) < cur_len:
-                cur, cur_len = right, cur_len - 1
+            elif is_left_descent(rd, inv(cur), i):
+                cur = mul(cur, gens[i])
                 changed = True
     return cur
 

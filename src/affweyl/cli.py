@@ -29,12 +29,7 @@ from .gln_perm import PermError, adm_eq_perm_check
 from .notation import format_element
 from .root_datum import RootDatumError, build_root_datum, dominant_rep, fundamental_group
 from .stembridge import ChainPreconditionError, stembridge_chain
-from .straight_newton import (
-    b_set,
-    components_bound_report,
-    newton_poset,
-    straight_classes,
-)
+from .straight_newton import _newton_set, components_bound_report, straight_classes
 
 FORMATS = ("table", "tsv", "json", "dot")
 
@@ -249,7 +244,7 @@ def _emit_poset(args, rd, mu, level) -> int:
 def _newton_rows(rd, mu, sigma):
     """Classes, their table rows and the cover edges of their Newton points."""
     classes = straight_classes(mu, rd, sigma)
-    edges, basic = newton_poset(b_set(mu, rd, sigma), rd)
+    _, edges, basic = _newton_set(mu, rd, sigma)
     rows = []
     for i, cls in enumerate(classes):
         rows.append(

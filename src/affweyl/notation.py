@@ -14,8 +14,8 @@ import re
 from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
-    _signs,
     identity_element,
+    is_left_descent,
     iwahori_generators,
     mul,
     omega_rep,
@@ -29,19 +29,18 @@ _TERM_RE = re.compile(r"^(e|t\[(?P<tv>-?\d+(,-?\d+)*)\]|s(?P<si>\d+)|tau\[(?P<ov
 def _finite_word(rd: RootDatum, w: AffineWeylElement) -> list[int]:
     """Greedy reduced word of the finite part, in finite generator indices.
 
-    s_i is a left descent of u iff u^-1 sends the simple root a_i to a
-    negative root, which the sign vector of u's interned entry records.
+    The finite part u is taken as t_0 u, whose left descents among the
+    finite generators are the s_i with u^-1(a_i) < 0 (is_left_descent).
     """
-    simple = [rd.positive_roots.index(a) for a in rd.simple_roots]
-    gens = iwahori_generators(rd)[len(rd.components()):]
+    gens = iwahori_generators(rd)
+    n_affine = len(rd.components())
     cur = AffineWeylElement((0,) * rd.rank, w.finite)
     word: list[int] = []
     while True:
-        signs = _signs(rd, cur._u)
-        i = next((i for i, p in enumerate(simple) if signs[p]), None)
+        i = next((i for i in range(n_affine, len(gens)) if is_left_descent(rd, cur, i)), None)
         if i is None:
             break
-        word.append(i)
+        word.append(i - n_affine)
         cur = mul(gens[i], cur)
     if not cur._u.is_identity:
         raise AffineWeylError("finite part is not in the finite Weyl group")

@@ -258,11 +258,11 @@ def straight_classes(mu: tuple[int, ...], rd: RootDatum, sigma: SigmaAction) -> 
     classes = []
     for comp in components:
         members = tuple(sorted(comp & adm_set, key=lambda w: element_sort_key(rd, w)))
-        points = {newton_point(rd, sigma, w)[1] for w in comp}
-        if len(points) != 1:
+        newton = {w: newton_point(rd, sigma, w) for w in comp}
+        if len({point for _, point in newton.values()}) != 1:
             raise ConsistencyError("one twisted class carries several Newton points")
         rep = members[0]
-        nu_raw, point = newton_point(rd, sigma, rep)
+        nu_raw, point = newton[rep]
         classes.append(StraightClass(rep, point, nu_raw, members, levi_datum(nu_raw, rd)))
 
     # the class partition must coincide with the (Newton, Kottwitz) partition
@@ -277,12 +277,14 @@ def straight_classes(mu: tuple[int, ...], rd: RootDatum, sigma: SigmaAction) -> 
     return tuple(sorted(classes, key=lambda c: c.newton.nu))
 
 
-def b_set(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[NewtonPoint, ...]:
-    """The Newton points of Adm(mu): straight-class invariants, verified.
+def _newton_set(
+    mu: Sequence[int], rd: RootDatum, sigma: SigmaAction
+) -> tuple[tuple[NewtonPoint, ...], tuple[tuple[int, int], ...], int]:
+    """The checked Newton points of Adm(mu), their cover edges and the basic index.
 
     Each point is checked against the defining conditions: Kottwitz class
     equal to that of mu and slope vector dominance-bounded by the orbit
-    average of mu; the set has a unique minimal point.
+    average of mu; newton_poset checks that the basic point is unique.
     """
     mu_dom, _ = dominant_rep(tuple(mu), rd)
     classes = straight_classes(tuple(mu_dom), rd, sigma)
@@ -294,8 +296,16 @@ def b_set(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[NewtonP
             raise ConsistencyError("Newton point with the wrong Kottwitz class")
         if not dominance_leq(p.nu, bar, rd, integral=False):
             raise ConsistencyError("Newton point not bounded by the average of mu")
-    newton_poset(points, rd)  # raises unless the basic point is unique
-    return points
+    edges, basic = newton_poset(points, rd)
+    return points, edges, basic
+
+
+def b_set(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[NewtonPoint, ...]:
+    """The Newton points of Adm(mu): straight-class invariants, verified.
+
+    The set is checked as in _newton_set and has a unique minimal point.
+    """
+    return _newton_set(mu, rd, sigma)[0]
 
 
 def newton_poset(
@@ -316,8 +326,8 @@ def newton_poset(
 
 
 def basic_point(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> NewtonPoint:
-    points = b_set(mu, rd, sigma)
-    return points[newton_poset(points, rd)[1]]
+    points, _, basic = _newton_set(mu, rd, sigma)
+    return points[basic]
 
 
 def adlv_nonempty(

@@ -229,7 +229,7 @@ def _word_times_omega(draw):
     return k, mul(w, omega_rep(rd, shift))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(_word_times_omega())
 def test_lower_covers_match_subword_oracle(case):
     k, w = case

@@ -141,7 +141,7 @@ def _plain_mul(a, b):
     return tuple(x + y for x, y in zip(a.translation, moved)), mat_mul(a.finite, b.finite)
 
 
-_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+_PROPERTY = settings(max_examples=60)
 
 
 @_PROPERTY

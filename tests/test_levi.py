@@ -165,7 +165,7 @@ DATA = [
     (_rd("GL", 5), "flip"),
 ]
 
-_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+_PROPERTY = settings(max_examples=80)
 
 
 @st.composite
@@ -299,7 +299,7 @@ def _check_dominance(case):
     assert dominance_leq(lam, mu, rd, integral=integral) == expected, case
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(_dominance_cases())
 def test_dominance_leq_matches_the_fraction_solve(case):
     _check_dominance(case)

@@ -163,7 +163,7 @@ def _finite_posets(draw):
     return [[leq[place[i]][place[j]] for j in range(n)] for i in range(n)]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(_finite_posets())
 def test_hasse_diagram_matches_cubic_scan(leq):
     assert hasse_diagram(down_sets(leq)) == hasse_by_cubic_scan(leq)

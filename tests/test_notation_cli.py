@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affweyl import straight_newton
 from affweyl.affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
@@ -98,7 +99,7 @@ def _notation_cases(draw):
     return rd, sigma_apply(sigma, w)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(_notation_cases())
 def test_format_parse_roundtrip_property(case):
     rd, w = case
@@ -203,6 +204,20 @@ def test_cli_newton_poset_edges_are_the_dominance_covers(capsys):
     assert len(labels) == len(points) == 4
     assert edges == covers
     assert len(edges) == 4  # a chain on four points would have three
+
+
+def test_cli_newton_builds_the_dominance_poset_once(capsys, monkeypatch):
+    calls = []
+    original = straight_newton.dominance_leq
+    monkeypatch.setattr(
+        straight_newton, "dominance_leq", lambda *a, **k: calls.append(a) or original(*a, **k)
+    )
+    code, out, _ = run_cli(capsys, "newton", "--group", "GL4", "--mu", "2,1,0,0", "--poset")
+    assert code == 0
+    n = out.count("[label=")
+    assert n == 8
+    # one bound check per point, then the n x n dominance matrix of one poset
+    assert len(calls) == n + n * n
 
 
 def test_cli_components_bound(capsys):

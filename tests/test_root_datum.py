@@ -236,7 +236,7 @@ def _quotient_cases(draw):
     return n, cols, draw(vec), draw(vec)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(_quotient_cases())
 def test_quotient_group_on_random_columns(case):
     n, cols, u, v = case
