@@ -2,10 +2,13 @@
 
 Everything here works over Python ints and fractions.Fraction; no floats
 ever enter the computations.  Matrices are tuples of row tuples, vectors
-are tuples.  The Smith normal form returns both unimodular transforms;
-its row transform is what lattice-quotient presentations read.  Finite
-partial orders, given as down-set bitmasks, are reduced to their Hasse
-diagrams here as well.
+are tuples.  Matrix products and covector actions are linear
+combinations of rows that skip zero coefficients, so a product of Weyl
+matrices (one non-zero entry per row on GL_n) takes or adds whole rows
+instead of forming a dense n^3 sum.  The Smith normal form returns both
+unimodular transforms; its row transform is what lattice-quotient
+presentations read.  Finite partial orders, given as down-set bitmasks,
+are reduced to their Hasse diagrams here as well.
 """
 
 from __future__ import annotations
@@ -26,9 +29,28 @@ def identity_matrix(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _row_combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> Vec:
+    """sum_k coeffs[k] * rows[k], skipping the zero coefficients.
+
+    A row with coefficient 1 is taken as it is, so a Weyl matrix row (one
+    entry +-1) costs one row copy at most.
+    """
+    out = None
+    for c, row in zip(coeffs, rows):
+        if c:
+            if out is None:
+                out = row if c == 1 else [c * x for x in row]
+            elif c == 1:
+                out = [x + y for x, y in zip(out, row)]
+            else:
+                out = [x + c * y for x, y in zip(out, row)]
+    return (0,) * width if out is None else tuple(out)
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
+    """Row i of ab is the combination of the rows of b by row i of a."""
+    width = len(b[0]) if b else 0
+    return tuple([_row_combination(row, b, width) for row in a])
 
 
 def mat_vec(a: Mat, v: Sequence[int]) -> Vec:
@@ -37,7 +59,7 @@ def mat_vec(a: Mat, v: Sequence[int]) -> Vec:
 
 def vec_mat(v: Sequence[int], a: Mat) -> Vec:
     """Row vector times matrix; the dual action on covectors."""
-    return tuple([sum(map(mul, v, col)) for col in zip(*a)])
+    return _row_combination(v, a, len(a[0]) if a else 0)
 
 
 def scaled_inverse(a: Mat) -> tuple[int, Mat]:

@@ -139,7 +139,10 @@ def minuscule_lift(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> Lift
     downward from mu: each downward step subtracts a simple coroot whose
     root pairs to exactly 1 with the current point.  A pairing other than
     1 on the way down is a structural failure and raises; it is never
-    silently repaired.
+    silently repaired.  Each reflected point is checked to be the current
+    point minus that coroot, so every point stays in the W_0-orbit of mu;
+    W_0 permutes the roots, so the orbit of the minuscule mu is minuscule
+    throughout and no point needs its own minuscularity check.
     """
     lam = tuple(int(x) for x in lam)
     mu = tuple(int(x) for x in mu)
@@ -165,10 +168,14 @@ def minuscule_lift(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> Lift
             raise LiftConsistencyError(
                 f"descent from {cur} along simple root {i} has pairing {c} != 1"
             )
-        cur = simple_reflection(cur, i, rd)
-        if not is_minuscule(cur, rd):
-            raise LiftConsistencyError(f"intermediate {cur} is not minuscule")
-        chain.append((rd.simple_coroots[i], cur))
+        coroot = rd.simple_coroots[i]
+        nxt = simple_reflection(cur, i, rd)
+        if nxt != tuple(x - y for x, y in zip(cur, coroot)):
+            raise LiftConsistencyError(
+                f"reflecting {cur} in simple root {i} gave {nxt}, not {cur} minus its coroot"
+            )
+        cur = nxt
+        chain.append((coroot, cur))
     if cur != lam:
         raise LiftConsistencyError("reflection chain did not return to the input")
     return LiftResult(lam, tuple(chain))

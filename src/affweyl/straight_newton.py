@@ -3,11 +3,17 @@
 A sigma-straight element has additive lengths along its twisted powers;
 its Newton point is the slope vector of the first twisted power that is a
 translation (with sigma back at the identity), made dominant, together
-with the Kottwitz class in the sigma-coinvariants of pi_1.  Straight
-classes are closed under length-preserving conjugation by simple
-reflections and twisting by length-zero elements; the partition this
-generates is cross-checked against the (Newton, Kottwitz) partition and
-any mismatch raises.
+with the Kottwitz class in the sigma-coinvariants of pi_1.  One twisted
+power per element gives both: by He's criterion (He, "Geometric and
+homological properties of affine Deligne-Lusztig varieties", Ann. Math.
+2014) w is straight iff l(w) = <nu_w, 2 rho>, which for the power
+t_lambda of index m reads m l(w) = l(t_lambda) = sum_{a > 0} |<lambda, a>|.
+Straight classes are closed under length-preserving conjugation by simple
+reflections and twisting by length-zero elements; Omega = pi_1, so each
+distinct twist is kept once.  The partition this generates is
+cross-checked against the (Newton, Kottwitz) partition and any mismatch
+raises.  Each element the class search touches has its Newton point
+computed once, and every class keeps its members' slope vectors.
 
 Newton points are computed in integers: the translation of the twisted
 power is made dominant and divided by m only at the end.  The
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul as _times
 from typing import Optional, Sequence
 
 from .admissible import adm
@@ -35,6 +42,7 @@ from .affine_weyl import (
     ParahoricLevel,
     SigmaAction,
     element_sort_key,
+    identity_element,
     inv,
     is_translation,
     iwahori_generators,
@@ -99,15 +107,30 @@ def twisted_power(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tu
             raise AffineWeylError("twisted powers never reached a translation")
 
 
+def _straight_power(
+    rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(m, lambda) of the twisted power t_lambda of w if w is straight, else None.
+
+    He's criterion l(w) = <nu_w, 2 rho>: m nu_w is lambda up to W_0, so
+    it reads m l(w) = sum_{a > 0} |<lambda, a>|, which is l(t_lambda) by
+    Iwahori-Matsumoto.
+    """
+    m, power = twisted_power(rd, sigma, w)
+    lam = power.translation
+    if m * length(rd, w) != sum(abs(sum(map(_times, lam, a))) for a in rd.positive_roots):
+        return None
+    return m, lam
+
+
 def is_straight(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> bool:
-    """Additivity of length along all twisted powers.
+    """Additivity of length along all twisted powers, by He's criterion.
 
     Checking the first translation power suffices: translation lengths are
     positively homogeneous, so additivity there pins every other n between
     the subadditive bound and the translation bound.
     """
-    m, power = twisted_power(rd, sigma, w)
-    return length(rd, power) == m * length(rd, w)
+    return _straight_power(rd, sigma, w) is not None
 
 
 def is_straight_bruteforce(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement, n_max: int = 12) -> bool:
@@ -131,8 +154,15 @@ def newton_point(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tup
     sign, so the same reflections are applied as to the slope vector.
     """
     m, power = twisted_power(rd, sigma, w)
-    nu_raw = tuple(Fraction(x, m) for x in power.translation)
-    lam_dom, _ = dominant_rep(power.translation, rd)
+    return _newton_of_power(rd, sigma, w, m, power.translation)
+
+
+def _newton_of_power(
+    rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement, m: int, lam: Sequence[int]
+) -> tuple[tuple[Fraction, ...], NewtonPoint]:
+    """newton_point of w from its twisted power t_lambda of index m."""
+    nu_raw = tuple(Fraction(x, m) for x in lam)
+    lam_dom, _ = dominant_rep(lam, rd)
     nu_dom = tuple(Fraction(x, m) for x in lam_dom)
     den = lcm(*(x.denominator for x in nu_dom)) if nu_dom else 1
     kappa = pi1_coinvariants(rd, sigma).project(w.translation)
@@ -187,28 +217,45 @@ def _fixed_class_lattice_generators(rd: RootDatum, sigma: SigmaAction) -> tuple[
 
 
 @lru_cache(maxsize=None)
-def _omega_move_generators(rd: RootDatum, sigma: SigmaAction) -> tuple[AffineWeylElement, ...]:
-    """Length-zero twist moves that preserve the Kottwitz class.
+def _omega_move_generators(
+    rd: RootDatum, sigma: SigmaAction
+) -> tuple[tuple[AffineWeylElement, AffineWeylElement], ...]:
+    """Length-zero twist moves w -> omega^-1 w sigma(omega) that preserve the Kottwitz class.
 
     Twisting by omega shifts kappa by (sigma - 1) of omega's class, and
     twists compose, so only omegas with sigma-fixed class are relevant;
     anything else would walk the search out of the kappa fiber for good.
+    The omegas of the fixed-class lattice generators and their inverses
+    generate the moves.  Omega = pi_1, so generators of one class give
+    the same omega: each distinct omega other than 1 (a no-op) is kept
+    once, as the pair (omega^-1, sigma(omega)).
     """
-    out = []
+    moves: dict[AffineWeylElement, tuple[AffineWeylElement, AffineWeylElement]] = {}
+    one = identity_element(rd)
     for section in _fixed_class_lattice_generators(rd, sigma):
         om = omega_rep(rd, section)
-        out.append(om)
-        out.append(inv(om))
-    return tuple(out)
+        for x in (om, inv(om)):
+            if x != one and x not in moves:
+                moves[x] = (inv(x), sigma_apply(sigma, x))
+    return tuple(moves.values())
 
 
 @dataclass(frozen=True)
 class StraightClass:
+    """One twisted class of straight elements meeting Adm(mu).
+
+    members are the class's elements in Adm(mu), sorted; representative
+    is the first.  nu_raw is the representative's raw slope vector and
+    member_nu_raw holds each member's, in the order of members (the
+    first element of newton_point(member)).
+    """
+
     representative: AffineWeylElement
     newton: NewtonPoint
     nu_raw: tuple[Fraction, ...]
     members: tuple[AffineWeylElement, ...]
     levi: RootDatum
+    member_nu_raw: tuple[tuple[Fraction, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -218,17 +265,25 @@ def straight_classes(mu: tuple[int, ...], rd: RootDatum, sigma: SigmaAction) -> 
     Classes are the connected components under length-preserving moves
     w -> s w sigma(s) and w -> omega^-1 w sigma(omega); the search may pass
     through straight elements outside the admissible set, but reported
-    members stay inside it.
+    members stay inside it.  Each element touched gets one twisted power,
+    which decides straightness (He's criterion) and gives its Newton
+    point; an element reached by a move must be straight as well, since
+    the moves keep the length and the Newton point.
     """
     adm_set = set(adm(tuple(mu), rd).elements)
-    seeds = [w for w in adm_set if is_straight(rd, sigma, w)]
+    # the powers of the straight elements only; Newton points are made per class
+    powers = {}
+    for w in adm_set:
+        power = _straight_power(rd, sigma, w)
+        if power is not None:
+            powers[w] = power
     gens = iwahori_generators(rd)
     sigma_gens = [sigma_apply(sigma, s) for s in gens]
     omega_moves = _omega_move_generators(rd, sigma)
 
     component_of: dict[AffineWeylElement, int] = {}
     components: list[set[AffineWeylElement]] = []
-    for seed in sorted(seeds, key=lambda w: element_sort_key(rd, w)):
+    for seed in sorted(powers, key=lambda w: element_sort_key(rd, w)):
         if seed in component_of:
             continue
         comp_id = len(components)
@@ -243,12 +298,17 @@ def straight_classes(mu: tuple[int, ...], rd: RootDatum, sigma: SigmaAction) -> 
                 cand = mul(mul(s, w), ss)
                 if length(rd, cand) == lw:
                     neighbors.append(cand)
-            for om in omega_moves:
-                neighbors.append(mul(mul(inv(om), w), sigma_apply(sigma, om)))
+            for om_inv, om_sigma in omega_moves:
+                neighbors.append(mul(mul(om_inv, w), om_sigma))
             for cand in neighbors:
                 if cand not in comp:
                     if cand in component_of:
                         raise ConsistencyError("straight-class components are not disjoint")
+                    if cand not in powers:
+                        power = _straight_power(rd, sigma, cand)
+                        if power is None:
+                            raise ConsistencyError("a class move left the straight elements")
+                        powers[cand] = power
                     comp.add(cand)
                     frontier.append(cand)
             if len(comp) > 200000:
@@ -256,14 +316,18 @@ def straight_classes(mu: tuple[int, ...], rd: RootDatum, sigma: SigmaAction) -> 
         components.append(comp)
 
     classes = []
+    # the members' slope vectors outlive the search; they share equal entries
+    slopes: dict[Fraction, Fraction] = {}
     for comp in components:
         members = tuple(sorted(comp & adm_set, key=lambda w: element_sort_key(rd, w)))
-        newton = {w: newton_point(rd, sigma, w) for w in comp}
+        newton = {w: _newton_of_power(rd, sigma, w, *powers[w]) for w in comp}
         if len({point for _, point in newton.values()}) != 1:
             raise ConsistencyError("one twisted class carries several Newton points")
-        rep = members[0]
-        nu_raw, point = newton[rep]
-        classes.append(StraightClass(rep, point, nu_raw, members, levi_datum(nu_raw, rd)))
+        member_nu_raw = tuple(tuple(slopes.setdefault(x, x) for x in newton[w][0]) for w in members)
+        nu_raw = member_nu_raw[0]
+        classes.append(StraightClass(
+            members[0], newton[members[0]][1], nu_raw, members, levi_datum(nu_raw, rd), member_nu_raw,
+        ))
 
     # the class partition must coincide with the (Newton, Kottwitz) partition
     by_point: dict[NewtonPoint, set[int]] = {}
@@ -406,8 +470,7 @@ def components_bound_report(
     # adm proves its elements are exactly Adm(mu), so membership is a lookup
     adm_set = set(adm(tuple(mu_dom), rd).elements)
     witnesses = []
-    for w in cls.members:
-        nu_raw, _ = newton_point(rd, sigma, w)
+    for w, nu_raw in zip(cls.members, cls.member_nu_raw):
         levi = levi_datum(nu_raw, rd)
         lam_right = mat_vec(inv(w).finite, w.translation)
         if translation_element(lam_right, rd) not in adm_set:

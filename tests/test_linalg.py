@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from affweyl.affine_weyl import finite_reflection, word_length_map
 
 from affweyl.linalg import (
     hasse_diagram,
@@ -15,8 +17,9 @@ from affweyl.linalg import (
     scaled_inverse,
     smith_normal_form,
     solve_rational,
+    vec_mat,
 )
-from affweyl.root_datum import _det
+from affweyl.root_datum import _det, build_root_datum
 
 
 def random_matrix(rng, m, n, lo=-5, hi=5):
@@ -167,3 +170,66 @@ def _finite_posets(draw):
 @given(_finite_posets())
 def test_hasse_diagram_matches_cubic_scan(leq):
     assert hasse_diagram(down_sets(leq)) == hasse_by_cubic_scan(leq)
+
+
+def dense_mat_mul(a, b):
+    """Reference: every entry of ab as a full sum over the inner index."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def dense_vec_mat(v, a):
+    return tuple(sum(v[k] * a[k][j] for k in range(len(a))) for j in range(len(a[0])))
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """An m x k matrix, a k x n matrix and a length-m vector; rows may be zero."""
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    entries = st.integers(-4, 4)
+
+    def matrix(rows, cols):
+        zero = (0,) * cols
+        return tuple(
+            draw(st.one_of(st.just(zero), st.tuples(*[entries] * cols))) for _ in range(rows)
+        )
+
+    return matrix(m, k), matrix(k, n), tuple(draw(entries) for _ in range(m))
+
+
+@settings(max_examples=300)
+@given(_kernel_inputs())
+@example((((3,),), ((-2,),), (5,)))
+@example((((0,),), ((7,),), (0,)))
+@example((((0, 0), (1, -1)), ((0, 0, 0), (2, -3, 1)), (0, -2)))
+def test_row_combination_kernels_match_dense_sums(inputs):
+    a, b, v = inputs
+    product = mat_mul(a, b)
+    assert product == dense_mat_mul(a, b)
+    assert all(type(row) is tuple for row in product)
+    assert vec_mat(v, a) == dense_vec_mat(v, a)
+    assert type(vec_mat(v, a)) is tuple
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"preset": "SL", "n": 4},
+        {"preset": "PGL", "n": 4},
+        {"preset": "GSp", "n": 6},
+        {"preset": "GL", "n": 4},
+    ],
+)
+def test_row_combination_kernels_on_weyl_matrices(spec):
+    # SL and PGL act on coroot and coweight bases, so their Weyl matrices
+    # are not signed permutations and rows mix several entries
+    rd = build_root_datum(spec)
+    reflections = [finite_reflection(rd, i) for i in range(rd.semisimple_rank)]
+    weyl = [w.finite for w in word_length_map(rd, gens=reflections)]
+    for u in weyl:
+        for v in weyl:
+            assert mat_mul(u, v) == dense_mat_mul(u, v)
+        for root in rd.positive_roots + rd.simple_coroots:
+            assert vec_mat(root, u) == dense_vec_mat(root, u)

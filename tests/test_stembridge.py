@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from affweyl import stembridge
 from affweyl.root_datum import (
     build_root_datum,
     dominance_leq,
@@ -15,6 +16,7 @@ from affweyl.stembridge import (
     DominanceError,
     KappaMismatchError,
     NotDominantError,
+    LiftConsistencyError,
     NotMinusculeError,
     is_minuscule,
     minuscule_lift,
@@ -163,3 +165,21 @@ def test_lift_output_is_in_the_orbit_with_minuscule_intermediates():
             for point in lift.intermediates:
                 assert is_minuscule(point, rd)
                 assert point in orbit
+
+
+@pytest.mark.parametrize(
+    "bad_reflection",
+    [
+        # subtracts the coroot twice: pairs to -3 with the root, off the orbit
+        lambda lam, i, rd: tuple(x - 2 * y for x, y in zip(lam, rd.simple_coroots[i])),
+        # leaves the point where it is
+        lambda lam, i, rd: tuple(lam),
+    ],
+)
+def test_lift_rejects_a_reflection_that_leaves_the_orbit(monkeypatch, bad_reflection):
+    # mu is checked minuscule once; each step is then pinned to cur minus the
+    # coroot, so a broken reflection is caught at the step that breaks
+    monkeypatch.setattr(stembridge, "simple_reflection", bad_reflection)
+    for lam in [(0, 0, 1, 1), (0, 1, 0, 1)]:
+        with pytest.raises(LiftConsistencyError, match="not .* minus its coroot"):
+            minuscule_lift(lam, (1, 1, 0, 0), GL4)

@@ -350,3 +350,35 @@ def test_newton_denominator_divides_twist_order():
 
             m, _ = twisted_power(rd, sigma, cls.representative)
             assert m % cls.newton.denominator == 0
+
+
+# mul calls of b_set plus every components_bound_report on GL6 (1,0,...,0)
+# under id and flip, from empty memo tables; the search makes one twisted
+# power per element and one move per distinct Omega twist
+GL6_W1_MUL_CEILING = 3810
+
+
+def test_b_set_and_reports_stay_under_a_mul_count_ceiling(monkeypatch):
+    import sys
+
+    from affweyl import affine_weyl, clear_caches
+
+    clear_caches()
+    real = affine_weyl.mul
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("affweyl") and getattr(module, "mul", None) is real:
+            monkeypatch.setattr(module, "mul", counting)
+    gl6 = build_root_datum({"preset": "GL", "n": 6})
+    mu = (1, 0, 0, 0, 0, 0)
+    for name in ("id", "flip"):
+        sigma = sigma_from_name(gl6, name)
+        for b in b_set(mu, gl6, sigma):
+            components_bound_report(mu, b, gl6, sigma)
+    assert 0 < calls <= GL6_W1_MUL_CEILING
