@@ -63,14 +63,7 @@ from .stembridge import (
     minuscule_lift,
     stembridge_chain,
 )
-from .gln_perm import (
-    AffinePermutation,
-    adm_eq_perm_check,
-    from_affine_perm,
-    is_permissible,
-    perm_set,
-    to_affine_perm,
-)
+from .gln_perm import adm_eq_perm_check, is_permissible, perm_set
 from .notation import format_element, parse_element
 
 

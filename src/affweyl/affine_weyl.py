@@ -614,13 +614,6 @@ def double_coset_rep(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel)
     return cur
 
 
-@lru_cache(maxsize=None)
-def finite_parahoric_subgroup(rd: RootDatum, level: ParahoricLevel) -> frozenset[AffineWeylElement]:
-    """All of W_K; the level must be finite, which make_level guarantees."""
-    gens = iwahori_generators(rd)
-    return frozenset(word_length_map(rd, gens=[gens[i] for i in level.generators]))
-
-
 def element_sort_key(rd: RootDatum, w: AffineWeylElement):
     """Deterministic ordering: length, then translation, then finite part."""
     return (length(rd, w), w.translation, w.finite)

@@ -356,11 +356,11 @@ def cmd_perm_check(args) -> int:
         ("equal", report.equal),
         ("adm_size", report.adm_size),
         ("perm_size", report.perm_size),
-        ("only_in_adm", list(report.only_in_adm)),
-        ("only_in_perm", list(report.only_in_perm)),
+        ("only_in_adm", [format_element(rd, w) for w in report.only_in_adm]),
+        ("only_in_perm", [format_element(rd, w) for w in report.only_in_perm]),
     ]
     if args.format == "json":
-        payload = {"meta": _meta_obj(args, rd), "report": {k: v if isinstance(v, (bool, int)) else [list(x) for x in v] for k, v in rows}}
+        payload = {"meta": _meta_obj(args, rd), "report": dict(rows)}
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         _emit(_rows_to_table(("field", "value"), [(k, v) for k, v in rows], _meta_line(args, rd)), args.out)
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", help="target cocharacter coordinates")
     p.set_defaults(fn=cmd_stembridge)
 
-    p = sub.add_parser("perm-check", help="admissible vs permissible for GL(n)")
+    p = sub.add_parser("perm-check", help="Adm(mu) against the mu-permissible set Perm(mu) for GL(n)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--format", default="table", choices=("table", "tsv", "json"))

@@ -1,160 +1,160 @@
-"""Affine permutations for GL(n) and the permissibility cross-check.
+"""The mu-permissible set Perm(mu) for every root datum, compared with Adm(mu).
 
-The dictionary sends t_lambda * u to the periodic bijection
-i -> u(i) + n * lambda_u(i) on the integers (window recorded on 1..n),
-which makes the translation by (1,0,..,0) the window (n+1, 2, .., n).
-Permissibility is the vertex-wise convex hull condition over the standard
-chain vertices (1^j, 0^(n-j)); for minuscule coweights it is decided by
-pure coordinate checks, and the permissible set must coincide with the
-image of the admissible set.
+w is mu-permissible (Kottwitz-Rapoport) when it has the Kottwitz class of
+t_mu and w(a) - a lies in Conv(W mu) for every vertex a of the base alcove.
+The vertices are 0 and varpi_j^vee / m_j, with varpi_j^vee the fundamental
+coweights and m_j the coefficient of alpha_j in the highest root of its
+component.  For a reducible datum the alcove is a product whose vertices
+are sums of one vertex per component; the hull inequalities of a component
+see only its own summand, so these vertices suffice.  x lies in Conv(W mu) iff its dominant representative is below the dominant
+mu in the rational dominance order.  The module keeps the path
+affweyl.gln_perm, under which benchmark traces look up perm_set and
+is_permissible.
+
+Statements relied on:
+
+- Adm(mu) is contained in Perm(mu) for every root datum and every mu
+  (Haines-Ngo, "Alcoves associated to special fibers of local models",
+  Amer. J. Math. 2002).
+- Adm(mu) = Perm(mu) for GL_n with mu minuscule and for GSp_2n with mu
+  the minuscule coweight (Kottwitz-Rapoport, "Minuscule alcoves for GL_n
+  and GSp_2n", Manuscripta Math. 2000).
+- Adm(mu) = Perm(mu) for GL_n and every mu; for every irreducible root
+  system of rank at least 4 not of type A, some mu has Adm(mu) != Perm(mu)
+  (Haines-Ngo 2002).
+
+>>> from affweyl.root_datum import build_root_datum
+>>> len(perm_set((1, 0), build_root_datum({"preset": "GL", "n": 2})))
+3
+>>> len(perm_set((1, 1, 1), build_root_datum({"preset": "GSp", "n": 4})))
+13
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from math import lcm
+from operator import add, sub
+from typing import Callable, Sequence
 
 from .admissible import adm
-from .affine_weyl import AffineWeylElement
-from .linalg import Vec, mat_vec
-from .root_datum import RootDatum, dominant_rep
+from .affine_weyl import (
+    AffineWeylElement,
+    _walls,
+    element_sort_key,
+    finite_reflection,
+    word_length_map,
+)
+from .linalg import Mat, Vec, mat_vec
+from .root_datum import (
+    RootDatum,
+    _fundamental_forms,
+    dominance_leq,
+    dominant_rep,
+    fundamental_group,
+    is_dominant,
+    pairing,
+    weyl_orbit,
+)
 
 
 class PermError(ValueError):
-    """Invalid affine permutation input."""
+    """Invalid input to the permissibility check."""
 
 
-class NotMinusculeGLError(PermError):
-    """Permissibility is only decided here for minuscule coweights."""
+def _alcove_vertices(rd: RootDatum) -> tuple[int, tuple[Vec, ...]]:
+    """(e, the vertices of the base alcove times e), e making them integral.
 
-
-@dataclass(frozen=True)
-class AffinePermutation:
-    """Window (p(1), .., p(n)) of a bijection with p(i + n) = p(i) + n."""
-
-    window: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.window)
-        if n == 0:
-            raise PermError("empty window")
-        if sorted(x % n for x in self.window) != list(range(n)):
-            raise PermError(f"window {self.window} is not a permutation of residues mod {n}")
-        if sum(self.window) % n != sum(range(1, n + 1)) % n:
-            raise PermError(f"window {self.window} has a non-integral shift")
-
-    @property
-    def n(self) -> int:
-        return len(self.window)
-
-    @property
-    def shift(self) -> int:
-        n = self.n
-        return (sum(self.window) - n * (n + 1) // 2) // n
-
-    def __call__(self, i: int) -> int:
-        n = self.n
-        q, r = divmod(i - 1, n)
-        return self.window[r] + q * n
-
-
-def compose(p: AffinePermutation, q: AffinePermutation) -> AffinePermutation:
-    if p.n != q.n:
-        raise PermError("period mismatch")
-    return AffinePermutation(tuple(p(q(i)) for i in range(1, p.n + 1)))
-
-
-def _require_gl(rd: RootDatum, n: int) -> None:
-    if rd.type_label != f"GL{n}" or rd.rank != n:
-        raise PermError(f"datum {rd.type_label} is not the GL{n} preset")
-
-
-def to_affine_perm(w: AffineWeylElement, rd: RootDatum, n: int) -> AffinePermutation:
-    """w = t_lambda * u goes to i -> u(i) + n * lambda_u(i)."""
-    _require_gl(rd, n)
-    lam = w.translation
-    window = []
-    for i in range(1, n + 1):
-        e_i = tuple(1 if k == i - 1 else 0 for k in range(n))
-        img = mat_vec(w.finite, e_i)
-        ui = img.index(1) + 1
-        window.append(ui + n * lam[ui - 1])
-    return AffinePermutation(tuple(window))
-
-
-def from_affine_perm(p: AffinePermutation, rd: RootDatum) -> AffineWeylElement:
-    n = p.n
-    _require_gl(rd, n)
-    lam = [0] * n
-    mat = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        r = (p.window[i - 1] - 1) % n
-        lam[r] = (p.window[i - 1] - 1 - r) // n
-        mat[r][i - 1] = 1
-    return AffineWeylElement(tuple(lam), tuple(tuple(row) for row in mat))
-
-
-def inversion_count(p: AffinePermutation) -> int:
-    """Affine inversions: pairs i in 1..n, j > i with p(i) > p(j)."""
-    n = p.n
-    spread = (max(p.window) - min(p.window)) // n + 2
-    total = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, i + 1 + n * spread):
-            if p(i) > p(j):
-                total += 1
-    return total
-
-
-def _standard_vertices(n: int) -> list[Vec]:
-    return [tuple(1 if k < j else 0 for k in range(n)) for j in range(n)]
-
-
-def _check_minuscule_gl(mu: Sequence[int], rd: RootDatum, n: int) -> int:
-    mu_dom, _ = dominant_rep(tuple(mu), rd)
-    r = sum(mu_dom)
-    if mu_dom != tuple(1 if k < r else 0 for k in range(n)):
-        raise NotMinusculeGLError(
-            f"mu = {tuple(mu)} is not minuscule of shape (1^r, 0^(n-r)); "
-            "permissibility beyond minuscule coweights can differ from admissibility "
-            "and is refused"
-        )
-    return r
-
-
-def is_permissible(p: AffinePermutation, mu: Sequence[int], rd: RootDatum) -> bool:
-    """Kottwitz class of mu plus the coordinate condition at each vertex."""
-    n = p.n
-    r = _check_minuscule_gl(mu, rd, n)
-    if p.shift != r:
-        return False
-    w = from_affine_perm(p, rd)
-    for vertex in _standard_vertices(n):
-        moved = tuple(a + b for a, b in zip(w.translation, mat_vec(w.finite, vertex)))
-        diff = tuple(a - b for a, b in zip(moved, vertex))
-        if any(x not in (0, 1) for x in diff) or sum(diff) != r:
-            return False
-    return True
-
-
-def perm_set(n: int, mu: Sequence[int], rd: RootDatum) -> tuple[AffinePermutation, ...]:
-    """All permissible affine permutations, by direct enumeration.
-
-    The vertex condition at the origin pins the translation part to a 0/1
-    vector with coordinate sum r, so the candidate space is finite and
-    independent of the admissible-set machinery.
+    The rows d * varpi_j^vee are the forms of the dual datum; theta = sum
+    m_j alpha_j gives <d * varpi_j^vee, theta> = d * m_j.  The vertex 0
+    comes last.
     """
-    r = _check_minuscule_gl(mu, rd, n)
+    d, coweights = _fundamental_forms(rd.simple_coroots, tuple(zip(*rd.cartan_matrix)))
+    thetas = [root for root, _, affine in _walls(rd) if affine]
+    # alpha_j occurs only in the highest root of its own component
+    m = [sum(pairing(cw, theta) for theta in thetas) // d for cw in coweights]
+    scale = lcm(*m)
+    vertices = [tuple(scale // mj * x for x in cw) for cw, mj in zip(coweights, m)]
+    return d * scale, (*vertices, (0,) * rd.rank)
+
+
+def _hull_test(mu_dom: Vec, rd: RootDatum) -> tuple[int, tuple[Vec, ...], Callable[[Vec], bool]]:
+    """(e, the alcove vertices times e, a test of x in e * Conv(W mu)).
+
+    The test keeps its answers: the candidates of perm_set share few
+    distinct moved vertices.
+    """
+    e, vertices = _alcove_vertices(rd)
+    top = tuple(e * x for x in mu_dom)
+    known: dict[Vec, bool] = {}
+
+    def in_hull(x: Vec) -> bool:
+        hit = known.get(x)
+        if hit is None:
+            hit = known[x] = dominance_leq(dominant_rep(x, rd)[0], top, rd, integral=False)
+        return hit
+
+    return e, vertices, in_hull
+
+
+def _moves(u: Mat, vertices: Sequence[Vec]) -> tuple[Vec, ...]:
+    """u(a) - a for each scaled vertex a."""
+    return tuple(tuple(map(sub, mat_vec(u, a), a)) for a in vertices)
+
+
+def _passes(lam: Vec, moves: Sequence[Vec], e: int, in_hull: Callable[[Vec], bool]) -> bool:
+    """The vertex conditions for t_lam u, given the moves of u scaled by e."""
+    scaled = [e * x for x in lam]
+    return all(in_hull(tuple(map(add, scaled, m))) for m in moves)
+
+
+def is_permissible(w: AffineWeylElement, mu: Sequence[int], rd: RootDatum) -> bool:
+    """Kottwitz class of t_mu plus the hull condition at each alcove vertex."""
+    mu_dom, _ = dominant_rep(tuple(mu), rd)
+    pi1 = fundamental_group(rd)
+    if pi1.project(w.translation) != pi1.project(mu_dom):
+        return False
+    e, vertices, in_hull = _hull_test(mu_dom, rd)
+    return _passes(w.translation, _moves(w.finite, vertices), e, in_hull)
+
+
+def _translations(mu_dom: Vec, rd: RootDatum) -> list[Vec]:
+    """The lattice points of Conv(W mu) in the class of mu.
+
+    Their dominant members are the dominant lambda <= mu, each reached from
+    mu by subtracting positive coroots while staying dominant (Stembridge,
+    the lemma stembridge_chain relies on).
+    """
+    dominant, frontier = {mu_dom}, [mu_dom]
+    while frontier:
+        nxt = []
+        for lam in frontier:
+            for coroot in rd.positive_coroots:
+                low = tuple(map(sub, lam, coroot))
+                if low not in dominant and is_dominant(low, rd):
+                    dominant.add(low)
+                    nxt.append(low)
+        frontier = nxt
+    return [lam for top in sorted(dominant) for lam in weyl_orbit(top, rd)]
+
+
+def perm_set(mu: Sequence[int], rd: RootDatum) -> tuple[AffineWeylElement, ...]:
+    """Perm(mu), in the order adm gives Adm(mu).
+
+    The vertex 0 forces the translation part into Conv(W mu), so the
+    candidates t_lambda u run over those translations and u in W_0.
+    """
+    mu_dom, _ = dominant_rep(tuple(mu), rd)
+    e, vertices, in_hull = _hull_test(mu_dom, rd)
+    reflections = [finite_reflection(rd, i) for i in range(rd.semisimple_rank)]
+    translations = _translations(mu_dom, rd)
     out = []
-    for ones in itertools.combinations(range(n), r):
-        lam = tuple(1 if k in ones else 0 for k in range(n))
-        for perm in itertools.permutations(range(1, n + 1)):
-            window = tuple(perm[i] + n * lam[perm[i] - 1] for i in range(n))
-            p = AffinePermutation(window)
-            if is_permissible(p, mu, rd):
-                out.append(p)
-    return tuple(sorted(out, key=lambda q: q.window))
+    # W_0 has no element longer than l(w_0) = |positive roots|, so the
+    # radius ends the search before its size guard
+    for u in word_length_map(rd, len(rd.positive_roots), reflections):
+        moves = _moves(u.finite, vertices)
+        out += [AffineWeylElement(lam, u.finite) for lam in translations if _passes(lam, moves, e, in_hull)]
+    return tuple(sorted(out, key=lambda w: element_sort_key(rd, w)))
 
 
 @dataclass(frozen=True)
@@ -162,27 +162,23 @@ class PermCheckReport:
     equal: bool
     adm_size: int
     perm_size: int
-    only_in_adm: tuple[tuple[int, ...], ...]
-    only_in_perm: tuple[tuple[int, ...], ...]
+    only_in_adm: tuple[AffineWeylElement, ...]
+    only_in_perm: tuple[AffineWeylElement, ...]
 
 
 def adm_eq_perm_check(n: int, mu: Sequence[int], rd: RootDatum) -> PermCheckReport:
-    """Compare the admissible image with the permissible set, windowwise."""
-    adm_windows = {to_affine_perm(w, rd, n).window for w in adm(tuple(mu), rd).elements}
-    perm_windows = {p.window for p in perm_set(n, mu, rd)}
-    only_adm = tuple(sorted(adm_windows - perm_windows))
-    only_perm = tuple(sorted(perm_windows - adm_windows))
+    """Compare Adm(mu) with Perm(mu) element by element; n must be rd.rank."""
+    if n != rd.rank:
+        raise PermError(f"n = {n} is not the rank {rd.rank} of {rd.type_label}")
+    admissible = adm(tuple(mu), rd).elements
+    permissible = perm_set(mu, rd)
+    in_adm, in_perm = set(admissible), set(permissible)
+    only_adm = tuple(w for w in admissible if w not in in_perm)
+    only_perm = tuple(w for w in permissible if w not in in_adm)
     return PermCheckReport(
         equal=not only_adm and not only_perm,
-        adm_size=len(adm_windows),
-        perm_size=len(perm_windows),
+        adm_size=len(admissible),
+        perm_size=len(permissible),
         only_in_adm=only_adm,
         only_in_perm=only_perm,
     )
-
-
-def chain_rotation(rd: RootDatum, n: int) -> AffineWeylElement:
-    """The length-zero element rotating the standard chain: i -> i + 1."""
-    _require_gl(rd, n)
-    window = tuple(range(2, n + 2))
-    return from_affine_perm(AffinePermutation(window), rd)

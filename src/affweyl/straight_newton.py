@@ -39,7 +39,6 @@ from .admissible import adm
 from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
-    ParahoricLevel,
     SigmaAction,
     element_sort_key,
     identity_element,
@@ -399,14 +398,12 @@ def adlv_nonempty(
     b: NewtonPoint,
     rd: RootDatum,
     sigma: SigmaAction,
-    level: Optional[ParahoricLevel] = None,
 ) -> bool:
     """Non-emptiness of the union of Deligne-Lusztig sets at any level.
 
     The criterion is membership of b in B(G, mu) and does not depend on
-    the parahoric; the level argument is accepted for interface parity.
+    the parahoric, so no level is taken.
     """
-    del level
     return b in b_set(mu, rd, sigma)
 
 

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import sys
 
 import pytest
@@ -375,6 +377,13 @@ def _package_caches():
         for value in vars(module).values()
         if callable(value) and hasattr(value, "cache_info")
     ]
+
+
+def test_memo_tables_stay_counted():
+    # a new memo table must replace one: count them with every module loaded
+    for info in pkgutil.iter_modules(affweyl.__path__, affweyl.__name__ + "."):
+        importlib.import_module(info.name)
+    assert len({id(f) for f in _package_caches()}) <= 16
 
 
 def test_clear_caches_empties_every_memo():

@@ -11,7 +11,6 @@ from affweyl.affine_weyl import (
     bruhat_leq,
     bruhat_leq_subword_oracle,
     double_coset_rep,
-    finite_parahoric_subgroup,
     finite_reflection,
     identity_element,
     inv,
@@ -42,6 +41,12 @@ GL2 = build_root_datum({"preset": "GL", "n": 2})
 GL3 = build_root_datum({"preset": "GL", "n": 3})
 GL4 = build_root_datum({"preset": "GL", "n": 4})
 GSP4 = build_root_datum({"preset": "GSp", "n": 4})
+
+
+def finite_parahoric_subgroup(rd, level):
+    """All of W_K, the oracle for double_coset_rep; make_level keeps it finite."""
+    gens = iwahori_generators(rd)
+    return set(word_length_map(rd, gens=[gens[i] for i in level.generators]))
 
 
 def random_element(rd, rng, letters=6, central=1):
