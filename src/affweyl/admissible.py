@@ -11,6 +11,13 @@ covers prove the candidate set equal to Adm(mu): every lower cover of a
 candidate is a candidate, and every candidate is a maximal translation
 or a lower cover of one; any failure is a hard internal error.
 
+Both computations are done once per Omega-orbit.  A length-zero element
+whose conjugation permutes the affine simple reflections is an
+automorphism of the affine Coxeter system (Iwahori-Matsumoto, Publ. IHES
+25, 1965); it preserves length, Bruhat order and Adm(mu).  So only one
+maximal translation per orbit is closed, and only one element per orbit
+has its covers computed; the rest are carried over by conjugation.
+
 The parahoric image Adm_K(mu) is kept as the members of Adm(mu) with no
 left and no right descent in K: these are the minimal double coset
 representatives, and each lies below every member of its coset.  Its
@@ -39,6 +46,7 @@ from .affine_weyl import (
     length,
     mul,
     omega_part,
+    omega_rep,
     reduced_word,
     translation_element,
     word_length_map,
@@ -103,6 +111,49 @@ def _lower_covers(rd: RootDatum, w: AffineWeylElement) -> set[AffineWeylElement]
     return out
 
 
+def _omega_conjugations(
+    rd: RootDatum,
+) -> tuple[tuple[AffineWeylElement, AffineWeylElement], ...]:
+    """Pairs (omega, omega^-1) whose conjugations generate Omega's action on W.
+
+    The candidates are the distinct length-zero elements omega_rep(e_i) of
+    the unit cocharacters, which generate Omega.  Each must map every affine
+    simple reflection to one by conjugation, else AffineWeylError: then it
+    is an automorphism of the Coxeter system, and as Omega is abelian it
+    fixes every Omega part, so its action on W is that permutation.  An
+    omega is kept only if its permutation lies outside the group generated
+    by the permutations of those already kept.
+
+    >>> from affweyl.root_datum import build_root_datum
+    >>> [len(_omega_conjugations(build_root_datum({"preset": p, "n": n})))
+    ...  for p, n in [("GL", 3), ("SL", 4), ("PGL", 4), ("GSp", 4)]]
+    [1, 0, 1, 1]
+    """
+    gens = iwahori_generators(rd)
+    units = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
+    kept = []
+    group = {tuple(range(len(gens)))}
+    for omega in dict.fromkeys(omega_rep(rd, e) for e in units):
+        omega_inv = inv(omega)
+        try:
+            perm = tuple(gens.index(mul(mul(omega, s), omega_inv)) for s in gens)
+        except ValueError as exc:
+            raise AffineWeylError(
+                "conjugation by a length-zero element does not permute the affine simple reflections"
+            ) from exc
+        if perm in group:
+            continue
+        kept.append((omega, omega_inv))
+        # Omega is abelian, so powers of perm times the old group are the new group
+        frontier = list(group)
+        while frontier:
+            g = tuple(perm[i] for i in frontier.pop())
+            if g not in group:
+                group.add(g)
+                frontier.append(g)
+    return tuple(kept)
+
+
 @lru_cache(maxsize=None)
 def adm(mu: tuple[int, ...], rd: RootDatum) -> AdmissibleSet:
     """The admissible set of mu at Iwahori level, with its cover relations.
@@ -117,21 +168,60 @@ def adm(mu: tuple[int, ...], rd: RootDatum) -> AdmissibleSet:
       of a candidate.  By downward induction on length, a longest
       non-member could only be covered by a member, which is impossible;
       so every candidate lies on a chain of covers below a maximal one.
+
+    Closures and covers are computed once per Omega-orbit and carried to
+    the rest of each orbit by conjugation, an automorphism of the affine
+    Coxeter system (Iwahori-Matsumoto, Publ. IHES 25, 1965) once
+    _omega_conjugations has checked that it permutes the affine simple
+    reflections.  The union of one closure per orbit of maximal
+    translations is saturated under the conjugations; an image of another
+    length is refused, which also keeps the saturation finite.
+    Completeness is checked at one element per orbit, which covers all as
+    the candidates are Omega-stable; soundness is checked on every edge.
     """
     maximal = _maximal_translations(tuple(mu), rd)
+    conjugations = _omega_conjugations(rd)
+    images: list[dict[AffineWeylElement, AffineWeylElement]] = [{} for _ in conjugations]
     candidates: set[AffineWeylElement] = set()
     for t in maximal:
-        candidates |= _subword_closure(rd, t)
+        # maximal translations share one length, so t is a candidate only
+        # as the conjugate of one closed already
+        if t in candidates:
+            continue
+        fresh = list(_subword_closure(rd, t) - candidates)
+        candidates.update(fresh)
+        while fresh:
+            w = fresh.pop()
+            for (omega, omega_inv), image in zip(conjugations, images):
+                v = image[w] = mul(mul(omega, w), omega_inv)
+                if length(rd, v) != length(rd, w):
+                    raise AffineWeylError("a conjugation used for transport changed a length")
+                if v not in candidates:
+                    candidates.add(v)
+                    fresh.append(v)
     elements = tuple(sorted(candidates, key=lambda w: element_sort_key(rd, w)))
     index = {w: i for i, w in enumerate(elements)}
+    # each conjugation as a permutation of positions in elements
+    maps = [[index[image[w]] for w in elements] for image in images]
     edges = []
-    for j, w in enumerate(elements):
-        for v in _lower_covers(rd, w):
-            if v not in index:
-                raise AffineWeylError(
-                    "admissible enumeration mismatch: subword closure missed a lower cover"
-                )
-            edges.append((index[v], j))
+    seen = [False] * len(elements)
+    for r, w in enumerate(elements):
+        if seen[r]:
+            continue
+        below = _lower_covers(rd, w)
+        if not below <= candidates:
+            raise AffineWeylError(
+                "admissible enumeration mismatch: subword closure missed a lower cover"
+            )
+        seen[r] = True
+        orbit = [(r, [index[v] for v in below])]
+        for j, j_below in orbit:
+            edges += [(i, j) for i in j_below]
+            for conj in maps:
+                k = conj[j]
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append((k, [conj[i] for i in j_below]))
     if {elements[i] for i, _ in edges} | set(maximal) != candidates:
         raise AffineWeylError(
             "admissible enumeration mismatch: subword closure produced a non-member"

@@ -177,6 +177,15 @@ def _emit_rows(args, rd, key: str, header, rows):
         _emit(_rows_to_table(header, rows, _meta_line(args, rd)), args.out)
 
 
+def _emit_fields(args, rd, key: str, rows):
+    """Field/value rows as JSON (one object under key), else as _emit_rows."""
+    if args.format == "json":
+        payload = {"meta": _meta_obj(args, rd), key: dict(rows)}
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    else:
+        _emit_rows(args, rd, key, ("field", "value"), rows)
+
+
 def _fmt_kappa(kappa) -> str:
     return ",".join(str(x) for x in kappa) if kappa else "0"
 
@@ -195,13 +204,7 @@ def cmd_describe(args) -> int:
         ("pi1", pi1.describe()),
         ("sigma_order", sigma.order),
     ]
-    if args.format == "json":
-        payload = {"meta": _meta_obj(args, rd), "describe": {k: str(v) for k, v in rows}}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    elif args.format == "tsv":
-        _emit(_rows_to_tsv(("field", "value"), rows, _meta_line(args, rd)), args.out)
-    else:
-        _emit(_rows_to_table(("field", "value"), rows, _meta_line(args, rd)), args.out)
+    _emit_fields(args, rd, "describe", [(k, str(v)) for k, v in rows])
     return 0
 
 
@@ -359,11 +362,7 @@ def cmd_perm_check(args) -> int:
         ("only_in_adm", [format_element(rd, w) for w in report.only_in_adm]),
         ("only_in_perm", [format_element(rd, w) for w in report.only_in_perm]),
     ]
-    if args.format == "json":
-        payload = {"meta": _meta_obj(args, rd), "report": dict(rows)}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(_rows_to_table(("field", "value"), [(k, v) for k, v in rows], _meta_line(args, rd)), args.out)
+    _emit_fields(args, rd, "report", rows)
     return 0 if report.equal else 1
 
 

@@ -1,6 +1,8 @@
 import importlib
+import json
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from affweyl.affine_weyl import (
     element_sort_key,
     finite_reflection,
     identity_element,
+    inv,
     iwahori_generators,
     kottwitz,
     length,
@@ -43,6 +46,7 @@ from affweyl.affine_weyl import (
 from affweyl.notation import format_element
 from affweyl.root_datum import build_root_datum, dominant_rep, weyl_orbit
 from affweyl.straight_newton import b_set
+from test_affine_weyl import A1_X_C2
 from test_linalg import hasse_by_cubic_scan
 
 
@@ -362,11 +366,70 @@ def test_planted_non_member_above_members_is_refused(monkeypatch):
 
 
 def test_dropped_member_is_refused(monkeypatch):
+    # the closure is saturated under Omega, so the victim's whole orbit is dropped
     mu = (1, 0, 0)
     victim = next(w for w in adm(mu, GL3).elements if length(GL3, w) == 1)
-    _edit_closure(monkeypatch, lambda s: s - {victim})
+    omega = omega_rep(GL3, (1, 0, 0))
+    orbit = {victim, mul(mul(omega, victim), inv(omega)), mul(mul(inv(omega), victim), omega)}
+    assert len(orbit) == 3
+    _edit_closure(monkeypatch, lambda s: s - orbit)
     with pytest.raises(AffineWeylError, match="missed a lower cover"):
         adm.__wrapped__(mu, GL3)
+
+
+def test_non_automorphism_conjugation_is_refused(monkeypatch):
+    s1 = finite_reflection(GL3, 0)
+    monkeypatch.setattr(admissible, "_omega_conjugations", lambda rd: ((s1, s1),))
+    with pytest.raises(AffineWeylError):
+        adm.__wrapped__((1, 0, 0), GL3)
+
+
+def test_conjugation_helper_checks_the_generators(monkeypatch):
+    monkeypatch.setattr(admissible, "omega_rep", lambda rd, lam: finite_reflection(rd, 0))
+    with pytest.raises(AffineWeylError, match="permute the affine simple reflections"):
+        admissible._omega_conjugations(GL3)
+
+
+def _cover_edges_one_by_one(rd, elements):
+    """Reference: the lower covers of every element computed directly."""
+    index = {w: i for i, w in enumerate(elements)}
+    return tuple(sorted((index[v], j) for j, w in enumerate(elements) for v in _lower_covers(rd, w)))
+
+
+def _preset_datum(group):
+    preset = group.rstrip("0123456789")
+    return build_root_datum({"preset": preset, "n": int(group[len(preset):])})
+
+
+_WORKLOADS = json.loads((Path(__file__).parent.parent / "perfbench" / "workloads.json").read_text())
+TRANSPORT_CASES = [
+    (f"{name}:{entry['name']}", _preset_datum(entry["group"]), tuple(entry["mu"]))
+    for name in ("adm-ladder", "newton")
+    for entry in _WORKLOADS[name]["entries"]
+] + [
+    ("A1xC2", A1_X_C2, (1, 0, 1, 1, 1)),
+    (
+        "GL2xGL2",
+        build_root_datum(
+            {"rank": 4, "simple_roots": [[1, -1, 0, 0], [0, 0, 1, -1]], "simple_coroots": [[1, -1, 0, 0], [0, 0, 1, -1]]}
+        ),
+        (1, 0, 1, 0),
+    ),
+]
+
+
+@pytest.mark.parametrize("rd,mu", [case[1:] for case in TRANSPORT_CASES], ids=[case[0] for case in TRANSPORT_CASES])
+def test_omega_transport_matches_direct_covers(rd, mu):
+    aset = adm(mu, rd)
+    elements = set(aset.elements)
+    for omega, omega_inv in admissible._omega_conjugations(rd):
+        assert {mul(mul(omega, w), omega_inv) for w in aset.elements} == elements
+    below = {j: set() for j in range(len(aset))}
+    for i, j in aset.cover_edges:
+        below[j].add(aset.elements[i])
+    for j, w in enumerate(aset.elements):
+        assert below[j] == _lower_covers(rd, w)
+    assert aset.cover_edges == _cover_edges_one_by_one(rd, aset.elements)
 
 
 def _package_caches():

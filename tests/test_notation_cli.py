@@ -161,6 +161,23 @@ def test_cli_describe_json(capsys):
     assert payload["meta"]["tool"].startswith("affweyl/")
 
 
+def test_cli_field_rows_follow_format(capsys):
+    # describe and perm-check share one field/value emitter: tsv is tab-separated, table aligned
+    for argv in (("describe", "--group", "GL2"), ("perm-check", "--n", "2", "--mu", "1,0")):
+        code, tsv, _ = run_cli(capsys, *argv, "--format", "tsv")
+        assert code == 0
+        lines = tsv.strip().split("\n")
+        assert lines[1] == "field\tvalue"
+        assert all(line.count("\t") == 1 for line in lines[1:])
+        _, table, _ = run_cli(capsys, *argv)
+        assert [line.split(None, 1) for line in table.strip().split("\n")[1:]] == [
+            line.split("\t") for line in lines[1:]
+        ]
+    _, tsv, _ = run_cli(capsys, "perm-check", "--n", "2", "--mu", "1,0", "--format", "tsv")
+    assert "equal\tTrue" in tsv.split("\n")
+    assert "adm_size\t3" in tsv.split("\n")
+
+
 def test_cli_poset_dot(capsys):
     code, out, _ = run_cli(capsys, "poset", "--group", "GL2", "--mu", "1,0")
     assert code == 0
