@@ -297,8 +297,9 @@ def hermite_row_form(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
         out.append(piv)
         work = [r for r in work if r is not piv and any(r)]
         col += 1
-    # reduce entries above pivots
-    for i in reversed(range(len(out))):
+    # reduce entries above pivots, top pivot first: row i is zero left of its
+    # pivot, so reducing by it keeps the columns of the pivots above it
+    for i in range(len(out)):
         pcol = next(k for k in range(ncols) if out[i][k] != 0)
         for j in range(i):
             q = out[j][pcol] // out[i][pcol]

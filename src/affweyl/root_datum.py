@@ -8,6 +8,11 @@ positive_roots[k] is the root whose coroot is positive_coroots[k].  The
 datum of a closed subsystem, such as a Levi, is derived from its parent's
 positive roots instead (sub_datum), with the forms of its simple system.
 
+Finite type is read off the theory, not searched for: a non-singular
+Cartan matrix is of finite type exactly when its Weyl group, hence its
+reflection closure, is finite (Kac, Infinite-dimensional Lie algebras,
+ch. 4); see _reflection_closure and _fundamental_forms.
+
 Presets cover GL(n), SL(n), PGL(n) and GSp(2g); arbitrary finite-type data
 can be supplied explicitly.  The pairing between X_*(T) and X^*(T) is the
 standard dot product in the chosen coordinates.
@@ -16,7 +21,6 @@ standard dot product in the chosen coordinates.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -127,6 +131,7 @@ def _cartan_from_data(simple_roots, simple_coroots) -> tuple[Vec, ...]:
 
 
 def _check_cartan(cartan: Sequence[Sequence[int]]) -> None:
+    """Generalized Cartan matrix shape; finite type is left to the closure and the forms."""
     n = len(cartan)
     for i in range(n):
         if cartan[i][i] != 2:
@@ -139,46 +144,20 @@ def _check_cartan(cartan: Sequence[Sequence[int]]) -> None:
                     )
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise RootDatumError(f"Cartan zero pattern is not symmetric at ({i},{j})")
-    # finite type: every principal minor must be positive
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            minor = _det([[cartan[i][j] for j in subset] for i in subset])
-            if minor <= 0:
-                raise RootDatumError(
-                    f"Cartan matrix is not of finite type: principal minor {subset} = {minor}"
-                )
-
-
-def _det(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    work = [list(row) for row in m]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
-            if piv is None:
-                return 0
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        pk, row_k = work[k][k], work[k]
-        for i in range(k + 1, n):
-            row_i = work[i]
-            f = row_i[k]
-            # exact: each entry is a minor of the input divided by the last pivot
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pk - f * row_k[j]) // prev
-        prev = pk
-    return sign * work[n - 1][n - 1] if n else 1
 
 
 def _fundamental_forms(simple_roots, cartan) -> tuple[int, tuple[Vec, ...]]:
     """(d, d * varpi_i) with d = |det A|, as rows of d * A^-1 times the simple roots.
 
     cartan[j][i] = <alpha_i^vee, alpha_j>, so <v, d * varpi_i> = d * c_i
-    when v = sum_i c_i alpha_i^vee.
+    when v = sum_i c_i alpha_i^vee.  A singular Cartan matrix raises
+    RootDatumError: with a finite reflection closure, non-singularity is
+    what finite type still needs.
     """
-    d, scaled = scaled_inverse(cartan)
+    try:
+        d, scaled = scaled_inverse(cartan)
+    except ValueError:
+        raise RootDatumError("Cartan matrix is not of finite type: it is singular") from None
     return d, mat_mul(scaled, simple_roots)
 
 
@@ -197,22 +176,36 @@ def _assemble(rank, label, simple_roots, simple_coroots, cartan, positives) -> R
 
 
 def _reflection_closure(simple_roots, simple_coroots):
-    """All (root, coroot) pairs of the system, by closing under reflections."""
+    """All (root, coroot) pairs of the system, by closing under reflections.
+
+    A finite root system of semisimple rank s has at most 4 s^2 roots: A_s
+    has s(s+1), B_s and C_s 2s^2, D_s 2s(s-1), and E6, E7, E8, F4, G2 have
+    72, 126, 240, 48, 12 (Bourbaki, Lie Groups and Lie Algebras, ch. VI,
+    Plates I-IX; E8 is the tight case), and for a product the sum of the
+    4 s_i^2 is at most 4 (sum s_i)^2.  A closure that outgrows the bound
+    is infinite, so the Cartan matrix is not of finite type.
+    """
+    bound = 4 * len(simple_roots) ** 2
     pairs = set(zip(simple_roots, simple_coroots))
     frontier = set(pairs)
     while frontier:
         new = set()
         for root, coroot in frontier:
             for a, av in zip(simple_roots, simple_coroots):
-                n_root = tuple(r - pairing(av, root) * s for r, s in zip(root, a))
-                n_coroot = tuple(c - pairing(coroot, a) * s for c, s in zip(coroot, av))
-                cand = (n_root, n_coroot)
+                p, q = pairing(av, root), pairing(coroot, a)
+                cand = (
+                    tuple(r - p * s for r, s in zip(root, a)),
+                    tuple(c - q * s for c, s in zip(coroot, av)),
+                )
                 if cand not in pairs:
                     new.add(cand)
         pairs |= new
         frontier = new
-        if len(pairs) > 10000:
-            raise RootDatumError("reflection closure did not terminate; datum is not finite type")
+        if len(pairs) > bound:
+            raise RootDatumError(
+                f"Cartan matrix is not of finite type: the reflection closure "
+                f"exceeds 4 s^2 = {bound} roots"
+            )
     return pairs
 
 
@@ -471,7 +464,8 @@ class FinAbGroup:
 def quotient_group(ambient_rank: int, sublattice_columns: Sequence[Sequence[int]]) -> FinAbGroup:
     """Present Z^ambient_rank modulo the span of the given columns.
 
-    With U A V = D the Smith form of the column matrix A, row i of U
+    A is the column matrix of the lattice's Hermite basis, so it depends
+    only on the lattice.  With U A V = D its Smith form, row i of U
     projects onto Z/d_i; unit factors are dropped and the free rows are put
     in Hermite form, so equal lattices present identically.
 
@@ -483,7 +477,8 @@ def quotient_group(ambient_rank: int, sublattice_columns: Sequence[Sequence[int]
     for c in cols:
         if len(c) != ambient_rank:
             raise RootDatumError("sublattice columns have the wrong length")
-    mat = tuple(tuple(c[i] for c in cols) for i in range(ambient_rank))
+    basis = hermite_row_form(cols)
+    mat = tuple(tuple(c[i] for c in basis) for i in range(ambient_rank))
     sf = smith_normal_form(mat)
     diag = sf.diagonal + (0,) * (ambient_rank - len(sf.diagonal))
     torsion_rows, torsion_mods, free_rows = [], [], []
@@ -516,11 +511,14 @@ def sub_datum(rd: RootDatum, positive_root_indices: Sequence[int], label: str) -
     rebuilt by _build: its positive roots and coroots are the chosen ones
     of rd, their coefficients c are read off the forms of the new simple
     system, and they are sorted as _build sorts them.  RootDatumError is
-    raised unless the Cartan matrix is of finite type (_check_cartan),
-    every coefficient is a non-negative integer with sum c_i alpha_i^vee
-    equal to the coroot, and every simple reflection s_i maps the chosen
-    coroots other than alpha_i^vee into the chosen set, so that the set is
-    exactly the positive system of the simple coroots.
+    raised unless the Cartan matrix passes _check_cartan and is
+    non-singular, every coefficient is a non-negative integer with
+    sum c_i alpha_i^vee equal to the coroot, and every simple reflection
+    s_i maps the chosen coroots other than alpha_i^vee into the chosen set,
+    so that the set is exactly the positive system of the simple coroots.
+    That last check makes the finite set P u -P of chosen coroots stable
+    under the simple reflections, so the Weyl group of the subsystem is
+    finite and its Cartan matrix of finite type: no separate test is needed.
     """
     idx = sorted(set(positive_root_indices))
     roots = [rd.positive_roots[k] for k in idx]

@@ -63,8 +63,11 @@ def stembridge_chain(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> Co
     """Chain of positive coroots from mu down to lam, all prefixes dominant.
 
     Preconditions: both dominant, equal Kottwitz classes, and lam below mu
-    integrally.  The search subtracts the highest usable coroot first and
-    backtracks; existence is guaranteed by the preconditions.
+    integrally.  Each step subtracts the highest usable coroot: one that
+    keeps the point dominant and still above lam.  By Stembridge's lemma
+    (The partial order of dominant weights, Adv. Math. 136, 1998) every
+    dominant nu with lam <= nu < mu has such a step, so the greedy walk
+    never has to undo one.
     """
     lam = tuple(int(x) for x in lam)
     mu = tuple(int(x) for x in mu)
@@ -82,28 +85,21 @@ def stembridge_chain(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> Co
         rd.positive_coroots,
         key=lambda cv: (-rd.coroot_height(cv), cv),
     )
-
-    # depth first with backtracking; each entry keeps its point, the coroot
-    # that led there and the coroots still to try from it
-    stack = [(mu, None, iter(coroots))]
-    while stack[-1][0] != lam:
-        current, _, todo = stack[-1]
-        for cv in todo:
-            nxt = tuple(a - b for a, b in zip(current, cv))
+    cur, steps, points = mu, [], []
+    while cur != lam:
+        for cv in coroots:
+            nxt = tuple(a - b for a, b in zip(cur, cv))
             if is_dominant(nxt, rd) and dominance_leq(lam, nxt, rd, integral=True):
-                stack.append((nxt, cv, iter(coroots)))
                 break
         else:
-            stack.pop()
-            if not stack:
-                raise RuntimeError(
-                    "no dominance chain found although the preconditions hold; "
-                    "this contradicts the existence lemma"
-                )
-    path = stack[1:]
-    return CorootChain(
-        mu, lam, tuple(cv for _, cv, _ in path), tuple(point for point, _, _ in path)
-    )
+            raise RuntimeError(
+                f"no dominance step from {cur} towards {lam} although the preconditions "
+                "hold; this contradicts Stembridge's lemma"
+            )
+        steps.append(cv)
+        points.append(nxt)
+        cur = nxt
+    return CorootChain(mu, lam, tuple(steps), tuple(points))
 
 
 def is_minuscule(mu: Sequence[int], rd: RootDatum) -> bool:

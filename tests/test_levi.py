@@ -35,6 +35,7 @@ from affweyl.root_datum import (
     build_root_datum,
     dominance_leq,
     dominant_rep,
+    pairing,
     sub_datum,
 )
 from affweyl.stembridge import ChainPreconditionError
@@ -141,6 +142,43 @@ def test_sub_datum_rejects_a_set_that_is_not_a_whole_positive_system():
     with pytest.raises(RootDatumError):
         sub_datum(gl3, simple_only, "levi:GL3")
     assert len(sub_datum(gl3, range(3), "levi:GL3").positive_roots) == 3
+
+
+def _reflection_stable(rd, idx):
+    """Whether the chosen roots and their negatives are stable under their own reflections."""
+    roots = [rd.positive_roots[k] for k in idx]
+    closed = set(roots) | {tuple(-x for x in r) for r in roots}
+    return all(
+        tuple(x - pairing(rd.positive_coroots[k], beta) * y for x, y in zip(beta, rd.positive_roots[k]))
+        in closed
+        for k in idx
+        for beta in closed
+    )
+
+
+G2 = build_root_datum(
+    {"rank": 2, "simple_roots": [[2, -1], [-3, 2]], "simple_coroots": [[1, 0], [0, 1]], "label": "G2"}
+)
+
+
+@pytest.mark.parametrize(
+    "rd", [_rd("GL", 4), _rd("GSp", 4), _rd("GSp", 6), G2], ids=lambda rd: rd.type_label
+)
+def test_sub_datum_on_every_index_set_builds_or_raises_root_datum_error(rd):
+    # a set that is not a whole positive system must raise RootDatumError, not
+    # a plain ValueError: finite type is never tested apart from closure
+    n = len(rd.positive_roots)
+    refused = 0
+    for mask in range(1 << n):
+        idx = [k for k in range(n) if mask >> k & 1]
+        if _reflection_stable(rd, idx):
+            levi = sub_datum(rd, idx, "sub")
+            assert set(levi.positive_roots) == {rd.positive_roots[k] for k in idx}
+        else:
+            refused += 1
+            with pytest.raises(RootDatumError):
+                sub_datum(rd, idx, "sub")
+    assert refused > 0
 
 
 def test_clear_caches_empties_the_levi_memo():

@@ -19,7 +19,7 @@ from affweyl.linalg import (
     solve_rational,
     vec_mat,
 )
-from affweyl.root_datum import _det, build_root_datum
+from affweyl.root_datum import build_root_datum
 
 
 def random_matrix(rng, m, n, lo=-5, hi=5):
@@ -89,7 +89,6 @@ def test_bareiss_det_and_scaled_inverse_against_leibniz():
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n, -2, 2)
         det = _leibniz_det(a)
-        assert _det([list(row) for row in a]) == det
         if det == 0:
             with pytest.raises(ValueError):
                 scaled_inverse(a)
@@ -108,6 +107,13 @@ def test_hermite_row_form_canonical():
     b = hermite_row_form([(1, 1), (3, 5)])
     assert a == b
     assert a[0][0] > 0
+
+
+def test_hermite_row_form_reduces_above_every_pivot():
+    # reducing by a lower pivot row must not undo a reduction by a higher one
+    c = hermite_row_form([(0, 1, 1), (2, 0, 0), (2, 2, 0)])
+    d = hermite_row_form([(-2, -2, 0), (-2, 0, 0), (0, -1, -1), (2, 1, 1)])
+    assert c == d == ((2, 0, 0), (0, 1, 1), (0, 0, 2))
 
 
 def hasse_by_cubic_scan(leq):

@@ -23,6 +23,7 @@ from affweyl.linalg import identity_matrix, mat_mul, vec_mat
 from affweyl.notation import _finite_word, format_element, parse_element
 from affweyl.oracles import available_scopes, run_oracle_suite
 from affweyl.root_datum import build_root_datum, dominance_leq
+from affweyl.stembridge import stembridge_chain
 from affweyl.straight_newton import b_set
 
 GL2 = build_root_datum({"preset": "GL", "n": 2})
@@ -266,6 +267,51 @@ def test_cli_exit_codes(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: perm-check needs --n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_cli_stembridge_success(capsys, fmt):
+    argv = ["stembridge", "--group", "GL3", "--mu", "4,1,0", "--lambda", "2,2,1", "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    chain = stembridge_chain((2, 2, 1), (4, 1, 0), GL3)
+    assert len(chain.steps) == 2
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["steps"] == [list(s) for s in chain.steps]
+        assert payload["intermediates"] == [list(v) for v in chain.intermediates]
+    else:
+        lines = out.splitlines()
+        assert lines[1] == f"chain from 4,1,0 down to 2,2,1: {len(chain.steps)} steps"
+        assert len(lines) == 2 + len(chain.steps)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["adm", "--group", "GL2"],
+        ["describe"],
+        ["adm", "--group", "GL2", "--mu", "1,0", "--sigma", "bogus"],
+        ["stembridge", "--group", "GL2", "--mu", "1,0"],
+        ["components-bound", "--group", "GL2", "--mu", "1,0", "--b", "b99"],
+    ],
+)
+def test_cli_usage_errors_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_describe_refuses_an_affine_cartan_matrix(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    affine_a1 = {"rank": 2, "simple_roots": [[2, -2], [-2, 2]], "simple_coroots": [[1, 0], [0, 1]]}
+    cfg.write_text(json.dumps({"group": affine_a1}))
+    code, out, err = run_cli(capsys, "describe", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "not of finite type" in err
 
 
 def test_cli_level_flag(capsys):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from affweyl.linalg import hermite_row_form
 from affweyl.root_datum import (
     RootDatumError,
-    _det,
     build_root_datum,
     dominance_leq,
     dominant_rep,
@@ -21,6 +20,7 @@ from affweyl.root_datum import (
     simple_reflection,
     weyl_orbit,
 )
+from test_linalg import _leibniz_det
 
 
 def rd(preset, n):
@@ -47,10 +47,58 @@ def test_gsp4_cartan_is_type_c2():
     assert rd("GSp", 4).cartan_matrix == ((2, -1), (-2, 2))
 
 
-def test_rejects_affine_cartan_with_offending_minor():
-    spec = {"rank": 2, "simple_roots": [[2, -2], [-2, 2]], "simple_coroots": [[1, 0], [0, 1]]}
-    with pytest.raises(RootDatumError, match="principal minor"):
-        build_root_datum(spec)
+def _cartan_spec(cartan):
+    """Explicit datum with simple coroots the unit vectors, so A[i][j] = <e_j, alpha_i>."""
+    s = len(cartan)
+    unit = [[int(i == j) for j in range(s)] for i in range(s)]
+    return {"rank": s, "simple_roots": [list(row) for row in cartan], "simple_coroots": unit}
+
+
+def _simply_laced(s, edges):
+    """Simply laced Cartan matrix on s nodes with the given edges."""
+    a = [[2 if i == j else 0 for j in range(s)] for i in range(s)]
+    for i, j in edges:
+        a[i][j] = a[j][i] = -1
+    return a
+
+
+# Bourbaki numbering: 1-3-4-5-6-7-8 with 2 on 4, here 0-based
+E_EDGES = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]
+EXCEPTIONAL = [
+    ("E6", _simply_laced(6, E_EDGES[:4] + [(1, 3)]), 36),
+    ("E7", _simply_laced(7, E_EDGES[:5] + [(1, 3)]), 63),
+    ("E8", _simply_laced(8, E_EDGES), 120),
+    ("F4", [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 24),
+    ("G2", [[2, -1], [-3, 2]], 6),
+]
+
+
+@pytest.mark.parametrize("name, cartan, count", EXCEPTIONAL)
+def test_exceptional_data_build(name, cartan, count):
+    datum = build_root_datum({**_cartan_spec(cartan), "label": name})
+    assert len(datum.positive_roots) == len(datum.positive_coroots) == count
+    # E8 has 240 <= 4 s^2 = 256 roots, the tight case of the closure bound
+    assert 2 * count <= 4 * len(cartan) ** 2
+
+
+def test_rejects_cartan_not_of_finite_type():
+    affine_e8 = _simply_laced(9, E_EDGES + [(7, 8)])
+    cases = [
+        _cartan_spec([[2, -2], [-2, 2]]),  # affine A1
+        _cartan_spec([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]),  # affine A2
+        _cartan_spec(affine_e8),
+        _cartan_spec([[2, -3], [-3, 2]]),  # hyperbolic, non-singular
+        # affine A1 again, but in rank 1: the closure is finite, the Cartan matrix singular
+        {"rank": 1, "simple_roots": [[2], [-2]], "simple_coroots": [[1], [-1]]},
+    ]
+    for spec in cases:
+        with pytest.raises(RootDatumError, match="not of finite type"):
+            build_root_datum(spec)
+
+
+def test_rank_thirty_presets_build():
+    for preset, n, count in [("GL", 30, 435), ("SL", 30, 435), ("PGL", 30, 435), ("GSp", 30, 225)]:
+        assert len(rd(preset, n).positive_roots) == count
 
 
 def test_rejects_wrong_length_coroots():
@@ -247,19 +295,23 @@ def test_quotient_group_on_random_columns(case):
         assert (group.project(x) == group.zero()) == (hermite_row_form(cols + [x]) == span)
     total = tuple(a + b for a, b in zip(u, v))
     assert group.project(total) == group.add(group.project(u), group.project(v))
-    det = _det([list(c) for c in cols]) if len(cols) == n else 0
+    det = _leibniz_det(cols) if len(cols) == n else 0
     if det:
         assert prod(group.invariant_factors) == abs(det)
-    # another generating set of the same lattice has the same factors and,
-    # the free rows being in Hermite form, the same free coordinates
+    # another generating set of the same lattice presents the same group,
+    # with the same coordinates
     regen = [tuple(-x for x in c) for c in reversed(cols)]
     if cols:
         regen.append(tuple(map(sum, zip(*cols[:2]))))
     other = quotient_group(n, regen)
     assert other.invariant_factors == group.invariant_factors
-    free = slice(len(group.invariant_factors) - group.invariant_factors.count(0), None)
     for x in (u, v):
-        assert other.project(x)[free] == group.project(x)[free]
+        assert other.project(x) == group.project(x)
+
+
+def test_torsion_coordinates_depend_only_on_the_lattice():
+    assert quotient_group(1, [(3,)]).project((1,)) == (1,)
+    assert quotient_group(1, [(-3,), (3,)]).project((1,)) == (1,)
 
 
 def test_projection_kernel_is_exactly_the_coroot_lattice():

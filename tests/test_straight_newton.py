@@ -317,6 +317,22 @@ def test_components_bound_rejects_foreign_point():
         components_bound_report((1, 0), fake, GL2, SID2)
 
 
+def test_components_bound_refuses_a_levi_that_sigma_does_not_stabilize():
+    # the newton benchmark pins this refusal at one of the four points
+    gl5 = build_root_datum({"preset": "GL", "n": 5})
+    mu, flip = (1, 1, 0, 0, 0), sigma_from_name(gl5, "flip")
+    points = b_set(mu, gl5, flip)
+    assert len(points) == 4
+    reports, refused = [], []
+    for b in points:
+        try:
+            reports.append(components_bound_report(mu, b, gl5, flip))
+        except AffineWeylError as exc:
+            refused.append(str(exc))
+    assert refused == ["sigma does not stabilize the Levi of this witness; no invariants defined"]
+    assert len(reports) == 3 and all(report.witnesses for report in reports)
+
+
 def test_lift_chain_pairings_are_one():
     mu = (1, 1, 0, 0)
     sid4 = sigma_identity(GL4)
