@@ -38,6 +38,7 @@ from .affine_weyl import (
     AffineWeylError,
     ParahoricLevel,
     bruhat_leq,
+    conjugation_permutation,
     element_sort_key,
     identity_element,
     inv,
@@ -129,18 +130,12 @@ def _omega_conjugations(
     ...  for p, n in [("GL", 3), ("SL", 4), ("PGL", 4), ("GSp", 4)]]
     [1, 0, 1, 1]
     """
-    gens = iwahori_generators(rd)
     units = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
     kept = []
-    group = {tuple(range(len(gens)))}
+    group = {tuple(range(len(iwahori_generators(rd))))}
     for omega in dict.fromkeys(omega_rep(rd, e) for e in units):
         omega_inv = inv(omega)
-        try:
-            perm = tuple(gens.index(mul(mul(omega, s), omega_inv)) for s in gens)
-        except ValueError as exc:
-            raise AffineWeylError(
-                "conjugation by a length-zero element does not permute the affine simple reflections"
-            ) from exc
+        perm = conjugation_permutation(rd, omega, omega_inv)
         if perm in group:
             continue
         kept.append((omega, omega_inv))

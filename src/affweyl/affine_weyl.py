@@ -7,6 +7,9 @@ table of products with other entries, its inverse and the signs of
 u^-1 on the positive roots.  So `mul` reads the finite product from the
 table and only applies the matrix to the translation, `inv` reads the
 stored inverse, and `length` is one pass over the positive roots.
+A Frobenius action sigma is the element t_0 S of W semidirect <sigma> in
+the same table: sigma(w) = S w S^-1, and with sigma^m = 1 the twisted
+power w sigma(w) .. sigma^(m-1)(w) is the ordinary power (w S)^m.
 Length is the closed Iwahori-Matsumoto count.  Reduced words are taken
 greedily with respect to the fixed base alcove (the alcove in the
 dominant chamber with a vertex at the origin): a simple reflection is a
@@ -40,7 +43,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul as _times
 from typing import Iterable, Optional, Sequence
 
@@ -65,27 +68,25 @@ class AffineWeylError(ValueError):
 
 
 class _Finite:
-    """The interned entry of one finite Weyl matrix u.
+    """The interned entry of one finite Weyl or Frobenius matrix u.
 
     Its hash is that of the matrix, so an element hashes like the pair
-    (translation, matrix).  `products` maps an entry v to the entry of uv,
-    `inverse` is the entry of u^-1 once asked for, `twists` maps a
-    SigmaAction to the entry of sigma u sigma^-1 (None until the first
-    twist), `is_identity` says whether u is the identity, and `signs` is a
-    pair (datum, vector) with a 1 in the vector for each positive root a
-    of the datum with u^-1(a) < 0; one assignment replaces both, so a
-    concurrent reader never sees the vector of one datum paired with
-    another.
+    (translation, matrix).  `products` maps an entry v to the entry of uv
+    (so twists S u S^-1 and twisted powers (u S)^m are products too),
+    `inverse` is the entry of u^-1 once asked for, `is_identity` says
+    whether u is the identity, and `signs` is a pair (datum, vector) with
+    a 1 in the vector for each positive root a of the datum with
+    u^-1(a) < 0; one assignment replaces both, so a concurrent reader
+    never sees the vector of one datum paired with another.
     """
 
-    __slots__ = ("matrix", "hash", "products", "inverse", "twists", "is_identity", "signs")
+    __slots__ = ("matrix", "hash", "products", "inverse", "is_identity", "signs")
 
     def __init__(self, matrix: Mat):
         self.matrix = matrix
         self.hash = hash(matrix)
         self.products: dict[_Finite, _Finite] = {}
         self.inverse: Optional[_Finite] = None
-        self.twists: Optional[dict[SigmaAction, _Finite]] = None
         self.is_identity = matrix == identity_matrix(len(matrix))
         self.signs: tuple[Optional[RootDatum], tuple[int, ...]] = (None, ())
 
@@ -114,7 +115,6 @@ def clear_finite_parts() -> None:
     """
     for u in _FINITE_PARTS.values():
         u.products.clear()
-        u.twists = None
         u.inverse = None
     _FINITE_PARTS.clear()
     _ROWS.clear()
@@ -460,6 +460,12 @@ class SigmaAction:
     matrix_inv: Mat
     order: int
 
+    @cached_property
+    def elements(self) -> tuple[AffineWeylElement, AffineWeylElement]:
+        """(S, S^-1): sigma and its inverse as the elements t_0 S, t_0 S^-1."""
+        zero = (0,) * len(self.matrix)
+        return AffineWeylElement(zero, self.matrix), AffineWeylElement(zero, self.matrix_inv)
+
 
 def make_sigma(rd: RootDatum, matrix: Sequence[Sequence[int]]) -> SigmaAction:
     """Validate a lattice automorphism as a diagram automorphism.
@@ -525,38 +531,32 @@ def sigma_from_name(rd: RootDatum, name: str) -> SigmaAction:
 
 
 def sigma_apply(sigma: SigmaAction, w: AffineWeylElement) -> AffineWeylElement:
-    """sigma(t_lambda u) = t_sigma(lambda) sigma u sigma^-1, the conjugate read from u's entry."""
+    """sigma(t_lambda u) = t_sigma(lambda) sigma u sigma^-1, the conjugate S w S^-1."""
     if sigma.order == 1:
         return w
-    u = w._u
-    twists = u.twists
-    if twists is None:
-        # most entries are never twisted, so the dict is made on first use
-        twists = u.twists = {}
-    twisted = twists.get(sigma)
-    if twisted is None:
-        twisted = twists[sigma] = _intern(
-            mat_mul(sigma.matrix, mat_mul(u.matrix, sigma.matrix_inv))
-        )
-    return _element(mat_vec(sigma.matrix, w.translation), twisted)
+    s, s_inv = sigma.elements
+    return mul(mul(s, w), s_inv)
 
 
 def sigma_apply_cochar(sigma: SigmaAction, lam: Sequence[int]) -> Vec:
     return mat_vec(sigma.matrix, tuple(lam))
 
 
-@lru_cache(maxsize=None)
+def conjugation_permutation(rd: RootDatum, g: AffineWeylElement, g_inv: AffineWeylElement) -> tuple[int, ...]:
+    """How w -> g w g^-1 permutes the affine simple reflections, by index.
+
+    Raises AffineWeylError when an image is not an affine simple reflection.
+    """
+    gens = iwahori_generators(rd)
+    try:
+        return tuple(gens.index(mul(mul(g, s), g_inv)) for s in gens)
+    except ValueError as exc:
+        raise AffineWeylError("conjugation does not permute the affine simple reflections") from exc
+
+
 def sigma_generator_permutation(rd: RootDatum, sigma: SigmaAction) -> tuple[int, ...]:
     """How sigma permutes the affine simple reflections."""
-    gens = iwahori_generators(rd)
-    perm = []
-    for s in gens:
-        image = sigma_apply(sigma, s)
-        try:
-            perm.append(gens.index(image))
-        except ValueError as exc:
-            raise AffineWeylError("sigma does not permute the affine simple reflections") from exc
-    return tuple(perm)
+    return conjugation_permutation(rd, *sigma.elements)
 
 
 # ---------------------------------------------------------------------------

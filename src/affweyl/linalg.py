@@ -323,16 +323,20 @@ def hasse_diagram(
 
     Bit i of down[j] says whether element i is below element j, and bit j
     is set.  The lower covers of j are its strict down-set minus the
-    strict down-sets of the elements in it.  Returns the pairs (i, j) with
-    i < j and nothing strictly between, in row-major order, and the
-    indices of the elements below every element.
+    strict down-sets of the elements in it, walked from the highest index;
+    an element already removed is skipped, as its strict down-set lies in
+    that of the one that removed it, so any index order works.  Returns
+    the pairs (i, j) with i < j and nothing strictly between, in row-major
+    order, and the indices of the elements below every element.
     """
     strict = [d & ~(1 << j) for j, d in enumerate(down)]
     edges = []
     for j, below in enumerate(strict):
-        covers = below
-        for i in _bits(below):
+        covers = rest = below
+        while rest:
+            i = rest.bit_length() - 1
             covers &= ~strict[i]
+            rest = covers & ((1 << i) - 1)
         edges += [(i, j) for i in _bits(covers)]
     bottoms = tuple(_bits(reduce(and_, down, (1 << len(down)) - 1)))
     return tuple(sorted(edges)), bottoms

@@ -15,10 +15,10 @@ from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
     identity_element,
-    is_left_descent,
     iwahori_generators,
     mul,
     omega_rep,
+    reduced_word,
     translation_element,
 )
 from .root_datum import RootDatum
@@ -29,22 +29,16 @@ _TERM_RE = re.compile(r"^(e|t\[(?P<tv>-?\d+(,-?\d+)*)\]|s(?P<si>\d+)|tau\[(?P<ov
 def _finite_word(rd: RootDatum, w: AffineWeylElement) -> list[int]:
     """Greedy reduced word of the finite part, in finite generator indices.
 
-    The finite part u is taken as t_0 u, whose left descents among the
-    finite generators are the s_i with u^-1(a_i) < 0 (is_left_descent).
+    It is the cached reduced word of t_0 u shifted by the number of affine
+    nodes: at translation 0 the wall of an affine node pairs to -sign <= 0,
+    so no affine generator is ever a descent.  A length-zero remainder
+    other than the identity means u is not in the finite Weyl group.
     """
-    gens = iwahori_generators(rd)
-    n_affine = len(rd.components())
-    cur = AffineWeylElement((0,) * rd.rank, w.finite)
-    word: list[int] = []
-    while True:
-        i = next((i for i in range(n_affine, len(gens)) if is_left_descent(rd, cur, i)), None)
-        if i is None:
-            break
-        word.append(i - n_affine)
-        cur = mul(gens[i], cur)
-    if not cur._u.is_identity:
+    letters, rest = reduced_word(rd, AffineWeylElement((0,) * rd.rank, w.finite))
+    if not rest._u.is_identity:
         raise AffineWeylError("finite part is not in the finite Weyl group")
-    return word
+    n_affine = len(rd.components())
+    return [i - n_affine for i in letters]
 
 
 def format_element(rd: RootDatum, w: AffineWeylElement) -> str:

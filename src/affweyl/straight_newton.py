@@ -1,13 +1,14 @@
 """Straight elements, Newton points, B(G, mu) and the component bound data.
 
-A sigma-straight element has additive lengths along its twisted powers;
-its Newton point is the slope vector of the first twisted power that is a
-translation (with sigma back at the identity), made dominant, together
-with the Kottwitz class in the sigma-coinvariants of pi_1.  One twisted
-power per element gives both: by He's criterion (He, "Geometric and
-homological properties of affine Deligne-Lusztig varieties", Ann. Math.
-2014) w is straight iff l(w) = <nu_w, 2 rho>, which for the power
-t_lambda of index m reads m l(w) = l(t_lambda) = sum_{a > 0} |<lambda, a>|.
+A sigma-straight element has additive lengths along its twisted powers,
+the powers of w sigma in W semidirect <sigma>; its Newton point is the
+slope vector of the first twisted power that is a translation (with sigma
+back at the identity), made dominant, together with the Kottwitz class in
+the sigma-coinvariants of pi_1.  One twisted power per element gives both:
+by He's criterion (He, "Geometric and homological properties of affine
+Deligne-Lusztig varieties", Ann. Math. 2014) w is straight iff
+l(w) = <nu_w, 2 rho>, which for the power t_lambda of index m reads
+m l(w) = l(t_lambda) = sum_{a > 0} |<lambda, a>|.
 Straight classes are closed under length-preserving conjugation by simple
 reflections and twisting by length-zero elements; Omega = pi_1, so each
 distinct twist is kept once.  The partition this generates is
@@ -92,18 +93,19 @@ def pi1_coinvariants(rd: RootDatum, sigma: SigmaAction) -> FinAbGroup:
 
 
 def twisted_power(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tuple[int, AffineWeylElement]:
-    """Smallest m with sigma^m = 1 and w sigma(w)..sigma^(m-1)(w) a translation."""
-    cur = w
-    shifted = w
+    """Smallest m with sigma^m = 1 and w sigma(w)..sigma^(m-1)(w) a translation.
+
+    With sigma^m = 1 that product is the power (w sigma)^m in W semidirect <sigma>.
+    """
+    step = w if sigma.order == 1 else mul(w, sigma.elements[0])
+    cur = step
     m = 1
-    while True:
-        if m % sigma.order == 0 and is_translation(cur, rd):
-            return m, cur
-        shifted = sigma_apply(sigma, shifted)
-        cur = mul(cur, shifted)
+    while not (m % sigma.order == 0 and is_translation(cur, rd)):
+        cur = mul(cur, step)
         m += 1
         if m > 100000:
             raise AffineWeylError("twisted powers never reached a translation")
+    return m, cur
 
 
 def _straight_power(

@@ -207,8 +207,8 @@ _PROPERTY = settings(max_examples=80)
 
 
 @st.composite
-def _cases(draw):
-    rd, name = DATA[draw(st.integers(0, len(DATA) - 1))]
+def _cases(draw, data=DATA):
+    rd, name = data[draw(st.integers(0, len(data) - 1))]
     gens = iwahori_generators(rd)
     lam = draw(st.lists(st.integers(-3, 3), min_size=rd.rank, max_size=rd.rank))
     w = translation_element(lam, rd)
@@ -239,13 +239,47 @@ def _plain_sigma_apply(sigma, w):
     )
 
 
+def _raw_mul(a, b):
+    """(lambda, u)(mu, v) = (lambda + u mu, uv) on plain tuples."""
+    (lam, u), (mu, v) = a, b
+    cols = list(zip(*v))
+    return (
+        tuple(x + sum(r * y for r, y in zip(row, mu)) for x, row in zip(lam, u)),
+        tuple(tuple(sum(r * c for r, c in zip(row, col)) for col in cols) for row in u),
+    )
+
+
+def _raw_sigma(sigma, a):
+    """sigma(lambda, u) = (S lambda, S u S^-1) on plain tuples."""
+    zero = (0,) * len(a[0])
+    return _raw_mul(_raw_mul((zero, sigma.matrix), a), (zero, sigma.matrix_inv))
+
+
+TWIST_DATA = [(_rd(p, n), name) for p, n in [("GL", 3), ("GL", 4), ("SL", 3), ("PGL", 3)] for name in ("id", "flip")]
+
+
+@_PROPERTY
+@given(_cases(TWIST_DATA))
+def test_twisted_power_is_the_first_translation_among_raw_twisted_products(case):
+    rd, sigma, w = case
+    m, power = twisted_power(rd, sigma, w)
+    one = tuple(tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank))
+    shifted = product = (w.translation, w.finite)
+    for k in range(1, m):
+        # no earlier index with sigma^k = 1 gives a translation
+        assert k % sigma.order or product[1] != one
+        shifted = _raw_sigma(sigma, shifted)
+        product = _raw_mul(product, shifted)
+    assert m % sigma.order == 0 and product[1] == one
+    assert product == (power.translation, power.finite)
+
+
 @_PROPERTY
 @given(_cases())
 def test_sigma_apply_matches_matrix_conjugation_across_clear_caches(case):
     rd, sigma, w = case
     assert sigma_apply(sigma, w) == _plain_sigma_apply(sigma, w)
     clear_caches()
-    assert not w._u.twists
     assert sigma_apply(sigma, w) == _plain_sigma_apply(sigma, w)
     fresh = AffineWeylElement(w.translation, w.finite)
     assert sigma_apply(sigma, fresh) == sigma_apply(sigma, w)

@@ -155,11 +155,11 @@ def test_hasse_diagram_antichain_and_chain():
 
 
 @st.composite
-def _finite_posets(draw):
+def _finite_posets(draw, max_size=9, min_relations=0):
     """The order matrix of a random finite poset, its elements in shuffled positions."""
-    n = draw(st.integers(0, 9))
+    n = draw(st.integers(2 if min_relations else 0, max_size))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    related = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    related = draw(st.lists(st.sampled_from(pairs), min_size=min_relations, unique=True)) if pairs else []
     place = draw(st.permutations(range(n)))
     leq = [[a == b for b in range(n)] for a in range(n)]
     for a, b in related:
@@ -175,6 +175,28 @@ def _finite_posets(draw):
 @settings(max_examples=200)
 @given(_finite_posets())
 def test_hasse_diagram_matches_cubic_scan(leq):
+    assert hasse_diagram(down_sets(leq)) == hasse_by_cubic_scan(leq)
+
+
+def _is_linear_extension(leq):
+    return all(i <= j for i in range(len(leq)) for j in range(len(leq)) if leq[i][j])
+
+
+@st.composite
+def _misordered_posets(draw):
+    """A random poset with at least one relation, indexed in no linear extension."""
+    leq = draw(_finite_posets(max_size=16, min_relations=1))
+    if _is_linear_extension(leq):
+        # reversing a linear extension breaks every relation's index order
+        leq = [row[::-1] for row in leq[::-1]]
+    return leq
+
+
+@settings(max_examples=200)
+@given(_misordered_posets())
+@example([[i >= j for j in range(6)] for i in range(6)])  # a chain indexed top down
+def test_hasse_diagram_matches_cubic_scan_off_linear_extensions(leq):
+    assert not _is_linear_extension(leq)
     assert hasse_diagram(down_sets(leq)) == hasse_by_cubic_scan(leq)
 
 
