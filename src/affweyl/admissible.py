@@ -18,13 +18,15 @@ automorphism of the affine Coxeter system (Iwahori-Matsumoto, Publ. IHES
 maximal translation per orbit is closed, and only one element per orbit
 has its covers computed; the rest are carried over by conjugation.
 
-The parahoric image Adm_K(mu) is kept as the members of Adm(mu) with no
-left and no right descent in K: these are the minimal double coset
-representatives, and each lies below every member of its coset.  Its
-closure poset is read off the same covers.  Adm(mu) is closed downward
-and Bruhat intervals are graded (Bjorner-Brenti, Thm 2.2.6), so v <= w
-in Adm(mu) iff v is reached from w down cover edges; one pass over the
-edges gives every element its down-set of nodes as a bitmask.
+The parahoric image Adm_K(mu) is kept as the members of Adm(mu) that no
+s in K shortens on either side, by the test double_coset_rep repeats (a
+right descent s is read as l(ws) < l(w), with no inverse): these are the
+minimal double coset representatives, each below every member of its
+coset.  Its closure poset is read off the same covers.  Adm(mu) is
+closed downward and Bruhat intervals are graded (Bjorner-Brenti, Thm
+2.2.6), so v <= w in Adm(mu) iff v is reached from w down cover edges;
+one pass over the edges gives every element its down-set of nodes as a
+bitmask.
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
     ParahoricLevel,
+    _shorten,
     bruhat_leq,
     conjugation_permutation,
     element_sort_key,
     identity_element,
-    inv,
-    is_left_descent,
     iwahori_generators,
     length,
     mul,
@@ -118,12 +119,13 @@ def _omega_conjugations(
     """Pairs (omega, omega^-1) whose conjugations generate Omega's action on W.
 
     The candidates are the distinct length-zero elements omega_rep(e_i) of
-    the unit cocharacters, which generate Omega.  Each must map every affine
-    simple reflection to one by conjugation, else AffineWeylError: then it
-    is an automorphism of the Coxeter system, and as Omega is abelian it
-    fixes every Omega part, so its action on W is that permutation.  An
-    omega is kept only if its permutation lies outside the group generated
-    by the permutations of those already kept.
+    the unit cocharacters, which generate Omega; the inverse is
+    omega_rep(-e_i), the length-zero element of the opposite class.  Each
+    must map every affine simple reflection to one by conjugation, else
+    AffineWeylError: then it is an automorphism of the Coxeter system, and
+    as Omega is abelian it fixes every Omega part, so its action on W is
+    that permutation.  An omega is kept only if its permutation lies
+    outside the group generated by the permutations of those already kept.
 
     >>> from affweyl.root_datum import build_root_datum
     >>> [len(_omega_conjugations(build_root_datum({"preset": p, "n": n})))
@@ -133,8 +135,8 @@ def _omega_conjugations(
     units = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
     kept = []
     group = {tuple(range(len(iwahori_generators(rd))))}
-    for omega in dict.fromkeys(omega_rep(rd, e) for e in units):
-        omega_inv = inv(omega)
+    for omega, e in {omega_rep(rd, e): e for e in units}.items():
+        omega_inv = omega_rep(rd, tuple(-x for x in e))
         perm = conjugation_permutation(rd, omega, omega_inv)
         if perm in group:
             continue
@@ -234,13 +236,12 @@ def tau(mu: Sequence[int], rd: RootDatum) -> AffineWeylElement:
 def adm_K(
     mu: Sequence[int], rd: RootDatum, level: ParahoricLevel
 ) -> tuple[AffineWeylElement, ...]:
-    """Image of Adm(mu) in the double coset space, as minimal-length reps."""
-    return tuple(
-        w for w in adm(tuple(mu), rd).elements
-        if not any(
-            is_left_descent(rd, w, i) or is_left_descent(rd, inv(w), i) for i in level.generators
-        )
-    )
+    """Adm_K(mu) as minimal double coset reps: the members of Adm(mu) that no s in K shortens.
+
+    They come in the order of adm(mu).elements; at the Iwahori level that
+    is every element.
+    """
+    return tuple(w for w in adm(tuple(mu), rd).elements if _shorten(rd, w, level) is None)
 
 
 @dataclass(frozen=True)

@@ -594,24 +594,34 @@ def make_level(rd: RootDatum, indices: Iterable[int], sigma: Optional[SigmaActio
     return ParahoricLevel(idx)
 
 
-def double_coset_rep(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel) -> AffineWeylElement:
-    """Minimal-length element of W_K w W_K, by greedy two-sided descent.
+def _shorten(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel) -> Optional[AffineWeylElement]:
+    """s w or w s for the first s in K that shortens w; None if w is minimal in W_K w W_K.
 
-    s is a right descent of w exactly when it is a left descent of w^-1.
+    A right descent is read by its definition, l(w s) < l(w) (Bjorner-
+    Brenti, Combinatorics of Coxeter Groups, Sec. 1.4): no inverse is formed.
     """
+    if not level.generators:
+        return None
     gens = iwahori_generators(rd)
-    cur = w
-    changed = True
-    while changed:
-        changed = False
-        for i in level.generators:
-            if is_left_descent(rd, cur, i):
-                cur = mul(gens[i], cur)
-                changed = True
-            elif is_left_descent(rd, inv(cur), i):
-                cur = mul(cur, gens[i])
-                changed = True
-    return cur
+    for i in level.generators:
+        if is_left_descent(rd, w, i):
+            return mul(gens[i], w)
+    lw = length(rd, w)
+    for i in level.generators:
+        ws = mul(w, gens[i])
+        if length(rd, ws) < lw:
+            return ws
+    return None
+
+
+def double_coset_rep(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel) -> AffineWeylElement:
+    """Minimal-length element of W_K w W_K: shorten w while some s in K does.
+
+    That element is unique, so the order of the steps does not matter.
+    """
+    while (shorter := _shorten(rd, w, level)) is not None:
+        w = shorter
+    return w
 
 
 def element_sort_key(rd: RootDatum, w: AffineWeylElement):

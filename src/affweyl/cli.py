@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import __version__, oracles
-from .admissible import adm, adm_K, kr_poset
+from .admissible import adm_K, kr_poset
 from .affine_weyl import (
     AffineWeylError,
     ParahoricLevel,
@@ -209,13 +209,9 @@ def cmd_describe(args) -> int:
 
 
 def _adm_rows(rd, mu, level):
-    if level.generators:
-        elements = adm_K(mu, rd, level)
-    else:
-        elements = adm(mu, rd).elements
     return [
         (format_element(rd, w), length(rd, w), _fmt_kappa(kottwitz(rd, w)))
-        for w in elements
+        for w in adm_K(mu, rd, level)
     ]
 
 

@@ -6,8 +6,9 @@ The vertices are 0 and varpi_j^vee / m_j, with varpi_j^vee the fundamental
 coweights and m_j the coefficient of alpha_j in the highest root of its
 component.  For a reducible datum the alcove is a product whose vertices
 are sums of one vertex per component; the hull inequalities of a component
-see only its own summand, so these vertices suffice.  x lies in Conv(W mu) iff its dominant representative is below the dominant
-mu in the rational dominance order.  The module keeps the path
+see only its own summand, so these vertices suffice.  x lies in
+Conv(W mu) iff its dominant representative is below the dominant mu in
+the rational dominance order.  The module keeps the path
 affweyl.gln_perm, under which benchmark traces look up perm_set and
 is_permissible.
 

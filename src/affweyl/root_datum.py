@@ -38,14 +38,6 @@ from .linalg import (
 
 Coords = Union[Sequence[int], Sequence[Fraction]]
 
-# number of positive roots for the preset families, keyed by label prefix
-_PRESET_ROOT_COUNTS = {
-    "GL": lambda n: n * (n - 1) // 2,
-    "SL": lambda n: n * (n - 1) // 2,
-    "PGL": lambda n: n * (n - 1) // 2,
-    "GSp": lambda n: (n // 2) ** 2,
-}
-
 
 class RootDatumError(ValueError):
     """Invalid root datum input."""
@@ -223,15 +215,15 @@ def build_root_datum(spec: Mapping) -> RootDatum:
         preset = spec["preset"]
         n = _spec_int(_spec_field(spec, "n"), "n")
         if preset == "GL":
-            return _build(_gl_data(n), f"GL{n}")
+            return _build(_gl_data(n), f"GL{n}", n * (n - 1) // 2)
         if preset == "SL":
-            return _build(_sl_data(n), f"SL{n}")
+            return _build(_sl_data(n), f"SL{n}", n * (n - 1) // 2)
         if preset == "PGL":
-            return _build(_pgl_data(n), f"PGL{n}")
+            return _build(_pgl_data(n), f"PGL{n}", n * (n - 1) // 2)
         if preset == "GSp":
             if n % 2 != 0 or n < 2:
                 raise RootDatumError("GSp preset needs an even n >= 2")
-            return _build(_gsp_data(n // 2), f"GSp{n}")
+            return _build(_gsp_data(n // 2), f"GSp{n}", (n // 2) ** 2)
         raise RootDatumError(f"unknown preset {preset!r}")
     rank = _spec_int(_spec_field(spec, "rank"), "rank")
     if rank < 0:
@@ -262,7 +254,8 @@ def _spec_vectors(spec: Mapping, key: str) -> list[Vec]:
     return [tuple(_spec_int(x, f"an entry of {key}") for x in v) for v in value]
 
 
-def _build(data, label: str) -> RootDatum:
+def _build(data, label: str, expected: Optional[int] = None) -> RootDatum:
+    """The datum of (rank, simple roots, simple coroots), with `expected` positive roots if given."""
     rank, roots, coroots = data
     if len(roots) != len(coroots):
         raise RootDatumError("simple root and coroot lists differ in length")
@@ -286,14 +279,10 @@ def _build(data, label: str) -> RootDatum:
     for cv in coroots:
         if cv not in datum.positive_coroots:
             raise RootDatumError("a simple coroot is missing from the positive coroots")
-    prefix = "".join(ch for ch in label if ch.isalpha())
-    if prefix in _PRESET_ROOT_COUNTS:
-        n = int("".join(ch for ch in label if ch.isdigit()))
-        expected = _PRESET_ROOT_COUNTS[prefix](n)
-        if len(positives) != expected:
-            raise RootDatumError(
-                f"positive coroot count {len(positives)} != expected {expected} for {label}"
-            )
+    if expected is not None and len(positives) != expected:
+        raise RootDatumError(
+            f"positive coroot count {len(positives)} != expected {expected} for {label}"
+        )
     return datum
 
 

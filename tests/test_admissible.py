@@ -336,6 +336,28 @@ def test_kr_poset_makes_no_pairwise_calls():
     assert seen == []
 
 
+def test_parahoric_path_takes_no_inverse():
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is inv.__code__:
+            seen.append(frame.f_back.f_code.co_name)
+
+    adm.cache_clear()  # so that kr_poset's own call to adm does its work as well
+    sys.setprofile(profile)
+    try:
+        for preset, n, mu, gens in KR_CASES:
+            rd = build_root_datum({"preset": preset, "n": n})
+            level = make_level(rd, gens)
+            kr_poset(mu, rd, level)
+            adm_K(mu, rd, level)
+            for w in adm(mu, rd).elements:
+                double_coset_rep(rd, w, level)
+    finally:
+        sys.setprofile(None)
+    assert seen == []
+
+
 def _edit_closure(monkeypatch, edit):
     original = admissible._subword_closure
     monkeypatch.setattr(admissible, "_subword_closure", lambda rd, w: edit(original(rd, w)))

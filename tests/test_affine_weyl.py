@@ -2,12 +2,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affweyl.affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
     ParahoricLevel,
+    _shorten,
     bruhat_leq,
     bruhat_leq_subword_oracle,
     double_coset_rep,
@@ -439,6 +440,37 @@ def test_double_coset_rep_is_the_unique_shortest_element(case):
     assert rep in coset
     shortest = min(length(rd, x) for x in coset)
     assert [x for x in coset if length(rd, x) == shortest] == [rep]
+
+
+def _example_case(rd, letters, shift, indices):
+    gens = iwahori_generators(rd)
+    w = omega_rep(rd, shift)
+    for i in letters:
+        w = mul(w, gens[i])
+    return rd, w, make_level(rd, indices)
+
+
+SL3, PGL3 = COSET_DATA[2], COSET_DATA[3]
+
+
+@settings(max_examples=60)
+@given(_coset_cases())
+# levels holding the affine node 0 on SL3 and PGL3, minimal and not
+@example(_example_case(SL3, [1, 0], (0, 0), [0, 2]))
+@example(_example_case(SL3, [1], (0, 0), [0, 2]))
+@example(_example_case(SL3, [0, 1, 2, 0], (0, 0), [0, 1]))
+@example(_example_case(PGL3, [2, 0, 1], (1, 0), [0, 1]))
+@example(_example_case(PGL3, [0, 2], (0, 1), [0]))
+def test_shorten_is_none_exactly_at_the_shortest_element(case):
+    rd, w, level = case
+    wk = finite_parahoric_subgroup(rd, level)
+    coset = {mul(mul(u, w), v) for u in wk for v in wk}
+    shorter = _shorten(rd, w, level)
+    if length(rd, w) == min(length(rd, x) for x in coset):
+        assert shorter is None
+    else:
+        assert shorter in coset
+        assert length(rd, shorter) == length(rd, w) - 1
 
 
 @st.composite

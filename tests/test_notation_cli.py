@@ -314,6 +314,17 @@ def test_cli_describe_refuses_an_affine_cartan_matrix(tmp_path, capsys):
     assert "not of finite type" in err
 
 
+@pytest.mark.parametrize("label", ["GL", "GL3"])
+def test_cli_describe_keeps_a_custom_label_that_names_a_preset(tmp_path, capsys, label):
+    cfg = tmp_path / "cfg.json"
+    group = {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]], "label": label}
+    cfg.write_text(json.dumps({"group": group}))
+    code, out, err = run_cli(capsys, "describe", "--config", str(cfg))
+    assert code == 0
+    assert err == ""
+    assert ["label", label] in [line.split() for line in out.splitlines()]
+
+
 def test_cli_level_flag(capsys):
     code, out, _ = run_cli(
         capsys, "adm", "--group", "GL2", "--mu", "1,0", "--level", "s1", "--format", "tsv"

@@ -7,6 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affweyl import root_datum
 from affweyl.linalg import hermite_row_form
 from affweyl.root_datum import (
     RootDatumError,
@@ -367,3 +368,24 @@ def test_well_formed_specs_still_build():
     assert build_root_datum(A1).positive_coroots == ((1, -1),)
     assert build_root_datum({**A1, "simple_roots": ((1, -1),)}).rank == 2
     assert build_root_datum({"preset": "GL", "n": 3}).type_label == "GL3"
+
+
+@pytest.mark.parametrize("label", ["GL", "GL3"])
+def test_a_custom_label_naming_a_preset_builds(label):
+    datum = build_root_datum({**A1, "label": label})
+    assert datum.type_label == label
+    assert datum.positive_coroots == ((1, -1),)
+
+
+@pytest.mark.parametrize("preset, n", [("GL", 3), ("SL", 3), ("PGL", 3), ("GSp", 4)])
+def test_a_preset_with_a_wrong_root_count_is_refused(monkeypatch, preset, n):
+    data_fn = f"_{preset.lower()}_data"
+    original = getattr(root_datum, data_fn)
+
+    def one_root_short(size):
+        rank, roots, coroots = original(size)
+        return rank, roots[:-1], coroots[:-1]
+
+    monkeypatch.setattr(root_datum, data_fn, one_root_short)
+    with pytest.raises(RootDatumError, match="positive coroot count"):
+        build_root_datum({"preset": preset, "n": n})
