@@ -3,10 +3,11 @@
 Elements are pairs (translation, finite part).  Each finite part is an
 integer matrix acting on the cocharacter lattice, interned the first time
 it is seen: one shared entry per matrix holds the matrix, its hash, a
-table of products with other entries, its inverse and the signs of
-u^-1 on the positive roots.  So `mul` reads the finite product from the
-table and only applies the matrix to the translation, `inv` reads the
-stored inverse, and `length` is one pass over the positive roots.
+table of products with other entries and the signs of u^-1 on the
+positive roots, read from the datum's root index.  So `mul` reads the
+finite product from the table and only applies the matrix to the
+translation, and `length` is one pass over the positive roots.  No
+inverse is kept, and no library path calls `inv`, which eliminates.
 A Frobenius action sigma is the element t_0 S of W semidirect <sigma> in
 the same table: sigma(w) = S w S^-1, and with sigma^m = 1 the twisted
 power w sigma(w) .. sigma^(m-1)(w) is the ordinary power (w S)^m.
@@ -58,6 +59,7 @@ from .linalg import (
 )
 from .root_datum import (
     RootDatum,
+    exact_int,
     fundamental_group,
     pairing,
 )
@@ -73,20 +75,19 @@ class _Finite:
     Its hash is that of the matrix, so an element hashes like the pair
     (translation, matrix).  `products` maps an entry v to the entry of uv
     (so twists S u S^-1 and twisted powers (u S)^m are products too),
-    `inverse` is the entry of u^-1 once asked for, `is_identity` says
-    whether u is the identity, and `signs` is a pair (datum, vector) with
-    a 1 in the vector for each positive root a of the datum with
-    u^-1(a) < 0; one assignment replaces both, so a concurrent reader
-    never sees the vector of one datum paired with another.
+    `is_identity` says whether u is the identity, and `signs` is a pair
+    (datum, vector) with a 1 in the vector for each positive root a of the
+    datum with u^-1(a) < 0; one assignment replaces both, so a concurrent
+    reader never sees the vector of one datum paired with another.  No
+    inverse is kept: no library path forms one.
     """
 
-    __slots__ = ("matrix", "hash", "products", "inverse", "is_identity", "signs")
+    __slots__ = ("matrix", "hash", "products", "is_identity", "signs")
 
     def __init__(self, matrix: Mat):
         self.matrix = matrix
         self.hash = hash(matrix)
         self.products: dict[_Finite, _Finite] = {}
-        self.inverse: Optional[_Finite] = None
         self.is_identity = matrix == identity_matrix(len(matrix))
         self.signs: tuple[Optional[RootDatum], tuple[int, ...]] = (None, ())
 
@@ -115,7 +116,6 @@ def clear_finite_parts() -> None:
     """
     for u in _FINITE_PARTS.values():
         u.products.clear()
-        u.inverse = None
     _FINITE_PARTS.clear()
     _ROWS.clear()
 
@@ -182,7 +182,8 @@ def identity_element(rd: RootDatum) -> AffineWeylElement:
 def translation_element(lam: Sequence[int], rd: RootDatum) -> AffineWeylElement:
     if len(lam) != rd.rank:
         raise AffineWeylError("translation has the wrong rank")
-    return AffineWeylElement(tuple(int(x) for x in lam), identity_matrix(rd.rank))
+    lam = tuple(exact_int(x, "a translation coordinate", AffineWeylError) for x in lam)
+    return AffineWeylElement(lam, identity_matrix(rd.rank))
 
 
 def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
@@ -198,11 +199,9 @@ def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
 
 
 def inv(a: AffineWeylElement) -> AffineWeylElement:
-    u = a._u
-    u_inv = u.inverse
-    if u_inv is None:
-        u_inv = u.inverse = _intern(mat_inverse(u.matrix))
-    return _element(tuple(-x for x in mat_vec(u_inv.matrix, a.translation)), u_inv)
+    """(t_lambda u)^-1, eliminating u^-1 on each call; no library path calls it."""
+    u_inv = mat_inverse(a.finite)
+    return AffineWeylElement(tuple(-x for x in mat_vec(u_inv, a.translation)), u_inv)
 
 
 def is_translation(w: AffineWeylElement, rd: RootDatum) -> bool:
@@ -224,19 +223,6 @@ def finite_reflection(rd: RootDatum, i: int) -> AffineWeylElement:
 
 
 @lru_cache(maxsize=None)
-def _positive_root_set(rd: RootDatum) -> frozenset[Vec]:
-    return frozenset(rd.positive_roots)
-
-
-def _is_positive_root(rd: RootDatum, covector: Vec) -> bool:
-    if covector in _positive_root_set(rd):
-        return True
-    if tuple(-x for x in covector) in _positive_root_set(rd):
-        return False
-    raise AffineWeylError("covector is not a root of the datum")
-
-
-@lru_cache(maxsize=None)
 def _walls(rd: RootDatum) -> tuple[tuple[Vec, int, bool], ...]:
     """The wall of each affine simple reflection, in generator order.
 
@@ -247,7 +233,7 @@ def _walls(rd: RootDatum) -> tuple[tuple[Vec, int, bool], ...]:
     the sum of the positive coroots (2 rho^vee); a root lies in the
     component that holds every simple coroot it pairs non-trivially with.
     """
-    roots = rd.positive_roots
+    roots, index = rd.positive_roots, rd._root_index
     two_rho_vee = tuple(sum(c) for c in zip(*rd.positive_coroots))
     walls = []
     for comp in rd.components():
@@ -257,7 +243,7 @@ def _walls(rd: RootDatum) -> tuple[tuple[Vec, int, bool], ...]:
         ]
         k = max(in_comp, key=lambda k: pairing(two_rho_vee, roots[k]))
         walls.append((roots[k], k, True))
-    walls += [(root, roots.index(root), False) for root in rd.simple_roots]
+    walls += [(root, index[root], False) for root in rd.simple_roots]
     return tuple(walls)
 
 
@@ -280,13 +266,14 @@ def iwahori_generators(rd: RootDatum) -> tuple[AffineWeylElement, ...]:
 
 
 def _signs(rd: RootDatum, u: _Finite) -> tuple[int, ...]:
-    """1 for each positive root a with u^-1(a) < 0, else 0; kept on u."""
+    """1 for each positive root a with u^-1(a) = a u < 0 (a negative index), else 0; kept on u."""
     signs_rd, signs = u.signs
     if signs_rd is not rd:
-        signs = tuple(
-            0 if _is_positive_root(rd, vec_mat(root, u.matrix)) else 1
-            for root in rd.positive_roots
-        )
+        index = rd._root_index
+        try:
+            signs = tuple([1 if index[vec_mat(root, u.matrix)] < 0 else 0 for root in rd.positive_roots])
+        except KeyError:
+            raise AffineWeylError("covector is not a root of the datum") from None
         u.signs = (rd, signs)
     return signs
 
@@ -395,22 +382,21 @@ def bruhat_leq(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> boo
 def bruhat_leq_subword_oracle(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> bool:
     """Independent Bruhat test by exhausting subwords of one reduced word.
 
+    v <= w iff v is a subword product of w's word times w's Omega part.
     Exponential in length(w); meant for cross-checking at small length.
     """
     ov = omega_part(rd, v)
-    ow = omega_part(rd, w)
-    if ov != ow:
+    if ov != omega_part(rd, w):
         return False
-    letters, _ = reduced_word(rd, mul(w, inv(ow)))
+    letters, _ = reduced_word(rd, w)
     gens = iwahori_generators(rd)
-    target = mul(v, inv(ov))
     n = len(letters)
     for mask in range(1 << n):
         prod = identity_element(rd)
         for k in range(n):
             if mask & (1 << k):
                 prod = mul(prod, gens[letters[k]])
-        if prod == target:
+        if mul(prod, ov) == v:
             return True
     return False
 
@@ -467,18 +453,10 @@ class SigmaAction:
         return AffineWeylElement(zero, self.matrix), AffineWeylElement(zero, self.matrix_inv)
 
 
-def make_sigma(rd: RootDatum, matrix: Sequence[Sequence[int]]) -> SigmaAction:
-    """Validate a lattice automorphism as a diagram automorphism.
-
-    The matrix must permute the simple coroots, act compatibly on the
-    simple roots, and have finite order; this is exactly the condition for
-    the induced map on W to preserve the base alcove and permute the
-    affine simple reflections.
-    """
-    m = tuple(tuple(int(x) for x in row) for row in matrix)
+def _check_diagram_automorphism(rd: RootDatum, m: Mat) -> None:
+    """Raise unless m permutes rd's simple coroots, compatibly with its simple roots."""
     if len(m) != rd.rank or any(len(row) != rd.rank for row in m):
         raise AffineWeylError("automorphism matrix has the wrong shape")
-    m_inv = mat_inverse(m)
     perm = []
     for i, coroot in enumerate(rd.simple_coroots):
         image = mat_vec(m, coroot)
@@ -495,6 +473,22 @@ def make_sigma(rd: RootDatum, matrix: Sequence[Sequence[int]]) -> SigmaAction:
         perm.append(j)
     if sorted(perm) != list(range(rd.semisimple_rank)):
         raise AffineWeylError("automorphism does not permute the simple coroots bijectively")
+
+
+def make_sigma(rd: RootDatum, matrix: Sequence[Sequence[int]]) -> SigmaAction:
+    """Validate a lattice automorphism as a diagram automorphism.
+
+    The integer matrix must permute the simple coroots, act compatibly on
+    the simple roots, be invertible over Z and have finite order; this is
+    exactly the condition for the induced map on W to preserve the base
+    alcove and permute the affine simple reflections.
+    """
+    m = tuple(tuple(exact_int(x, "an automorphism entry", AffineWeylError) for x in row) for row in matrix)
+    _check_diagram_automorphism(rd, m)
+    try:
+        m_inv = mat_inverse(m)
+    except ValueError as exc:
+        raise AffineWeylError("automorphism matrix is not invertible over the integers") from exc
     power = m
     order = 1
     while power != identity_matrix(rd.rank):
@@ -575,7 +569,7 @@ class ParahoricLevel:
 
 
 def make_level(rd: RootDatum, indices: Iterable[int], sigma: Optional[SigmaAction] = None) -> ParahoricLevel:
-    idx = tuple(sorted(set(int(i) for i in indices)))
+    idx = tuple(sorted(set(exact_int(i, "a generator index", AffineWeylError) for i in indices)))
     n_gens = len(iwahori_generators(rd))
     for i in idx:
         if not 0 <= i < n_gens:

@@ -82,6 +82,13 @@ class RootDatum:
     def _forms(self) -> tuple[int, tuple[Vec, ...]]:
         return _fundamental_forms(self.simple_roots, self.cartan_matrix)
 
+    @cached_property
+    def _root_index(self) -> dict[Vec, int]:
+        """positive_roots[k] -> k and its negative -> ~k, so a root's sign is its index's."""
+        index = {root: k for k, root in enumerate(self.positive_roots)}
+        index.update((tuple([-x for x in root]), ~k) for k, root in enumerate(self.positive_roots))
+        return index
+
     def coroot_height(self, coroot: Coords) -> Fraction:
         """Sum of the coefficients of a coroot over the simple coroots.
 
@@ -213,7 +220,7 @@ def build_root_datum(spec: Mapping) -> RootDatum:
         raise RootDatumError(f"group spec must be a mapping, not {type(spec).__name__}")
     if "preset" in spec:
         preset = spec["preset"]
-        n = _spec_int(_spec_field(spec, "n"), "n")
+        n = exact_int(_spec_field(spec, "n"), "n")
         if preset == "GL":
             return _build(_gl_data(n), f"GL{n}", n * (n - 1) // 2)
         if preset == "SL":
@@ -225,7 +232,7 @@ def build_root_datum(spec: Mapping) -> RootDatum:
                 raise RootDatumError("GSp preset needs an even n >= 2")
             return _build(_gsp_data(n // 2), f"GSp{n}", (n // 2) ** 2)
         raise RootDatumError(f"unknown preset {preset!r}")
-    rank = _spec_int(_spec_field(spec, "rank"), "rank")
+    rank = exact_int(_spec_field(spec, "rank"), "rank")
     if rank < 0:
         raise RootDatumError(f"rank must be non-negative, not {rank}")
     roots = _spec_vectors(spec, "simple_roots")
@@ -240,10 +247,10 @@ def _spec_field(spec: Mapping, key: str):
     return spec[key]
 
 
-def _spec_int(value, what: str) -> int:
-    # refused rather than converted: int() would truncate 3.5 and accept "3"
+def exact_int(value, what: str, error: type[ValueError] = RootDatumError) -> int:
+    # refused rather than converted: int() would truncate 1.5 and accept "1" and True
     if not isinstance(value, int) or isinstance(value, bool):
-        raise RootDatumError(f"{what} must be an integer, not {value!r}")
+        raise error(f"{what} must be an integer, not {value!r}")
     return value
 
 
@@ -251,7 +258,7 @@ def _spec_vectors(spec: Mapping, key: str) -> list[Vec]:
     value = _spec_field(spec, key)
     if not isinstance(value, (list, tuple)) or not all(isinstance(v, (list, tuple)) for v in value):
         raise RootDatumError(f"{key} must be a list of integer lists")
-    return [tuple(_spec_int(x, f"an entry of {key}") for x in v) for v in value]
+    return [tuple(exact_int(x, f"an entry of {key}") for x in v) for v in value]
 
 
 def _build(data, label: str, expected: Optional[int] = None) -> RootDatum:
@@ -430,8 +437,9 @@ class FinAbGroup:
         if len(v) != self.ambient_rank:
             raise RootDatumError("rank mismatch in fundamental group projection")
         out = []
+        v = [exact_int(x, "a cocharacter coordinate") for x in v]
         for row, d in zip(self._rows, self.invariant_factors):
-            x = sum(int(a) * int(b) for a, b in zip(row, v))
+            x = sum(a * b for a, b in zip(row, v))
             out.append(x % d if d else x)
         return tuple(out)
 
@@ -462,7 +470,7 @@ def quotient_group(ambient_rank: int, sublattice_columns: Sequence[Sequence[int]
     >>> g.describe(), g.project((3, 5)), g.project((2, 0)) == g.zero()
     ('Z/2 x Z', (1, 5), True)
     """
-    cols = [tuple(int(x) for x in c) for c in sublattice_columns]
+    cols = [tuple(exact_int(x, "a sublattice coordinate") for x in c) for c in sublattice_columns]
     for c in cols:
         if len(c) != ambient_rank:
             raise RootDatumError("sublattice columns have the wrong length")

@@ -18,6 +18,7 @@ from .root_datum import (
     RootDatum,
     dominance_leq,
     dominant_rep,
+    exact_int,
     fundamental_group,
     is_dominant,
     pairing,
@@ -69,8 +70,8 @@ def stembridge_chain(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> Co
     dominant nu with lam <= nu < mu has such a step, so the greedy walk
     never has to undo one.
     """
-    lam = tuple(int(x) for x in lam)
-    mu = tuple(int(x) for x in mu)
+    lam = tuple(exact_int(x, "a coordinate of lambda", ChainPreconditionError) for x in lam)
+    mu = tuple(exact_int(x, "a coordinate of mu", ChainPreconditionError) for x in mu)
     if not is_dominant(lam, rd):
         raise NotDominantError(f"lambda = {lam} is not dominant")
     if not is_dominant(mu, rd):
@@ -140,8 +141,8 @@ def minuscule_lift(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> Lift
     W_0 permutes the roots, so the orbit of the minuscule mu is minuscule
     throughout and no point needs its own minuscularity check.
     """
-    lam = tuple(int(x) for x in lam)
-    mu = tuple(int(x) for x in mu)
+    lam = tuple(exact_int(x, "a coordinate of lambda", ChainPreconditionError) for x in lam)
+    mu = tuple(exact_int(x, "a coordinate of mu", ChainPreconditionError) for x in mu)
     if not is_dominant(mu, rd):
         raise NotDominantError(f"mu = {mu} is not dominant")
     if not is_minuscule(mu, rd):

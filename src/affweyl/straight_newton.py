@@ -41,13 +41,12 @@ from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
     SigmaAction,
+    _check_diagram_automorphism,
     element_sort_key,
     identity_element,
-    inv,
     is_translation,
     iwahori_generators,
     length,
-    make_sigma,
     mul,
     omega_rep,
     sigma_apply,
@@ -62,6 +61,7 @@ from .root_datum import (
     dominant_rep,
     pairing,
     quotient_group,
+    simple_reflection,
     sub_datum,
 )
 from .stembridge import minuscule_lift
@@ -199,6 +199,14 @@ def mu_bar(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[Fracti
     return tuple(x / sigma.order for x in total)
 
 
+def _coroot_relations(rd: RootDatum, columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Lattice basis of the integer c with sum_j c_j columns[j] in the coroot lattice."""
+    rows = tuple(
+        tuple(col[i] for col in columns) + tuple(-cv[i] for cv in rd.simple_coroots) for i in range(rd.rank)
+    )
+    return tuple(k[:len(columns)] for k in integer_kernel(rows))
+
+
 @lru_cache(maxsize=None)
 def _fixed_class_lattice_generators(rd: RootDatum, sigma: SigmaAction) -> tuple[tuple[int, ...], ...]:
     """Lattice generators of {v : (sigma - 1) v lies in the coroot lattice}.
@@ -206,18 +214,9 @@ def _fixed_class_lattice_generators(rd: RootDatum, sigma: SigmaAction) -> tuple[
     Their classes generate the sigma-fixed subgroup of pi_1.
     """
     n = rd.rank
-    coroots = rd.simple_coroots
-    r = len(coroots)
-    rows = []
-    for i in range(n):
-        row = [sigma.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
-        row += [-coroots[k][i] for k in range(r)]
-        rows.append(tuple(row))
-    kernel = integer_kernel(tuple(rows))
-    return tuple(k[:n] for k in kernel)
+    return _coroot_relations(rd, [[sigma.matrix[i][j] - (i == j) for i in range(n)] for j in range(n)])
 
 
-@lru_cache(maxsize=None)
 def _omega_move_generators(
     rd: RootDatum, sigma: SigmaAction
 ) -> tuple[tuple[AffineWeylElement, AffineWeylElement], ...]:
@@ -227,17 +226,17 @@ def _omega_move_generators(
     twists compose, so only omegas with sigma-fixed class are relevant;
     anything else would walk the search out of the kappa fiber for good.
     The omegas of the fixed-class lattice generators and their inverses
-    generate the moves.  Omega = pi_1, so generators of one class give
-    the same omega: each distinct omega other than 1 (a no-op) is kept
-    once, as the pair (omega^-1, sigma(omega)).
+    generate the moves; omega^-1 is omega_rep(-lambda).  Omega = pi_1,
+    so generators of one class give the same omega: each distinct omega
+    other than 1 (a no-op) is kept once, as the pair (omega^-1, sigma(omega)).
     """
     moves: dict[AffineWeylElement, tuple[AffineWeylElement, AffineWeylElement]] = {}
     one = identity_element(rd)
     for section in _fixed_class_lattice_generators(rd, sigma):
-        om = omega_rep(rd, section)
-        for x in (om, inv(om)):
+        om, om_inv = omega_rep(rd, section), omega_rep(rd, tuple(-x for x in section))
+        for x, x_inv in ((om, om_inv), (om_inv, om)):
             if x != one and x not in moves:
-                moves[x] = (inv(x), sigma_apply(sigma, x))
+                moves[x] = (x_inv, sigma_apply(sigma, x))
     return tuple(moves.values())
 
 
@@ -411,21 +410,11 @@ def adlv_nonempty(
 
 def pi1_sigma_invariants(rd: RootDatum, sigma: SigmaAction) -> FinAbGroup:
     """Fixed subgroup of sigma acting on pi_1 = X_*(T)/coroot lattice."""
-    n = rd.rank
-    coroots = rd.simple_coroots
-    r = len(coroots)
     gens = _fixed_class_lattice_generators(rd, sigma)
     if not gens:
         return quotient_group(0, ())
     # relations: integer combinations of the generators landing in the coroot lattice
-    m = len(gens)
-    rel_rows = []
-    for i in range(n):
-        row = [g[i] for g in gens] + [-coroots[k][i] for k in range(r)]
-        rel_rows.append(tuple(row))
-    rel_kernel = integer_kernel(tuple(rel_rows))
-    relations = [k[:m] for k in rel_kernel]
-    return quotient_group(m, relations)
+    return quotient_group(len(gens), _coroot_relations(rd, gens))
 
 
 @dataclass(frozen=True)
@@ -457,8 +446,11 @@ def components_bound_report(
     For each straight witness w = u t_lambda in the class: the centralizer
     Levi of its raw slope vector, the minuscule lift certificate of lambda
     and either pi_1(M)^sigma (lambda non-central in every factor of M) or
-    the discreteness marker.  The report is the abstract index set of the
-    component surjection; nothing geometric is computed.
+    the discreteness marker.  As w = t_(u lambda) u, lambda = u^-1(u lambda):
+    dominant_rep takes u(2 rho^vee) to the regular 2 rho^vee by s_i1, ..,
+    s_ik, so u^-1 = s_ik .. s_i1, and u lambda is reflected along that word.
+    The report is the abstract index set of the component surjection;
+    nothing geometric is computed.
     """
     mu_dom, _ = dominant_rep(tuple(mu), rd)
     classes = straight_classes(tuple(mu_dom), rd, sigma)
@@ -469,9 +461,12 @@ def components_bound_report(
     # adm proves its elements are exactly Adm(mu), so membership is a lookup
     adm_set = set(adm(tuple(mu_dom), rd).elements)
     witnesses = []
+    two_rho_vee = tuple(sum(c) for c in zip(*rd.positive_coroots))
     for w, nu_raw in zip(cls.members, cls.member_nu_raw):
         levi = levi_datum(nu_raw, rd)
-        lam_right = mat_vec(inv(w).finite, w.translation)
+        lam_right = w.translation
+        for i in dominant_rep(mat_vec(w.finite, two_rho_vee), rd)[1]:
+            lam_right = simple_reflection(lam_right, i, rd)
         if translation_element(lam_right, rd) not in adm_set:
             raise ConsistencyError("translation part of a straight witness left Adm(mu)")
         lift = minuscule_lift(lam_right, mu_dom, rd)
@@ -494,10 +489,12 @@ def components_bound_report(
 
 
 def _restrict_sigma(levi: RootDatum, sigma: SigmaAction) -> SigmaAction:
+    """sigma itself once it permutes the Levi's simple coroots: a SigmaAction holds no datum."""
     try:
-        return make_sigma(levi, sigma.matrix)
+        _check_diagram_automorphism(levi, sigma.matrix)
     except AffineWeylError as exc:
         raise AffineWeylError(
             "sigma does not stabilize the Levi of this witness; no invariants defined"
         ) from exc
+    return sigma
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -496,3 +497,38 @@ def _bruhat_pairs(draw):
 def test_bruhat_leq_matches_subword_oracle_property(case):
     rd, v, w = case
     assert bruhat_leq(rd, v, w) == bruhat_leq_subword_oracle(rd, v, w)
+
+
+@pytest.mark.parametrize("rd", GENERATOR_DATA, ids=lambda rd: rd.type_label)
+def test_root_index_gives_each_root_its_position_and_sign(rd):
+    index = rd._root_index
+    assert len(index) == 2 * len(rd.positive_roots)
+    for k, root in enumerate(rd.positive_roots):
+        assert index[root] == k
+        assert index[tuple(-x for x in root)] == ~k
+
+
+NON_INTEGERS = [1.5, Fraction(1, 2), "1", True]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_entry_points_refuse_non_integers(bad):
+    # int() would turn each of these into 1 or 0 and go on with another input
+    with pytest.raises(AffineWeylError, match="must be an integer"):
+        translation_element((bad, 0, 0), GL3)
+    with pytest.raises(AffineWeylError, match="must be an integer"):
+        make_level(GL3, [bad])
+    with pytest.raises(AffineWeylError, match="must be an integer"):
+        make_sigma(GL2, [[bad, 0], [0, 1]])
+
+
+def test_entry_points_still_take_ints():
+    assert translation_element((1, 0, -2), GL3).translation == (1, 0, -2)
+    assert make_level(GL3, [2, 1]).generators == (1, 2)
+    assert make_sigma(GL2, [[1, 0], [0, 1]]) == sigma_identity(GL2)
+
+
+def test_make_sigma_refuses_a_compatible_matrix_that_is_not_invertible():
+    # it fixes the simple coroot (1, -1) and its root, but its determinant is 3
+    with pytest.raises(AffineWeylError, match="not invertible"):
+        make_sigma(GL2, [[2, 1], [1, 2]])

@@ -210,6 +210,17 @@ def test_projection_additive():
         assert pi1.project(s) == pi1.add(pi1.project(a), pi1.project(b))
 
 
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), "1", True], ids=repr)
+def test_projection_and_quotient_refuse_non_integers(bad):
+    pi1 = fundamental_group(rd("GL", 3))
+    with pytest.raises(RootDatumError, match="must be an integer"):
+        pi1.project((bad, 0, 0))
+    assert pi1.project((1, 0, 0)) == (1,)
+    with pytest.raises(RootDatumError, match="must be an integer"):
+        quotient_group(1, [(bad,)])
+    assert quotient_group(1, [(2,)]).describe() == "Z/2"
+
+
 def test_reflection_permutes_positive_coroots():
     for preset, n in [("GL", 3), ("GSp", 4)]:
         datum = rd(preset, n)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -183,3 +184,17 @@ def test_lift_rejects_a_reflection_that_leaves_the_orbit(monkeypatch, bad_reflec
     for lam in [(0, 0, 1, 1), (0, 1, 0, 1)]:
         with pytest.raises(LiftConsistencyError, match="not .* minus its coroot"):
             minuscule_lift(lam, (1, 1, 0, 0), GL4)
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), "1", True], ids=repr)
+def test_non_integer_coordinates_are_refused(bad):
+    # int() would read each as 1 or 0 and answer for another input
+    for call in (
+        lambda: stembridge_chain((bad, 1, 0), (2, 0, 0), GL3),
+        lambda: stembridge_chain((1, 1, 0), (2, 0, bad), GL3),
+        lambda: minuscule_lift((0, bad, 0), (1, 0, 0), GL3),
+    ):
+        with pytest.raises(ChainPreconditionError, match="must be an integer"):
+            call()
+    assert stembridge_chain((1, 1, 0), (2, 0, 0), GL3).steps
+    assert minuscule_lift((0, 1, 0), (1, 0, 0), GL3).value == (0, 1, 0)

@@ -9,8 +9,10 @@ from affweyl.affine_weyl import (
     AffineWeylError,
     finite_reflection,
     identity_element,
+    inv,
     iwahori_generators,
     length,
+    make_sigma,
     mul,
     omega_part,
     sigma_apply_cochar,
@@ -18,6 +20,7 @@ from affweyl.affine_weyl import (
     sigma_identity,
     translation_element,
 )
+from affweyl.linalg import mat_vec
 from affweyl.notation import format_element
 from affweyl.root_datum import (
     build_root_datum,
@@ -27,6 +30,7 @@ from affweyl.root_datum import (
 from affweyl.straight_newton import (
     DISCRETE_MARKER,
     NewtonPoint,
+    _restrict_sigma,
     adlv_nonempty,
     b_set,
     basic_point,
@@ -39,6 +43,7 @@ from affweyl.straight_newton import (
     pi1_sigma_invariants,
     straight_classes,
 )
+from test_admissible import _WORKLOADS, _preset_datum
 
 GL2 = build_root_datum({"preset": "GL", "n": 2})
 GL3 = build_root_datum({"preset": "GL", "n": 3})
@@ -388,3 +393,47 @@ def test_b_set_and_reports_stay_under_a_mul_count_ceiling(monkeypatch):
         for b in b_set(mu, gl6, sigma):
             components_bound_report(mu, b, gl6, sigma)
     assert 0 < calls <= GL6_W1_MUL_CEILING
+
+
+
+NEWTON_CASES = [("GL4", (1, 1, 0, 0), name) for name in ("id", "flip")] + [
+    (e["group"], tuple(e["mu"]), name) for e in _WORKLOADS["newton"]["entries"] for name in e["sigmas"]
+]
+
+
+@pytest.mark.parametrize("group,mu,name", NEWTON_CASES)
+def test_lambda_w_is_the_translation_read_through_the_inverse(group, mu, name):
+    # inv is the oracle here: the report reflects along a word of u^-1 instead
+    rd = _preset_datum(group)
+    sigma = sigma_from_name(rd, name)
+    witnesses = 0
+    for b in b_set(mu, rd, sigma):
+        try:
+            report = components_bound_report(mu, b, rd, sigma)
+        except AffineWeylError:
+            continue
+        for wit in report.witnesses:
+            w = wit.element
+            assert wit.lambda_w == mat_vec(inv(w).finite, w.translation)
+            witnesses += 1
+    assert witnesses
+
+
+@pytest.mark.parametrize("group,mu,name", NEWTON_CASES)
+def test_restrict_sigma_hands_back_sigma_itself(group, mu, name):
+    rd = _preset_datum(group)
+    sigma = sigma_from_name(rd, name)
+    restricted = 0
+    for cls in straight_classes(mu, rd, sigma):
+        for nu_raw in cls.member_nu_raw:
+            levi = levi_datum(nu_raw, rd)
+            try:
+                rebuilt = make_sigma(levi, sigma.matrix)
+            except AffineWeylError:
+                with pytest.raises(AffineWeylError, match="does not stabilize the Levi"):
+                    _restrict_sigma(levi, sigma)
+                continue
+            assert _restrict_sigma(levi, sigma) is sigma
+            assert rebuilt == sigma
+            restricted += 1
+    assert restricted
