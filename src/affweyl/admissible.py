@@ -39,6 +39,8 @@ from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
     ParahoricLevel,
+    _checked_mu,
+    _memo_on_mu,
     _shorten,
     bruhat_leq,
     conjugation_permutation,
@@ -76,7 +78,7 @@ def _maximal_translations(mu: tuple[int, ...], rd: RootDatum) -> tuple[AffineWey
 
 def is_admissible(w: AffineWeylElement, mu: Sequence[int], rd: RootDatum) -> bool:
     """Membership test straight from the definition."""
-    return any(bruhat_leq(rd, w, t) for t in _maximal_translations(tuple(mu), rd))
+    return any(bruhat_leq(rd, w, t) for t in _maximal_translations(_checked_mu(mu, rd), rd))
 
 
 def _subword_closure(rd: RootDatum, w: AffineWeylElement) -> set[AffineWeylElement]:
@@ -151,8 +153,8 @@ def _omega_conjugations(
     return tuple(kept)
 
 
-@lru_cache(maxsize=None)
-def adm(mu: tuple[int, ...], rd: RootDatum) -> AdmissibleSet:
+@_memo_on_mu
+def adm(mu: Sequence[int], rd: RootDatum) -> AdmissibleSet:
     """The admissible set of mu at Iwahori level, with its cover relations.
 
     The subword closures of the maximal translations give the candidates
@@ -229,7 +231,7 @@ def adm(mu: tuple[int, ...], rd: RootDatum) -> AdmissibleSet:
 
 def tau(mu: Sequence[int], rd: RootDatum) -> AffineWeylElement:
     """The unique length-zero admissible element: the Omega part of t_mu."""
-    mu_dom, _ = dominant_rep(tuple(mu), rd)
+    mu_dom, _ = dominant_rep(_checked_mu(mu, rd), rd)
     return omega_part(rd, translation_element(mu_dom, rd))
 
 
@@ -241,7 +243,7 @@ def adm_K(
     They come in the order of adm(mu).elements; at the Iwahori level that
     is every element.
     """
-    return tuple(w for w in adm(tuple(mu), rd).elements if _shorten(rd, w, level) is None)
+    return tuple(w for w in adm(mu, rd).elements if _shorten(rd, w, level) is None)
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,8 @@ class KRPoset:
 
 def kr_poset(mu: Sequence[int], rd: RootDatum, level: ParahoricLevel) -> KRPoset:
     """Bruhat order on Adm_K(mu), walked down the cover edges of Adm(mu)."""
-    aset = adm(tuple(mu), rd)
+    mu = _checked_mu(mu, rd)
+    aset = adm(mu, rd)
     nodes = adm_K(mu, rd, level)
     bit = {w: 1 << a for a, w in enumerate(nodes)}
     # down[j] masks the nodes below element j; sorted edges go up in length,

@@ -3,10 +3,12 @@
 Elements are pairs (translation, finite part).  Each finite part is an
 integer matrix acting on the cocharacter lattice, interned the first time
 it is seen: one shared entry per matrix holds the matrix, its hash, a
-table of products with other entries and the signs of u^-1 on the
-positive roots, read from the datum's root index.  So `mul` reads the
-finite product from the table and only applies the matrix to the
-translation, and `length` is one pass over the positive roots.  No
+table of products with other entries, the signs of u^-1 on the positive
+roots, read from the datum's root index, and, for a reflection s_a, the
+pair (a, a^vee).  So `mul` reads the finite product from the table and
+moves the translation in O(rank) when the right factor is finite or the
+left one is a reflection (every affine simple reflection is); otherwise
+it applies the matrix.  `length` is one pass over the positive roots.  No
 inverse is kept, and no library path calls `inv`, which eliminates.
 A Frobenius action sigma is the element t_0 S of W semidirect <sigma> in
 the same table: sigma(w) = S w S^-1, and with sigma^m = 1 the twisted
@@ -16,10 +18,12 @@ greedily with respect to the fixed base alcove (the alcove in the
 dominant chamber with a vertex at the origin): a simple reflection is a
 left descent when its wall separates that alcove from its image, which
 is_left_descent reads off one pairing with the translation and one entry
-of the sign vector.  The length-zero subgroup keeps track of the
-fundamental group.  The Bruhat order walks the cached greedy reduced
-word of the larger element with the lifting property, so it keeps no
-memo of its own.
+of the sign vector.  Each wall also holds its reflection's signed
+permutation of the positive roots, so reduced_word and bruhat_leq carry
+the sign vector along a word instead of recomputing it.  The length-zero
+subgroup keeps track of the fundamental group.  The Bruhat order walks
+the cached greedy reduced word of the larger element with the lifting
+property, so it keeps no memo of its own.
 
 >>> from affweyl.root_datum import build_root_datum
 >>> rd = build_root_datum({"preset": "GL", "n": 2})
@@ -44,7 +48,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from operator import mul as _times
 from typing import Iterable, Optional, Sequence
 
@@ -78,11 +82,15 @@ class _Finite:
     `is_identity` says whether u is the identity, and `signs` is a pair
     (datum, vector) with a 1 in the vector for each positive root a of the
     datum with u^-1(a) < 0; one assignment replaces both, so a concurrent
-    reader never sees the vector of one datum paired with another.  No
-    inverse is kept: no library path forms one.
+    reader never sees the vector of one datum paired with another.
+    `reflection` is (a, a^vee) when u is the reflection
+    s_a(x) = x - <x, a> a^vee, recorded by iwahori_generators and
+    finite_reflection: it is the matrix's own action, so it holds for every
+    datum that shares the entry, and mul moves a translation by it in
+    O(rank).  No inverse is kept: no library path forms one.
     """
 
-    __slots__ = ("matrix", "hash", "products", "is_identity", "signs")
+    __slots__ = ("matrix", "hash", "products", "is_identity", "signs", "reflection")
 
     def __init__(self, matrix: Mat):
         self.matrix = matrix
@@ -90,6 +98,7 @@ class _Finite:
         self.products: dict[_Finite, _Finite] = {}
         self.is_identity = matrix == identity_matrix(len(matrix))
         self.signs: tuple[Optional[RootDatum], tuple[int, ...]] = (None, ())
+        self.reflection: Optional[tuple[Vec, Vec]] = None
 
     def __hash__(self) -> int:
         return self.hash
@@ -186,8 +195,42 @@ def translation_element(lam: Sequence[int], rd: RootDatum) -> AffineWeylElement:
     return AffineWeylElement(lam, identity_matrix(rd.rank))
 
 
+def _checked_mu(mu: Sequence[int], rd: RootDatum) -> Vec:
+    """mu as a tuple of rd.rank integers; AffineWeylError naming mu otherwise."""
+    mu = tuple(mu)
+    if len(mu) != rd.rank:
+        raise AffineWeylError(f"mu {mu!r} has {len(mu)} coordinates, but the datum has rank {rd.rank}")
+    for x in mu:
+        exact_int(x, f"each coordinate of mu {mu!r}", AffineWeylError)
+    return mu
+
+
+def _memo_on_mu(fn):
+    """fn(mu, rd, ...) behind an lru_cache table that is read only after _checked_mu.
+
+    A check inside fn would be skipped on a table hit, and True == 1 with
+    equal hashes.  The wrapper shows the table's cache_info and
+    cache_clear, so it counts as one memo table, and keeps fn itself as
+    __wrapped__.
+    """
+    table = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def checked(mu, rd, *rest):
+        return table(_checked_mu(mu, rd), rd, *rest)
+
+    checked.cache_info, checked.cache_clear = table.cache_info, table.cache_clear
+    return checked
+
+
 def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
-    """(t_lambda u)(t_mu v) = t_(lambda + u mu) uv, with uv read from the table."""
+    """(t_lambda u)(t_mu v) = t_(lambda + u mu) uv, with uv read from the table.
+
+    u mu costs O(rank) when mu = 0 (a finite right factor: w s_i, w S) and
+    when u is a recorded reflection s_a (a left factor s_i or
+    s_0 = t_theta^vee s_theta): then u mu = mu - <mu, a> a^vee.  Otherwise
+    the matrix is applied.
+    """
     lam, mu = a.translation, b.translation
     if len(lam) != len(mu):
         raise AffineWeylError("rank mismatch in multiplication")
@@ -195,6 +238,12 @@ def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
     uv = u.products.get(v)
     if uv is None:
         uv = u.products[v] = _intern(mat_mul(u.matrix, v.matrix))
+    if not any(mu):
+        return _element(lam, uv)
+    if u.reflection is not None:
+        root, coroot = u.reflection
+        c = sum(map(_times, mu, root))
+        return _element(tuple([x + y - c * z for x, y, z in zip(lam, mu, coroot)]), uv)
     return _element(tuple([x + sum(map(_times, row, mu)) for x, row in zip(lam, u.matrix)]), uv)
 
 
@@ -215,35 +264,52 @@ def reflection_matrix(root: Vec, coroot: Vec) -> Mat:
     )
 
 
+def _reflection(translation: Vec, root: Vec, coroot: Vec) -> AffineWeylElement:
+    """t_translation s_root, with (root, coroot) recorded on the interned entry of s_root."""
+    w = AffineWeylElement(translation, reflection_matrix(root, coroot))
+    w._u.reflection = (root, coroot)
+    return w
+
+
 def finite_reflection(rd: RootDatum, i: int) -> AffineWeylElement:
     """The simple reflection s_i as a group element."""
-    return AffineWeylElement(
-        (0,) * rd.rank, reflection_matrix(rd.simple_roots[i], rd.simple_coroots[i])
-    )
+    return _reflection((0,) * rd.rank, rd.simple_roots[i], rd.simple_coroots[i])
+
+
+_Wall = tuple[Vec, int, bool, tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
-def _walls(rd: RootDatum) -> tuple[tuple[Vec, int, bool], ...]:
+def _walls(rd: RootDatum) -> tuple[_Wall, ...]:
     """The wall of each affine simple reflection, in generator order.
 
-    An entry (root, k, affine) names the wall <x, root> = 1 of a
+    An entry (root, k, affine, perm) names the wall <x, root> = 1 of a
     component's highest root when affine is true and the wall
     <x, root> = 0 of a simple root otherwise; k is the position of root in
     rd.positive_roots.  The height of a root is read from its pairing with
     the sum of the positive coroots (2 rho^vee); a root lies in the
     component that holds every simple coroot it pairs non-trivially with.
+    perm is the signed permutation of the positive roots by the reflection
+    s_a in a = root: perm[j] is the root index (m, or ~m for a negative
+    root) of s_a(b_j) = b_j - <a^vee, b_j> a, so it sends k to ~k.
+    _left_signs reads the signs of s u from those of u through it.
     """
-    roots, index = rd.positive_roots, rd._root_index
-    two_rho_vee = tuple(sum(c) for c in zip(*rd.positive_coroots))
+    roots, coroots, index = rd.positive_roots, rd.positive_coroots, rd._root_index
+    two_rho_vee = tuple(sum(c) for c in zip(*coroots))
+
+    def wall(k: int, affine: bool) -> _Wall:
+        a, a_vee = roots[k], coroots[k]
+        perm = tuple(index[tuple([x - pairing(a_vee, b) * y for x, y in zip(b, a)])] for b in roots)
+        return a, k, affine, perm
+
     walls = []
     for comp in rd.components():
         in_comp = [
             k for k, root in enumerate(roots)
             if all(i in comp for i, sc in enumerate(rd.simple_coroots) if pairing(sc, root))
         ]
-        k = max(in_comp, key=lambda k: pairing(two_rho_vee, roots[k]))
-        walls.append((roots[k], k, True))
-    walls += [(root, index[root], False) for root in rd.simple_roots]
+        walls.append(wall(max(in_comp, key=lambda k: pairing(two_rho_vee, roots[k])), True))
+    walls += [wall(index[root], False) for root in rd.simple_roots]
     return tuple(walls)
 
 
@@ -257,11 +323,8 @@ def iwahori_generators(rd: RootDatum) -> tuple[AffineWeylElement, ...]:
     """
     zero = (0,) * rd.rank
     return tuple(
-        AffineWeylElement(
-            rd.positive_coroots[k] if affine else zero,
-            reflection_matrix(root, rd.positive_coroots[k]),
-        )
-        for root, k, affine in _walls(rd)
+        _reflection(rd.positive_coroots[k] if affine else zero, root, rd.positive_coroots[k])
+        for root, k, affine, _ in _walls(rd)
     )
 
 
@@ -276,6 +339,20 @@ def _signs(rd: RootDatum, u: _Finite) -> tuple[int, ...]:
             raise AffineWeylError("covector is not a root of the datum") from None
         u.signs = (rd, signs)
     return signs
+
+
+def _left_signs(rd: RootDatum, su: _Finite, wall: _Wall, signs: tuple[int, ...]) -> tuple[int, ...]:
+    """_signs(rd, su) for su = s u, s the reflection of wall, read from signs = _signs(rd, u).
+
+    b_j s = s(b_j) = +-b_m by the wall's permutation, so
+    (s u)^-1 b_j = +-u^-1 b_m: its sign is that of u^-1 b_m, flipped for a
+    negative image.  No matrix is applied.
+    """
+    signs_rd, su_signs = su.signs
+    if signs_rd is not rd:
+        su_signs = tuple([signs[m] if m >= 0 else 1 - signs[~m] for m in wall[3]])
+        su.signs = (rd, su_signs)
+    return su_signs
 
 
 def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
@@ -297,8 +374,13 @@ def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
     >>> is_left_descent(rd, translation_element((1, -1), rd), 0)
     True
     """
-    root, k, affine = _walls(rd)[i]
-    d = sum(map(_times, w.translation, root)) - _signs(rd, w._u)[k]
+    return _descends(_walls(rd)[i], w.translation, _signs(rd, w._u))
+
+
+def _descends(wall: _Wall, lam: Vec, signs: tuple[int, ...]) -> bool:
+    """is_left_descent at wall for t_lambda u, given signs = _signs(rd, u)."""
+    root, k, affine, _ = wall
+    d = sum(map(_times, lam, root)) - signs[k]
     return d > 0 if affine else d < 0
 
 
@@ -324,17 +406,22 @@ def reduced_word(rd: RootDatum, w: AffineWeylElement) -> tuple[tuple[int, ...], 
     generators times omega, len(letters) == length(w) and length(omega) == 0.
     Each of the length(w) steps strips the first generator that is a left
     descent of what is left; the remainder is checked to have length zero,
-    which a wrongly claimed descent would break.
+    which a wrongly claimed descent would break.  The sign vector of what
+    is left is carried from step to step by _left_signs.
     """
     gens = iwahori_generators(rd)
+    walls = _walls(rd)
     letters: list[int] = []
     cur = w
+    signs = _signs(rd, cur._u)
     for _ in range(length(rd, w)):
-        i = next((i for i in range(len(gens)) if is_left_descent(rd, cur, i)), None)
+        lam = cur.translation
+        i = next((i for i, wall in enumerate(walls) if _descends(wall, lam, signs)), None)
         if i is None:
             raise AffineWeylError("no descent found; descent test and length disagree")
         letters.append(i)
         cur = mul(gens[i], cur)
+        signs = _left_signs(rd, cur._u, walls[i], signs)
     if length(rd, cur) != 0:
         raise AffineWeylError("greedy descent left a remainder of positive length")
     return tuple(letters), cur
@@ -361,20 +448,24 @@ def bruhat_leq(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> boo
     Elements of different Kottwitz classes lie in different Omega cosets
     and are rejected at once.  Otherwise the greedy reduced word of w is
     walked with the lifting property: for a left descent s of w, v <= w
-    iff sv <= sw when s is a descent of v and iff v <= sw otherwise.
+    iff sv <= sw when s is a descent of v and iff v <= sw otherwise.  The
+    sign vector of v is carried along by _left_signs.
     """
     if kottwitz(rd, v) != kottwitz(rd, w):
         return False
     letters, _ = reduced_word(rd, w)
     gens = iwahori_generators(rd)
+    walls = _walls(rd)
     lv = length(rd, v)
     lw = len(letters)
+    signs = _signs(rd, v._u)
     for i in letters:
         if lv >= lw:
             break
-        s = gens[i]
-        if is_left_descent(rd, v, i):
+        s, wall = gens[i], walls[i]
+        if _descends(wall, v.translation, signs):
             v, lv = mul(s, v), lv - 1
+            signs = _left_signs(rd, v._u, wall, signs)
         w, lw = mul(s, w), lw - 1
     return v == w
 

@@ -42,6 +42,8 @@ from .affine_weyl import (
     AffineWeylError,
     SigmaAction,
     _check_diagram_automorphism,
+    _checked_mu,
+    _memo_on_mu,
     element_sort_key,
     identity_element,
     is_translation,
@@ -258,8 +260,8 @@ class StraightClass:
     member_nu_raw: tuple[tuple[Fraction, ...], ...]
 
 
-@lru_cache(maxsize=None)
-def straight_classes(mu: tuple[int, ...], rd: RootDatum, sigma: SigmaAction) -> tuple[StraightClass, ...]:
+@_memo_on_mu
+def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[StraightClass, ...]:
     """Partition of the straight admissible elements into twisted classes.
 
     Classes are the connected components under length-preserving moves
@@ -270,7 +272,7 @@ def straight_classes(mu: tuple[int, ...], rd: RootDatum, sigma: SigmaAction) -> 
     point; an element reached by a move must be straight as well, since
     the moves keep the length and the Newton point.
     """
-    adm_set = set(adm(tuple(mu), rd).elements)
+    adm_set = set(adm(mu, rd).elements)
     # the powers of the straight elements only; Newton points are made per class
     powers = {}
     for w in adm_set:
@@ -350,8 +352,8 @@ def _newton_set(
     equal to that of mu and slope vector dominance-bounded by the orbit
     average of mu; newton_poset checks that the basic point is unique.
     """
-    mu_dom, _ = dominant_rep(tuple(mu), rd)
-    classes = straight_classes(tuple(mu_dom), rd, sigma)
+    mu_dom, _ = dominant_rep(_checked_mu(mu, rd), rd)
+    classes = straight_classes(mu_dom, rd, sigma)
     points = tuple(cls.newton for cls in classes)
     mu_class = pi1_coinvariants(rd, sigma).project(mu_dom)
     bar = mu_bar(mu_dom, rd, sigma)
@@ -452,14 +454,14 @@ def components_bound_report(
     The report is the abstract index set of the component surjection;
     nothing geometric is computed.
     """
-    mu_dom, _ = dominant_rep(tuple(mu), rd)
-    classes = straight_classes(tuple(mu_dom), rd, sigma)
+    mu_dom, _ = dominant_rep(_checked_mu(mu, rd), rd)
+    classes = straight_classes(mu_dom, rd, sigma)
     matching = [cls for cls in classes if cls.newton == b]
     if not matching:
         raise AffineWeylError("the given Newton point is not in B(G, mu)")
     (cls,) = matching
     # adm proves its elements are exactly Adm(mu), so membership is a lookup
-    adm_set = set(adm(tuple(mu_dom), rd).elements)
+    adm_set = set(adm(mu_dom, rd).elements)
     witnesses = []
     two_rho_vee = tuple(sum(c) for c in zip(*rd.positive_coroots))
     for w, nu_raw in zip(cls.members, cls.member_nu_raw):

@@ -2,6 +2,7 @@ import importlib
 import json
 import pkgutil
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -48,7 +49,7 @@ from affweyl.affine_weyl import (
 from affweyl.notation import format_element, parse_element
 from affweyl.oracles import run_oracle_suite
 from affweyl.root_datum import build_root_datum, dominant_rep, weyl_orbit
-from affweyl.straight_newton import b_set, components_bound_report
+from affweyl.straight_newton import b_set, components_bound_report, straight_classes
 from test_affine_weyl import A1_X_C2
 from test_linalg import hasse_by_cubic_scan
 
@@ -484,6 +485,40 @@ def test_clear_caches_empties_every_memo():
     assert not affine_weyl._FINITE_PARTS
     assert adm((1, 1, 0), GL3) == first_adm
     assert b_set((1, 1, 0), GL3, sigma) == first_b
+
+
+MU_ENTRY_POINTS = {
+    "adm": lambda mu, b: adm(mu, GL3),
+    "straight_classes": lambda mu, b: straight_classes(mu, GL3, sigma_identity(GL3)),
+    "b_set": lambda mu, b: b_set(mu, GL3, sigma_identity(GL3)),
+    "components_bound_report": lambda mu, b: components_bound_report(mu, b, GL3, sigma_identity(GL3)),
+    "kr_poset": lambda mu, b: kr_poset(mu, GL3, make_level(GL3, [1])),
+    "adm_K": lambda mu, b: adm_K(mu, GL3, make_level(GL3, [1])),
+    "tau": lambda mu, b: tau(mu, GL3),
+    "is_admissible": lambda mu, b: is_admissible(identity_element(GL3), mu, GL3),
+}
+
+
+@pytest.mark.parametrize("bad", [(1.5, 0, 0), (True, 0, 0), (1, 0)], ids=repr)
+@pytest.mark.parametrize("name", list(MU_ENTRY_POINTS))
+def test_entry_points_check_mu_before_their_tables(name, bad):
+    # True == 1 with equal hashes: a warm table must not answer for it
+    call = MU_ENTRY_POINTS[name]
+    b = b_set((1, 0, 0), GL3, sigma_identity(GL3))[0]
+    message = re.escape(f"mu {bad!r}")
+    affweyl.clear_caches()
+    with pytest.raises(AffineWeylError, match=message):
+        call(bad, b)
+    call((1, 0, 0), b)
+    with pytest.raises(AffineWeylError, match=message):
+        call(bad, b)
+
+
+def test_mu_checked_tables_count_once_and_keep_their_bodies():
+    for table in (adm, straight_classes):
+        assert table.__wrapped__.__code__.co_name == table.__name__
+        assert table.cache_info().maxsize is None
+    assert adm((1, 0, 0), GL3) is adm([1, 0, 0], GL3)
 
 
 def _newton_run():
