@@ -56,7 +56,7 @@ from .affine_weyl import (
     word_length_map,
 )
 from .linalg import hasse_diagram
-from .root_datum import RootDatum, dominant_rep, weyl_orbit
+from .root_datum import RootDatum, weyl_orbit
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ class AdmissibleSet:
 
 @lru_cache(maxsize=None)
 def _maximal_translations(mu: tuple[int, ...], rd: RootDatum) -> tuple[AffineWeylElement, ...]:
-    mu_dom, _ = dominant_rep(mu, rd)
-    return tuple(translation_element(lam, rd) for lam in weyl_orbit(mu_dom, rd))
+    return tuple(translation_element(lam, rd) for lam in weyl_orbit(mu, rd))
 
 
 def is_admissible(w: AffineWeylElement, mu: Sequence[int], rd: RootDatum) -> bool:
@@ -178,7 +177,7 @@ def adm(mu: Sequence[int], rd: RootDatum) -> AdmissibleSet:
     Completeness is checked at one element per orbit, which covers all as
     the candidates are Omega-stable; soundness is checked on every edge.
     """
-    maximal = _maximal_translations(tuple(mu), rd)
+    maximal = _maximal_translations(mu, rd)
     conjugations = _omega_conjugations(rd)
     images: list[dict[AffineWeylElement, AffineWeylElement]] = [{} for _ in conjugations]
     candidates: set[AffineWeylElement] = set()
@@ -225,14 +224,12 @@ def adm(mu: Sequence[int], rd: RootDatum) -> AdmissibleSet:
         raise AffineWeylError(
             "admissible enumeration mismatch: subword closure produced a non-member"
         )
-    mu_dom, _ = dominant_rep(tuple(mu), rd)
-    return AdmissibleSet(mu_dom, elements, ParahoricLevel.iwahori(), tuple(sorted(edges)))
+    return AdmissibleSet(mu, elements, ParahoricLevel.iwahori(), tuple(sorted(edges)))
 
 
 def tau(mu: Sequence[int], rd: RootDatum) -> AffineWeylElement:
     """The unique length-zero admissible element: the Omega part of t_mu."""
-    mu_dom, _ = dominant_rep(_checked_mu(mu, rd), rd)
-    return omega_part(rd, translation_element(mu_dom, rd))
+    return omega_part(rd, translation_element(_checked_mu(mu, rd), rd))
 
 
 def adm_K(
@@ -283,8 +280,7 @@ def kr_poset(mu: Sequence[int], rd: RootDatum, level: ParahoricLevel) -> KRPoset
 
 def adm_by_exhaustion(mu: Sequence[int], rd: RootDatum) -> set[AffineWeylElement]:
     """Oracle: filter the full length ball in the right Omega coset."""
-    mu_dom, _ = dominant_rep(tuple(mu), rd)
-    t_mu = translation_element(mu_dom, rd)
+    t_mu = translation_element(_checked_mu(mu, rd), rd)
     omega = omega_part(rd, t_mu)
     bound = length(rd, t_mu)
     out = set()

@@ -63,6 +63,7 @@ from .linalg import (
 )
 from .root_datum import (
     RootDatum,
+    dominant_rep,
     exact_int,
     fundamental_group,
     pairing,
@@ -196,22 +197,22 @@ def translation_element(lam: Sequence[int], rd: RootDatum) -> AffineWeylElement:
 
 
 def _checked_mu(mu: Sequence[int], rd: RootDatum) -> Vec:
-    """mu as a tuple of rd.rank integers; AffineWeylError naming mu otherwise."""
+    """The dominant conjugate of mu, once checked to be rd.rank integers; else AffineWeylError naming mu."""
     mu = tuple(mu)
     if len(mu) != rd.rank:
         raise AffineWeylError(f"mu {mu!r} has {len(mu)} coordinates, but the datum has rank {rd.rank}")
     for x in mu:
         exact_int(x, f"each coordinate of mu {mu!r}", AffineWeylError)
-    return mu
+    return dominant_rep(mu, rd)[0]
 
 
 def _memo_on_mu(fn):
-    """fn(mu, rd, ...) behind an lru_cache table that is read only after _checked_mu.
+    """fn(mu, rd, ...) behind an lru_cache table keyed on _checked_mu(mu, rd).
 
     A check inside fn would be skipped on a table hit, and True == 1 with
-    equal hashes.  The wrapper shows the table's cache_info and
-    cache_clear, so it counts as one memo table, and keeps fn itself as
-    __wrapped__.
+    equal hashes; conjugates of mu share one key.  The wrapper shows the
+    table's cache_info and cache_clear, so it counts as one memo table,
+    and keeps fn itself as __wrapped__.
     """
     table = lru_cache(maxsize=None)(fn)
 
@@ -599,19 +600,12 @@ def sigma_from_name(rd: RootDatum, name: str) -> SigmaAction:
     if name == "id":
         return sigma_identity(rd)
     if name == "flip":
-        label = rd.type_label
-        n = rd.rank
-        if label.startswith("GL"):
-            m = [[0] * n for _ in range(n)]
-            for j in range(n):
-                m[n - 1 - j][j] = -1
-            return make_sigma(rd, m)
-        if label.startswith("SL") or label.startswith("PGL"):
-            m = [[0] * n for _ in range(n)]
-            for j in range(n):
-                m[n - 1 - j][j] = 1
-            return make_sigma(rd, m)
-        raise AffineWeylError(f"no diagram flip is defined for {label}")
+        # the antidiagonal; negated on GL, where reversal alone makes simple coroots negative
+        label, n = rd.type_label, rd.rank
+        if not label.startswith(("GL", "SL", "PGL")):
+            raise AffineWeylError(f"no diagram flip is defined for {label}")
+        sign = -1 if label.startswith("GL") else 1
+        return make_sigma(rd, [[sign if i + j == n - 1 else 0 for j in range(n)] for i in range(n)])
     raise AffineWeylError(f"unknown sigma name {name!r}")
 
 

@@ -27,7 +27,7 @@ from .affine_weyl import (
 )
 from .gln_perm import PermError, adm_eq_perm_check
 from .notation import format_element
-from .root_datum import RootDatumError, build_root_datum, dominant_rep, fundamental_group
+from .root_datum import RootDatumError, build_root_datum, fundamental_group
 from .stembridge import ChainPreconditionError, stembridge_chain
 from .straight_newton import _newton_set, components_bound_report, straight_classes
 
@@ -65,10 +65,10 @@ def _parse_cochar(text: str, rd, flag: str):
     return vec
 
 
-def _dominant_mu(args, rd, command: str):
+def _mu(args, rd, command: str):
     if not args.mu:
         raise ConfigError(f"{command} needs --mu")
-    return dominant_rep(_parse_cochar(args.mu, rd, "--mu"), rd)[0]
+    return _parse_cochar(args.mu, rd, "--mu")
 
 
 def _parse_level(rd, text: Optional[str], sigma):
@@ -215,10 +215,17 @@ def _adm_rows(rd, mu, level):
     ]
 
 
+def _wants_dot(args) -> bool:
+    """--poset (or the poset command) or --format dot; a poset is DOT only, so another --format is refused."""
+    if args.poset and args.format not in (None, "dot"):
+        raise ConfigError(f"a poset is printed as DOT only; --format {args.format} is not available")
+    return args.poset or args.format == "dot"
+
+
 def cmd_adm(args) -> int:
     rd, sigma, level = _build_context(args)
-    mu = _dominant_mu(args, rd, "adm")
-    if args.poset or args.format == "dot":
+    mu = _mu(args, rd, "adm")
+    if _wants_dot(args):
         return _emit_poset(args, rd, mu, level)
     _emit_rows(args, rd, "elements", ("element", "length", "kappa"), _adm_rows(rd, mu, level))
     return 0
@@ -262,9 +269,10 @@ def _newton_rows(rd, mu, sigma):
 
 def cmd_newton(args) -> int:
     rd, sigma, level = _build_context(args)
-    mu = _dominant_mu(args, rd, "newton")
+    mu = _mu(args, rd, "newton")
+    dot = _wants_dot(args)
     classes, rows, edges = _newton_rows(rd, mu, sigma)
-    if args.poset or args.format == "dot":
+    if dot:
         return _emit_dot(args, rd, "newton_poset", [row[2] for row in rows], edges)
     header = ("id", "representative", "nu", "denominator", "kappa", "members", "basic")
     _emit_rows(args, rd, "classes", header, rows)
@@ -275,15 +283,10 @@ def cmd_components_bound(args) -> int:
     rd, sigma, level = _build_context(args)
     if args.format == "dot":
         raise ConfigError("components-bound has no poset; dot output is not available")
-    mu = _dominant_mu(args, rd, "components-bound")
+    mu = _mu(args, rd, "components-bound")
     classes, rows, _ = _newton_rows(rd, mu, sigma)
-    target = None
-    if args.b == "basic":
-        target = next(c for c, r in zip(classes, rows) if r[6] == "basic")
-    else:
-        for c, r in zip(classes, rows):
-            if r[0] == args.b:
-                target = c
+    column = 6 if args.b == "basic" else 0  # the basic column, else the id column
+    target = next((c for c, r in zip(classes, rows) if r[column] == args.b), None)
     if target is None:
         raise ConfigError(f"unknown class id {args.b!r}; see the newton table")
     report = components_bound_report(mu, target.newton, rd, sigma)
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mu", help="cocharacter coordinates, e.g. 1,0,0")
         p.add_argument("--sigma", default=None, help="id (default) or flip")
         p.add_argument("--level", default=None, help="parahoric generators, e.g. s1,s2")
-        p.add_argument("--format", default="table", choices=FORMATS)
+        p.add_argument("--format", default=None, choices=FORMATS)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("describe", help="summarize a group datum")

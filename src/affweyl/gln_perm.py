@@ -41,6 +41,7 @@ from typing import Callable, Sequence
 from .admissible import adm
 from .affine_weyl import (
     AffineWeylElement,
+    _checked_mu,
     _walls,
     element_sort_key,
     finite_reflection,
@@ -111,7 +112,7 @@ def _passes(lam: Vec, moves: Sequence[Vec], e: int, in_hull: Callable[[Vec], boo
 
 def is_permissible(w: AffineWeylElement, mu: Sequence[int], rd: RootDatum) -> bool:
     """Kottwitz class of t_mu plus the hull condition at each alcove vertex."""
-    mu_dom, _ = dominant_rep(tuple(mu), rd)
+    mu_dom = _checked_mu(mu, rd)
     pi1 = fundamental_group(rd)
     if pi1.project(w.translation) != pi1.project(mu_dom):
         return False
@@ -145,7 +146,7 @@ def perm_set(mu: Sequence[int], rd: RootDatum) -> tuple[AffineWeylElement, ...]:
     The vertex 0 forces the translation part into Conv(W mu), so the
     candidates t_lambda u run over those translations and u in W_0.
     """
-    mu_dom, _ = dominant_rep(tuple(mu), rd)
+    mu_dom = _checked_mu(mu, rd)
     e, vertices, in_hull = _hull_test(mu_dom, rd)
     reflections = [finite_reflection(rd, i) for i in range(rd.semisimple_rank)]
     translations = _translations(mu_dom, rd)
@@ -171,7 +172,7 @@ def adm_eq_perm_check(n: int, mu: Sequence[int], rd: RootDatum) -> PermCheckRepo
     """Compare Adm(mu) with Perm(mu) element by element; n must be rd.rank."""
     if n != rd.rank:
         raise PermError(f"n = {n} is not the rank {rd.rank} of {rd.type_label}")
-    admissible = adm(tuple(mu), rd).elements
+    admissible = adm(mu, rd).elements
     permissible = perm_set(mu, rd)
     in_adm, in_perm = set(admissible), set(permissible)
     only_adm = tuple(w for w in admissible if w not in in_perm)

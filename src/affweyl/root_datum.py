@@ -13,6 +13,10 @@ Cartan matrix is of finite type exactly when its Weyl group, hence its
 reflection closure, is finite (Kac, Infinite-dimensional Lie algebras,
 ch. 4); see _reflection_closure and _fundamental_forms.
 
+Data are canonical: _build and sub_datum finish in _assemble, which returns
+the one instance per seven fields from a weak table, so equal data are one
+object, equality and hashing are identity; clear_caches() leaves the table.
+
 Presets cover GL(n), SL(n), PGL(n) and GSp(2g); arbitrary finite-type data
 can be supplied explicitly.  The pairing between X_*(T) and X^*(T) is the
 standard dot product in the chosen coordinates.
@@ -21,6 +25,8 @@ standard dot product in the chosen coordinates.
 from __future__ import annotations
 
 import dataclasses
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -50,8 +56,10 @@ def pairing(cochar: Coords, root: Coords):
     return sum(a * b for a, b in zip(cochar, root))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootDatum:
+    """Compared and hashed by identity: one canonical instance per datum, also after pickling."""
+
     rank: int
     type_label: str
     simple_roots: tuple[Vec, ...]
@@ -60,19 +68,8 @@ class RootDatum:
     positive_coroots: tuple[Vec, ...]
     cartan_matrix: tuple[Vec, ...]
 
-    def __post_init__(self):
-        # every memo lookup hashes the datum, so hash its fields once
-        object.__setattr__(self, "_hash", hash(self._fields()))
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        # rebuild through __init__: a string hash differs between processes
-        return RootDatum, self._fields()
+        return _canonical, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
     @property
     def semisimple_rank(self) -> int:
@@ -168,10 +165,19 @@ def _scaled_coords(forms, simple_coroots, v: Sequence[int]) -> Optional[Vec]:
     return scaled if back == [d * x for x in v] else None
 
 
+_CANONICAL: weakref.WeakValueDictionary[tuple, RootDatum] = weakref.WeakValueDictionary()
+_CANONICAL_LOCK = threading.Lock()
+
+
+def _canonical(*fields) -> RootDatum:
+    with _CANONICAL_LOCK:
+        return _CANONICAL.setdefault(fields, RootDatum(*fields))
+
+
 def _assemble(rank, label, simple_roots, simple_coroots, cartan, positives) -> RootDatum:
-    """The datum with positives (height key, coroot, root) sorted by key, then coroot."""
+    """The canonical datum with positives (height key, coroot, root) sorted by key, then coroot."""
     _, coroots, roots = zip(*sorted(positives)) if positives else ((), (), ())
-    return RootDatum(rank, label, tuple(simple_roots), tuple(simple_coroots), roots, coroots, cartan)
+    return _canonical(rank, label, tuple(simple_roots), tuple(simple_coroots), roots, coroots, cartan)
 
 
 def _reflection_closure(simple_roots, simple_coroots):

@@ -24,7 +24,7 @@ Cartan matrix, non-negative integer coroot coefficients read off the
 same fundamental-weight forms _build uses, a positive system closed
 under the simple reflections) but does not rebuild the datum by
 reflection closure; it is memoised by (datum, positive-root indices),
-and clear_caches() empties the memo.
+and clear_caches() empties the memo; equal Levis are one canonical datum.
 """
 
 from __future__ import annotations
@@ -192,9 +192,8 @@ def _levi(rd: RootDatum, positive_root_indices: tuple[int, ...]) -> RootDatum:
 
 def mu_bar(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[Fraction, ...]:
     """Average of the sigma-orbit of the dominant representative of mu."""
-    mu_dom, _ = dominant_rep(tuple(mu), rd)
+    cur = _checked_mu(mu, rd)
     total = [Fraction(0)] * rd.rank
-    cur = tuple(mu_dom)
     for _ in range(sigma.order):
         total = [a + b for a, b in zip(total, cur)]
         cur = sigma_apply_cochar(sigma, cur)
@@ -209,7 +208,6 @@ def _coroot_relations(rd: RootDatum, columns: Sequence[Sequence[int]]) -> tuple[
     return tuple(k[:len(columns)] for k in integer_kernel(rows))
 
 
-@lru_cache(maxsize=None)
 def _fixed_class_lattice_generators(rd: RootDatum, sigma: SigmaAction) -> tuple[tuple[int, ...], ...]:
     """Lattice generators of {v : (sigma - 1) v lies in the coroot lattice}.
 
@@ -352,7 +350,7 @@ def _newton_set(
     equal to that of mu and slope vector dominance-bounded by the orbit
     average of mu; newton_poset checks that the basic point is unique.
     """
-    mu_dom, _ = dominant_rep(_checked_mu(mu, rd), rd)
+    mu_dom = _checked_mu(mu, rd)
     classes = straight_classes(mu_dom, rd, sigma)
     points = tuple(cls.newton for cls in classes)
     mu_class = pi1_coinvariants(rd, sigma).project(mu_dom)
@@ -410,6 +408,7 @@ def adlv_nonempty(
     return b in b_set(mu, rd, sigma)
 
 
+@lru_cache(maxsize=None)
 def pi1_sigma_invariants(rd: RootDatum, sigma: SigmaAction) -> FinAbGroup:
     """Fixed subgroup of sigma acting on pi_1 = X_*(T)/coroot lattice."""
     gens = _fixed_class_lattice_generators(rd, sigma)
@@ -454,7 +453,7 @@ def components_bound_report(
     The report is the abstract index set of the component surjection;
     nothing geometric is computed.
     """
-    mu_dom, _ = dominant_rep(_checked_mu(mu, rd), rd)
+    mu_dom = _checked_mu(mu, rd)
     classes = straight_classes(mu_dom, rd, sigma)
     matching = [cls for cls in classes if cls.newton == b]
     if not matching:

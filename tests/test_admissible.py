@@ -49,7 +49,8 @@ from affweyl.affine_weyl import (
 from affweyl.notation import format_element, parse_element
 from affweyl.oracles import run_oracle_suite
 from affweyl.root_datum import build_root_datum, dominant_rep, weyl_orbit
-from affweyl.straight_newton import b_set, components_bound_report, straight_classes
+from affweyl.gln_perm import adm_eq_perm_check, is_permissible, perm_set
+from affweyl.straight_newton import b_set, basic_point, components_bound_report, mu_bar, straight_classes
 from test_affine_weyl import A1_X_C2
 from test_linalg import hasse_by_cubic_scan
 
@@ -496,6 +497,12 @@ MU_ENTRY_POINTS = {
     "adm_K": lambda mu, b: adm_K(mu, GL3, make_level(GL3, [1])),
     "tau": lambda mu, b: tau(mu, GL3),
     "is_admissible": lambda mu, b: is_admissible(identity_element(GL3), mu, GL3),
+    "adm_by_exhaustion": lambda mu, b: adm_by_exhaustion(mu, GL3),
+    "basic_point": lambda mu, b: basic_point(mu, GL3, sigma_identity(GL3)),
+    "mu_bar": lambda mu, b: mu_bar(mu, GL3, sigma_identity(GL3)),
+    "perm_set": lambda mu, b: perm_set(mu, GL3),
+    "is_permissible": lambda mu, b: is_permissible(identity_element(GL3), mu, GL3),
+    "adm_eq_perm_check": lambda mu, b: adm_eq_perm_check(3, mu, GL3),
 }
 
 
@@ -519,6 +526,23 @@ def test_mu_checked_tables_count_once_and_keep_their_bodies():
         assert table.__wrapped__.__code__.co_name == table.__name__
         assert table.cache_info().maxsize is None
     assert adm((1, 0, 0), GL3) is adm([1, 0, 0], GL3)
+
+
+@pytest.mark.parametrize("name", list(MU_ENTRY_POINTS))
+def test_entry_points_answer_alike_for_conjugate_mu(name):
+    call = MU_ENTRY_POINTS[name]
+    b = b_set((1, 0, 0), GL3, sigma_identity(GL3))[0]
+    assert call((0, 0, 1), b) == call((1, 0, 0), b)
+
+
+def test_conjugate_mu_share_one_table_entry():
+    affweyl.clear_caches()
+    sigma = sigma_identity(GL3)
+    assert adm((0, 1, 0), GL3) is adm((1, 0, 0), GL3)
+    assert adm.cache_info().currsize == 1
+    assert straight_classes((0, 0, 1), GL3, sigma) is straight_classes((1, 0, 0), GL3, sigma)
+    assert straight_classes.cache_info().currsize == 1
+    assert adm((0, 1, 0), GL3).mu == (1, 0, 0)
 
 
 def _newton_run():

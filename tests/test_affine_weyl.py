@@ -417,24 +417,31 @@ COSET_DATA = [GL3, GSP4, build_root_datum({"preset": "SL", "n": 3}), build_root_
 
 
 @st.composite
-def _coset_cases(draw):
+def _coset_specs(draw):
+    """Plain (rd, lam, letters, shift, indices); _coset_case builds the element."""
     rd = draw(st.sampled_from(COSET_DATA))
-    gens = iwahori_generators(rd)
+    n_gens = rd.semisimple_rank + len(rd.components())
     lam = draw(st.lists(st.integers(-2, 2), min_size=rd.rank, max_size=rd.rank))
-    w = translation_element(lam, rd)
-    for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=6)):
-        w = mul(w, gens[i])
+    letters = draw(st.lists(st.integers(0, n_gens - 1), max_size=6))
     shift = draw(st.lists(st.integers(-1, 1), min_size=rd.rank, max_size=rd.rank))
-    w = mul(omega_rep(rd, shift), w)
     # each datum is irreducible, so any proper subset of the affine nodes is a valid level
-    indices = draw(st.sets(st.integers(0, len(gens) - 1), max_size=len(gens) - 1))
-    return rd, w, make_level(rd, indices)
+    indices = draw(st.sets(st.integers(0, n_gens - 1), max_size=n_gens - 1))
+    return rd, lam, letters, shift, indices
+
+
+def _coset_case(rd, lam, letters, shift, indices):
+    """(rd, omega_rep(shift) t_lam s_letters, K): built in the test, so a fault in mul fails the test."""
+    gens = iwahori_generators(rd)
+    w = translation_element(lam, rd)
+    for i in letters:
+        w = mul(w, gens[i])
+    return rd, mul(omega_rep(rd, shift), w), make_level(rd, indices)
 
 
 @settings(max_examples=60)
-@given(_coset_cases())
-def test_double_coset_rep_is_the_unique_shortest_element(case):
-    rd, w, level = case
+@given(_coset_specs())
+def test_double_coset_rep_is_the_unique_shortest_element(spec):
+    rd, w, level = _coset_case(*spec)
     wk = finite_parahoric_subgroup(rd, level)
     coset = {mul(mul(u, w), v) for u in wk for v in wk}
     rep = double_coset_rep(rd, w, level)
@@ -443,27 +450,19 @@ def test_double_coset_rep_is_the_unique_shortest_element(case):
     assert [x for x in coset if length(rd, x) == shortest] == [rep]
 
 
-def _example_case(rd, letters, shift, indices):
-    gens = iwahori_generators(rd)
-    w = omega_rep(rd, shift)
-    for i in letters:
-        w = mul(w, gens[i])
-    return rd, w, make_level(rd, indices)
-
-
 SL3, PGL3 = COSET_DATA[2], COSET_DATA[3]
 
 
 @settings(max_examples=60)
-@given(_coset_cases())
+@given(_coset_specs())
 # levels holding the affine node 0 on SL3 and PGL3, minimal and not
-@example(_example_case(SL3, [1, 0], (0, 0), [0, 2]))
-@example(_example_case(SL3, [1], (0, 0), [0, 2]))
-@example(_example_case(SL3, [0, 1, 2, 0], (0, 0), [0, 1]))
-@example(_example_case(PGL3, [2, 0, 1], (1, 0), [0, 1]))
-@example(_example_case(PGL3, [0, 2], (0, 1), [0]))
-def test_shorten_is_none_exactly_at_the_shortest_element(case):
-    rd, w, level = case
+@example((SL3, (0, 0), [1, 0], (0, 0), [0, 2]))
+@example((SL3, (0, 0), [1], (0, 0), [0, 2]))
+@example((SL3, (0, 0), [0, 1, 2, 0], (0, 0), [0, 1]))
+@example((PGL3, (0, 0), [2, 0, 1], (1, 0), [0, 1]))
+@example((PGL3, (0, 0), [0, 2], (0, 1), [0]))
+def test_shorten_is_none_exactly_at_the_shortest_element(spec):
+    rd, w, level = _coset_case(*spec)
     wk = finite_parahoric_subgroup(rd, level)
     coset = {mul(mul(u, w), v) for u in wk for v in wk}
     shorter = _shorten(rd, w, level)

@@ -443,6 +443,29 @@ def test_cli_commands_without_a_poset_refuse_dot(capsys, argv):
     assert err.startswith(f"error: {argv[0]} has no poset; dot output is not available")
 
 
+POSET_ARGV = [
+    ("poset", "--group", "GL2", "--mu", "1,0"),
+    ("adm", "--group", "GL2", "--mu", "1,0", "--poset"),
+    ("newton", "--group", "GL2", "--mu", "1,0", "--poset"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+@pytest.mark.parametrize("argv", POSET_ARGV, ids=lambda argv: argv[0])
+def test_cli_poset_refuses_another_format(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"--format {fmt} is not available" in err.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv", POSET_ARGV, ids=lambda argv: argv[0])
+def test_cli_poset_is_dot_with_and_without_format_dot(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "digraph" in out
+    assert run_cli(capsys, *argv, "--format", "dot") == (0, out, "")
+
+
 @pytest.mark.parametrize("argv", [
     ("adm", "--group", "GL2", "--mu", "1,0"),
     ("oracle-suite", "--scope", "length"),

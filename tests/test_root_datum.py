@@ -1,12 +1,18 @@
+import copy
+import dataclasses
+import gc
 import itertools
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import affweyl
 from affweyl import root_datum
 from affweyl.linalg import hermite_row_form
 from affweyl.root_datum import (
@@ -19,6 +25,7 @@ from affweyl.root_datum import (
     pairing,
     quotient_group,
     simple_reflection,
+    sub_datum,
     weyl_orbit,
 )
 from test_linalg import _leibniz_det
@@ -346,6 +353,68 @@ def test_stored_hash_is_recomputed_on_unpickling():
     object.__setattr__(stale, "_hash", 0)  # as if hashed under another PYTHONHASHSEED
     back = pickle.loads(pickle.dumps(stale))
     assert back == gsp and hash(back) == hash(gsp)
+
+
+def test_equal_data_are_one_object():
+    gsp6 = rd("GSp", 6)
+    assert build_root_datum({"n": 6, "preset": "GSp"}) is gsp6
+    # the roots of GSp6 vanishing on (1, 1, 0, 0): a Levi of type A1 x C1
+    idx = [k for k, a in enumerate(gsp6.positive_roots) if pairing((1, 1, 0, 0), a) == 0]
+    levi = sub_datum(gsp6, idx, "levi")
+    assert sub_datum(gsp6, list(reversed(idx)), "levi") is levi
+    for datum in (gsp6, levi):
+        assert pickle.loads(pickle.dumps(datum)) is datum
+        assert copy.deepcopy(datum) is datum and copy.copy(datum) is datum
+    # the table is not a memo: a datum held across clear_caches() is the one built after it
+    affweyl.clear_caches()
+    assert rd("GSp", 6) is gsp6 and sub_datum(gsp6, idx, "levi") is levi
+
+
+def test_data_differing_in_one_field_are_two_objects():
+    spec = {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]}
+    assert build_root_datum(spec) is not build_root_datum({**spec, "label": "other"})
+    assert build_root_datum(spec) != rd("GL", 2)  # same roots, label GL2
+
+
+def _canonical_labels():
+    return {datum.type_label for datum in list(root_datum._CANONICAL.values())}
+
+
+def test_an_unreferenced_datum_leaves_the_table():
+    spec = {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]], "label": "held-nowhere"}
+    datum = build_root_datum(spec)
+    assert "held-nowhere" in _canonical_labels()
+    del datum
+    gc.collect()
+    assert "held-nowhere" not in _canonical_labels()
+
+
+def test_concurrent_builds_return_one_datum():
+    # a lost check-then-insert would hand two threads two objects for one datum;
+    # _canonical is called directly, so the threads spend their time in that window
+    gl2 = rd("GL", 2)
+    fields = [getattr(gl2, f.name) for f in dataclasses.fields(gl2)]
+    assert root_datum._canonical(*fields) is gl2
+    keys = [(fields[0], f"race-{r}", *fields[2:]) for r in range(2000)]
+    results = [[] for _ in range(8)]
+
+    def work(out):
+        for key in keys:
+            out.append(root_datum._canonical(*key))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == len(keys) for out in results)
+    assert all(len({id(out[r]) for out in results}) == 1 for r in range(len(keys)))
 
 
 A1 = {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]}

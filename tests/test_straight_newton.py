@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import random
@@ -5,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import affweyl
+from affweyl import straight_newton
 from affweyl.affine_weyl import (
     AffineWeylError,
     finite_reflection,
@@ -437,3 +440,27 @@ def test_restrict_sigma_hands_back_sigma_itself(group, mu, name):
             assert rebuilt == sigma
             restricted += 1
     assert restricted
+
+
+def test_pi1_sigma_invariants_computes_each_levi_and_sigma_once(monkeypatch):
+    # every class of B(G, mu) with all its witnesses: many witnesses share a Levi
+    cases = [("GL", 4, (1, 1, 0, 0)), ("GL", 5, (1, 1, 0, 0, 0)), ("GSp", 6, (1, 1, 1, 1)),
+             ("GL", 6, (1, 0, 0, 0, 0, 0))]
+    table = straight_newton.pi1_sigma_invariants
+    seen = []
+
+    def recorded(levi, sigma):
+        seen.append((levi, sigma))
+        return table(levi, sigma)
+
+    affweyl.clear_caches()
+    monkeypatch.setattr(straight_newton, "pi1_sigma_invariants", recorded)
+    for preset, n, mu in cases:
+        rd = build_root_datum({"preset": preset, "n": n})
+        sigma = sigma_identity(rd)
+        for b in b_set(mu, rd, sigma):
+            components_bound_report(mu, b, rd, sigma)
+    # distinct by value: equal Levis must be one object to be one key
+    distinct = {(dataclasses.astuple(levi), sigma) for levi, sigma in seen}
+    assert (len(seen), len(distinct)) == (77, 46)
+    assert table.cache_info().misses == len(distinct)
