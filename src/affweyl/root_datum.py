@@ -16,10 +16,18 @@ ch. 4); see _reflection_closure and _fundamental_forms.
 Data are canonical: _build and sub_datum finish in _assemble, which returns
 the one instance per seven fields from a weak table, so equal data are one
 object, equality and hashing are identity; clear_caches() leaves the table.
+_canonical is the only constructor: RootDatum(...) called directly raises.
 
 Presets cover GL(n), SL(n), PGL(n) and GSp(2g); arbitrary finite-type data
 can be supplied explicitly.  The pairing between X_*(T) and X^*(T) is the
 standard dot product in the chosen coordinates.
+
+Walks in the finite Weyl group (dominant_rep, weyl_orbit) carry a point
+together with its simple pairings c_i = <lam, alpha_i>.  The Cartan matrix
+is stored as A[i][j] = <alpha_j^vee, alpha_i>, so s_j(lam) = lam - c_j
+alpha_j^vee has pairings c_i - c_j A[i][j]: one column of A per step, not
+a fresh pairing with every simple root.  A is not symmetric outside the
+simply laced types (GSp, B2, G2), and the index order matters there.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul as _times, sub as _minus
 from typing import Mapping, Optional, Sequence, Union
 
 from .linalg import (
@@ -40,6 +49,7 @@ from .linalg import (
     mat_vec,
     scaled_inverse,
     smith_normal_form,
+    vec_mat,
 )
 
 Coords = Union[Sequence[int], Sequence[Fraction]]
@@ -53,12 +63,23 @@ def pairing(cochar: Coords, root: Coords):
     """The canonical pairing <cocharacter, character>."""
     if len(cochar) != len(root):
         raise RootDatumError("rank mismatch in pairing")
-    return sum(a * b for a, b in zip(cochar, root))
+    return sum(map(_times, cochar, root))
+
+
+def _pairings(lam: Coords, roots: Sequence[Vec], rd: RootDatum) -> list:
+    """[<lam, a> for a in roots], after checking that lam has the rank of rd."""
+    if len(lam) != rd.rank:
+        raise RootDatumError("rank mismatch in pairing")
+    return [sum(map(_times, lam, a)) for a in roots]
 
 
 @dataclass(frozen=True, eq=False)
 class RootDatum:
-    """Compared and hashed by identity: one canonical instance per datum, also after pickling."""
+    """Compared and hashed by identity: one canonical instance per datum, also after pickling.
+
+    Built only by build_root_datum and sub_datum (through _canonical); a
+    direct call, or dataclasses.replace, raises RootDatumError.
+    """
 
     rank: int
     type_label: str
@@ -67,6 +88,10 @@ class RootDatum:
     positive_roots: tuple[Vec, ...]
     positive_coroots: tuple[Vec, ...]
     cartan_matrix: tuple[Vec, ...]
+
+    def __post_init__(self):
+        if not getattr(_MINTING, "on", False):
+            raise RootDatumError("a RootDatum is built by build_root_datum or sub_datum, not directly")
 
     def __reduce__(self):
         return _canonical, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
@@ -121,9 +146,7 @@ class RootDatum:
 
 
 def _cartan_from_data(simple_roots, simple_coroots) -> tuple[Vec, ...]:
-    return tuple(
-        tuple(pairing(cv, rt) for cv in simple_coroots) for rt in simple_roots
-    )
+    return tuple(tuple([sum(map(_times, cv, rt)) for cv in simple_coroots]) for rt in simple_roots)
 
 
 def _check_cartan(cartan: Sequence[Sequence[int]]) -> None:
@@ -158,20 +181,34 @@ def _fundamental_forms(simple_roots, cartan) -> tuple[int, tuple[Vec, ...]]:
 
 
 def _scaled_coords(forms, simple_coroots, v: Sequence[int]) -> Optional[Vec]:
-    """d * c for the coefficients c of v, or None if sum c_i alpha_i^vee != v."""
+    """d * c for the coefficients c of v, or None if sum c_i alpha_i^vee != v.
+
+    d * c is read off the forms, one pairing each; the check d * v =
+    sum_i (d * c_i) alpha_i^vee is one row combination of the simple coroots
+    (vec_mat), which skips the zero coefficients.
+    """
     d, covectors = forms
     scaled = mat_vec(covectors, v)
-    back = [sum(c * cv[k] for c, cv in zip(scaled, simple_coroots)) for k in range(len(v))]
-    return scaled if back == [d * x for x in v] else None
+    back = vec_mat(scaled, simple_coroots) if simple_coroots else (0,) * len(v)
+    return scaled if back == tuple([d * x for x in v]) else None
 
 
 _CANONICAL: weakref.WeakValueDictionary[tuple, RootDatum] = weakref.WeakValueDictionary()
 _CANONICAL_LOCK = threading.Lock()
+# set by _canonical, under its lock, around the one constructor call it makes
+_MINTING = threading.local()
 
 
 def _canonical(*fields) -> RootDatum:
     with _CANONICAL_LOCK:
-        return _CANONICAL.setdefault(fields, RootDatum(*fields))
+        datum = _CANONICAL.get(fields)
+        if datum is None:
+            _MINTING.on = True
+            try:
+                datum = _CANONICAL[fields] = RootDatum(*fields)
+            finally:
+                _MINTING.on = False
+        return datum
 
 
 def _assemble(rank, label, simple_roots, simple_coroots, cartan, positives) -> RootDatum:
@@ -197,10 +234,10 @@ def _reflection_closure(simple_roots, simple_coroots):
         new = set()
         for root, coroot in frontier:
             for a, av in zip(simple_roots, simple_coroots):
-                p, q = pairing(av, root), pairing(coroot, a)
+                p, q = sum(map(_times, av, root)), sum(map(_times, coroot, a))
                 cand = (
-                    tuple(r - p * s for r, s in zip(root, a)),
-                    tuple(c - q * s for c, s in zip(coroot, av)),
+                    tuple([r - p * s for r, s in zip(root, a)]),
+                    tuple([c - q * s for c, s in zip(coroot, av)]),
                 )
                 if cand not in pairs:
                     new.add(cand)
@@ -361,28 +398,48 @@ def _gsp_data(g: int):
 
 
 def is_dominant(lam: Coords, rd: RootDatum) -> bool:
-    return all(pairing(lam, a) >= 0 for a in rd.simple_roots)
+    return all(c >= 0 for c in _pairings(lam, rd.simple_roots, rd))
 
 
 def simple_reflection(lam: Coords, i: int, rd: RootDatum):
-    c = pairing(lam, rd.simple_roots[i])
-    return tuple(x - c * y for x, y in zip(lam, rd.simple_coroots[i]))
+    if len(lam) != rd.rank:
+        raise RootDatumError("rank mismatch in pairing")
+    c = sum(map(_times, lam, rd.simple_roots[i]))
+    return tuple([x - c * y for x, y in zip(lam, rd.simple_coroots[i])])
+
+
+def _reflect(v: tuple, pairs: list, j: int, rd: RootDatum) -> tuple[tuple, list]:
+    """s_j(v) and its simple pairings, from v and its simple pairings.
+
+    s_j(v) = v - c_j alpha_j^vee and A[i][j] = <alpha_j^vee, alpha_i>, so
+    the pairings change by one column of the Cartan matrix,
+    c_i - c_j A[i][j]: O(rank) per step instead of rank fresh pairings.
+    """
+    cj = pairs[j]
+    return (
+        tuple([x - cj * y for x, y in zip(v, rd.simple_coroots[j])]),
+        [c - cj * row[j] for c, row in zip(pairs, rd.cartan_matrix)],
+    )
 
 
 def dominant_rep(lam: Coords, rd: RootDatum) -> tuple[tuple, tuple[int, ...]]:
     """Dominant representative of the finite Weyl orbit, plus the word used.
 
     The word lists simple reflection indices in application order: folding
-    them over the input, left to right, yields the dominant vector.
+    them over the input, left to right, yields the dominant vector.  Each
+    step reflects in the first simple root i with <lam, alpha_i> < 0.
+    lam is paired with the simple roots once and the pairings are then
+    updated along the walk (_reflect), so the vector and the word are
+    those of pairing every point afresh, at O(rank) per step.
     """
-    cur = tuple(lam)
+    cur, pairs = tuple(lam), _pairings(lam, rd.simple_roots, rd)
     word: list[int] = []
     while True:
-        neg = next((i for i, a in enumerate(rd.simple_roots) if pairing(cur, a) < 0), None)
-        if neg is None:
+        j = next((i for i, c in enumerate(pairs) if c < 0), None)
+        if j is None:
             return cur, tuple(word)
-        cur = simple_reflection(cur, neg, rd)
-        word.append(neg)
+        cur, pairs = _reflect(cur, pairs, j, rd)
+        word.append(j)
 
 
 def dominance_leq(lam: Coords, mu: Coords, rd: RootDatum, *, integral: bool = True) -> bool:
@@ -409,17 +466,24 @@ def dominance_leq(lam: Coords, mu: Coords, rd: RootDatum, *, integral: bool = Tr
 
 
 def weyl_orbit(lam: Coords, rd: RootDatum) -> tuple[tuple, ...]:
-    """Orbit of a cocharacter under the finite Weyl group, sorted."""
-    seen = {tuple(lam)}
-    frontier = [tuple(lam)]
+    """Orbit of a cocharacter under the finite Weyl group, sorted.
+
+    Each point carries its simple pairings, updated along the search as in
+    dominant_rep, so a reflection s_i with <v, alpha_i> = 0, which fixes v,
+    is skipped.
+    """
+    start = tuple(lam)
+    seen = {start}
+    frontier = [(start, _pairings(lam, rd.simple_roots, rd))]
     while frontier:
         nxt = []
-        for v in frontier:
-            for i in range(rd.semisimple_rank):
-                w = simple_reflection(v, i, rd)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
+        for v, pairs in frontier:
+            for i, c in enumerate(pairs):
+                if c:
+                    w, w_pairs = _reflect(v, pairs, i, rd)
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append((w, w_pairs))
         frontier = nxt
     return tuple(sorted(seen))
 
@@ -530,9 +594,7 @@ def sub_datum(rd: RootDatum, positive_root_indices: Sequence[int], label: str) -
     simple_r, simple_c = [], []
     for root, coroot in zip(roots, coroots):
         decomposable = any(
-            tuple(x - y for x, y in zip(root, other)) in root_set
-            for other in roots
-            if other != root
+            tuple(map(_minus, root, other)) in root_set for other in roots if other != root
         )
         if not decomposable:
             simple_r.append(root)
@@ -550,9 +612,9 @@ def sub_datum(rd: RootDatum, positive_root_indices: Sequence[int], label: str) -
             raise RootDatumError(
                 "a chosen coroot is not a non-negative integer combination of the simple coroots"
             )
-        pairings = [pairing(coroot, a) for a in simple_r]
-        for p, sc in zip(pairings, simple_c):
-            if coroot != sc and tuple(x - p * y for x, y in zip(coroot, sc)) not in coroot_set:
+        for a, sc in zip(simple_r, simple_c):
+            p = sum(map(_times, coroot, a))
+            if coroot != sc and tuple([x - p * y for x, y in zip(coroot, sc)]) not in coroot_set:
                 raise RootDatumError("the chosen positive roots are not closed under simple reflections")
         positives.append((sum(scaled), coroot, root))
     return _assemble(rd.rank, label, simple_r, simple_c, cartan, positives)

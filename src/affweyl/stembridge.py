@@ -12,16 +12,17 @@ whose pairing is exactly one at each step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul as _times, sub as _minus
 from typing import Sequence
 
 from .root_datum import (
     RootDatum,
+    _pairings,
     dominance_leq,
     dominant_rep,
     exact_int,
     fundamental_group,
     is_dominant,
-    pairing,
     simple_reflection,
 )
 
@@ -104,7 +105,7 @@ def stembridge_chain(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> Co
 
 
 def is_minuscule(mu: Sequence[int], rd: RootDatum) -> bool:
-    return all(abs(pairing(mu, a)) <= 1 for a in rd.positive_roots)
+    return all(abs(c) <= 1 for c in _pairings(mu, rd.positive_roots, rd))
 
 
 @dataclass(frozen=True)
@@ -160,14 +161,14 @@ def minuscule_lift(lam: Sequence[int], mu: Sequence[int], rd: RootDatum) -> Lift
     cur = mu
     chain = []
     for i in reversed(word):
-        c = pairing(cur, rd.simple_roots[i])
+        c = sum(map(_times, cur, rd.simple_roots[i]))
         if c != 1:
             raise LiftConsistencyError(
                 f"descent from {cur} along simple root {i} has pairing {c} != 1"
             )
         coroot = rd.simple_coroots[i]
         nxt = simple_reflection(cur, i, rd)
-        if nxt != tuple(x - y for x, y in zip(cur, coroot)):
+        if nxt != tuple(map(_minus, cur, coroot)):
             raise LiftConsistencyError(
                 f"reflecting {cur} in simple root {i} gave {nxt}, not {cur} minus its coroot"
             )

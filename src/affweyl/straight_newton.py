@@ -59,6 +59,7 @@ from .linalg import hasse_diagram, integer_kernel, mat_vec
 from .root_datum import (
     FinAbGroup,
     RootDatum,
+    _pairings,
     dominance_leq,
     dominant_rep,
     pairing,
@@ -181,7 +182,7 @@ def levi_datum(nu_raw: Sequence, rd: RootDatum) -> RootDatum:
     nu = [Fraction(x) for x in nu_raw]
     den = lcm(*(x.denominator for x in nu))
     lam = tuple(x.numerator * (den // x.denominator) for x in nu)
-    idx = tuple(k for k, a in enumerate(rd.positive_roots) if pairing(lam, a) == 0)
+    idx = tuple(k for k, c in enumerate(_pairings(lam, rd.positive_roots, rd)) if c == 0)
     return _levi(rd, idx)
 
 

@@ -111,17 +111,23 @@ def test_every_reached_levi_equals_the_rebuilt_datum(monkeypatch):
     assert not _mismatches(records)
 
 
+def _corrupted(levi, **changes):
+    """The datum of levi's fields with some replaced; _canonical is the only constructor."""
+    fields = {f.name: getattr(levi, f.name) for f in dataclasses.fields(levi)}
+    return root_datum._canonical(*{**fields, **changes}.values())
+
+
 def _swap_two_roots(rd, idx, label):
     levi = sub_datum(rd, idx, label)
     roots = list(levi.positive_roots)
     if len(roots) >= 2:
         roots[0], roots[-1] = roots[-1], roots[0]
-    return dataclasses.replace(levi, positive_roots=tuple(roots))
+    return _corrupted(levi, positive_roots=tuple(roots))
 
 
 def _drop_one_root(rd, idx, label):
     levi = sub_datum(rd, idx, label)
-    return dataclasses.replace(
+    return _corrupted(
         levi,
         positive_roots=levi.positive_roots[:-1],
         positive_coroots=levi.positive_coroots[:-1],

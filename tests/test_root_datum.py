@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import gc
 import itertools
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -14,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import affweyl
 from affweyl import root_datum
-from affweyl.linalg import hermite_row_form
+from affweyl.linalg import hermite_row_form, solve_rational
 from affweyl.root_datum import (
+    RootDatum,
     RootDatumError,
     build_root_datum,
     dominance_leq,
@@ -28,6 +31,7 @@ from affweyl.root_datum import (
     sub_datum,
     weyl_orbit,
 )
+from test_affine_weyl import A1_X_C2
 from test_linalg import _leibniz_det
 
 
@@ -346,13 +350,31 @@ def test_projection_kernel_is_exactly_the_coroot_lattice():
         assert (pi1.project(v) == pi1.zero()) == in_lattice
 
 
-def test_stored_hash_is_recomputed_on_unpickling():
-    gsp = rd("GSp", 4)
-    assert hash(gsp) == hash(rd("GSp", 4))
-    stale = rd("GSp", 4)
-    object.__setattr__(stale, "_hash", 0)  # as if hashed under another PYTHONHASHSEED
-    back = pickle.loads(pickle.dumps(stale))
-    assert back == gsp and hash(back) == hash(gsp)
+def test_a_datum_pickled_under_another_hash_seed_unpickles_as_the_canonical_one():
+    # the child hashes the label string differently; the table keys on fields, hashed here
+    child = (
+        "import pickle, sys\n"
+        "from affweyl.root_datum import build_root_datum\n"
+        "sys.stdout.buffer.write(pickle.dumps(build_root_datum({'preset': 'GSp', 'n': 4})))\n"
+    )
+    src = os.path.dirname(os.path.dirname(affweyl.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
+    blob = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, check=True).stdout
+    assert pickle.loads(blob) is rd("GSp", 4)
+
+
+def test_a_datum_is_built_only_through_the_canonical_table(monkeypatch):
+    gl2 = rd("GL", 2)
+    fields = [getattr(gl2, f.name) for f in dataclasses.fields(gl2)]
+    with pytest.raises(RootDatumError, match="not directly"):
+        RootDatum(*fields)
+    with pytest.raises(RootDatumError, match="not directly"):
+        dataclasses.replace(gl2, type_label="other")
+    # a hit in the table constructs nothing
+    built = []
+    monkeypatch.setattr(RootDatum, "__post_init__", lambda self: built.append(self))
+    assert root_datum._canonical(*fields) is gl2
+    assert built == []
 
 
 def test_equal_data_are_one_object():
@@ -469,3 +491,101 @@ def test_a_preset_with_a_wrong_root_count_is_refused(monkeypatch, preset, n):
     monkeypatch.setattr(root_datum, data_fn, one_root_short)
     with pytest.raises(RootDatumError, match="positive coroot count"):
         build_root_datum({"preset": preset, "n": n})
+
+
+# the walks under every Cartan shape: symmetric (GL, SL, PGL), type C (GSp),
+# B and G (explicit), a product, and a torus
+T2 = build_root_datum({"rank": 2, "simple_roots": [], "simple_coroots": [], "label": "T2"})
+WALK_DATA = [
+    rd("GL", 3),
+    rd("GL", 4),
+    rd("GL", 5),
+    rd("SL", 4),
+    rd("PGL", 4),
+    rd("GSp", 4),
+    rd("GSp", 6),
+    build_root_datum({**_cartan_spec([[2, -2], [-1, 2]]), "label": "B2"}),
+    build_root_datum({**_cartan_spec([[2, -1], [-3, 2]]), "label": "G2"}),
+    A1_X_C2,
+    T2,
+]
+
+
+def _greedy_dominant_rep(lam, datum):
+    """Reference walk: every simple pairing recomputed after each reflection."""
+    cur, word = tuple(lam), []
+    while True:
+        neg = next((i for i, a in enumerate(datum.simple_roots) if pairing(cur, a) < 0), None)
+        if neg is None:
+            return cur, tuple(word)
+        c = pairing(cur, datum.simple_roots[neg])
+        cur = tuple(x - c * y for x, y in zip(cur, datum.simple_coroots[neg]))
+        word.append(neg)
+
+
+def _bfs_orbit(lam, datum):
+    """Reference orbit: every simple reflection of every point, fresh pairings."""
+    seen, frontier = {tuple(lam)}, [tuple(lam)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for a, av in zip(datum.simple_roots, datum.simple_coroots):
+                c = pairing(v, a)
+                w = tuple(x - c * y for x, y in zip(v, av))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+_COORD = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 3)),
+)
+
+
+@st.composite
+def _walk_cases(draw):
+    datum = WALK_DATA[draw(st.integers(0, len(WALK_DATA) - 1))]
+    return datum, tuple(draw(st.lists(_COORD, min_size=datum.rank, max_size=datum.rank)))
+
+
+@settings(max_examples=300)
+@given(_walk_cases())
+def test_dominant_rep_is_the_greedy_walk(case):
+    datum, lam = case
+    assert dominant_rep(lam, datum) == _greedy_dominant_rep(lam, datum)
+    assert is_dominant(dominant_rep(lam, datum)[0], datum)
+
+
+@settings(max_examples=120)
+@given(_walk_cases())
+def test_weyl_orbit_is_the_plain_bfs(case):
+    datum, lam = case
+    assert weyl_orbit(lam, datum) == _bfs_orbit(lam, datum)
+
+
+@settings(max_examples=300)
+@given(_walk_cases())
+def test_scaled_coords_are_the_rational_solution(case):
+    datum, v = case
+    d, _ = datum._forms
+    coeffs = solve_rational(datum.simple_coroots, v)
+    expected = None if coeffs is None else tuple(d * c for c in coeffs)
+    assert root_datum._scaled_coords(datum._forms, datum.simple_coroots, v) == expected
+
+
+def test_scaled_coords_inside_and_outside_the_coroot_span():
+    gl3 = rd("GL", 3)
+    assert root_datum._scaled_coords(gl3._forms, gl3.simple_coroots, (1, 0, 0)) is None
+    assert root_datum._scaled_coords(gl3._forms, gl3.simple_coroots, (1, 0, -1)) == (3, 3)
+    assert root_datum._scaled_coords(T2._forms, (), (0, 0)) == ()
+    assert root_datum._scaled_coords(T2._forms, (), (0, 1)) is None
+
+
+@pytest.mark.parametrize("datum, lam", [(T2, (1, 2, 3)), (T2, (1,)), (rd("GL", 3), (1, 2))])
+def test_walks_refuse_a_vector_of_the_wrong_rank(datum, lam):
+    for walk in (dominant_rep, is_dominant, weyl_orbit):
+        with pytest.raises(RootDatumError, match="rank mismatch in pairing"):
+            walk(lam, datum)
