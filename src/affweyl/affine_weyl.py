@@ -3,13 +3,12 @@
 Elements are pairs (translation, finite part).  Each finite part is an
 integer matrix acting on the cocharacter lattice, interned the first time
 it is seen: one shared entry per matrix holds the matrix, its hash, a
-table of products with other entries, the signs of u^-1 on the positive
-roots, read from the datum's root index, and, for a reflection s_a, the
-pair (a, a^vee).  So `mul` reads the finite product from the table and
-moves the translation in O(rank) when the right factor is finite or the
-left one is a reflection (every affine simple reflection is); otherwise
-it applies the matrix.  `length` is one pass over the positive roots.  No
-inverse is kept, and no library path calls `inv`, which eliminates.
+table of products with other entries and the signs of u^-1 on the
+positive roots, read from the datum's root index.  So `mul` reads the
+finite product from the table and moves the translation in O(rank) when
+the right factor is finite; otherwise it applies the matrix.  `length` is
+one pass over the positive roots.  No inverse is kept, and no library
+path calls `inv`, which eliminates.
 A Frobenius action sigma is the element t_0 S of W semidirect <sigma> in
 the same table: sigma(w) = S w S^-1, and with sigma^m = 1 the twisted
 power w sigma(w) .. sigma^(m-1)(w) is the ordinary power (w S)^m.
@@ -18,12 +17,17 @@ greedily with respect to the fixed base alcove (the alcove in the
 dominant chamber with a vertex at the origin): a simple reflection is a
 left descent when its wall separates that alcove from its image, which
 is_left_descent reads off one pairing with the translation and one entry
-of the sign vector.  Each wall also holds its reflection's signed
-permutation of the positive roots, so reduced_word and bruhat_leq carry
-the sign vector along a word instead of recomputing it.  The length-zero
-subgroup keeps track of the fundamental group.  The Bruhat order walks
-the cached greedy reduced word of the larger element with the lifting
-property, so it keeps no memo of its own.
+of the sign vector.  reduced_word and bruhat_leq walk in wall-pairing
+coordinates: t_lambda u is carried as lambda, the pairings <lambda, a_j>
+with the roots a_j of the walls, u and its sign vector.  With e = 1 for
+an affine wall and 0 otherwise and c = e - <lambda, a_i>, the step by
+wall i is lambda += c a_i^vee and <lambda, a_j> += c <a_i^vee, a_j>; u
+moves by one product-table lookup and the signs by the wall's signed
+permutation of the positive roots.  A step costs O(#walls + rank), a
+descent test is one subtraction, and no element is built until the end
+of the walk.  The length-zero subgroup keeps track of the fundamental
+group.  The Bruhat order walks v along the cached greedy reduced word of
+w with the lifting property, so it keeps no memo of its own.
 
 >>> from affweyl.root_datum import build_root_datum
 >>> rd = build_root_datum({"preset": "GL", "n": 2})
@@ -83,15 +87,11 @@ class _Finite:
     `is_identity` says whether u is the identity, and `signs` is a pair
     (datum, vector) with a 1 in the vector for each positive root a of the
     datum with u^-1(a) < 0; one assignment replaces both, so a concurrent
-    reader never sees the vector of one datum paired with another.
-    `reflection` is (a, a^vee) when u is the reflection
-    s_a(x) = x - <x, a> a^vee, recorded by iwahori_generators and
-    finite_reflection: it is the matrix's own action, so it holds for every
-    datum that shares the entry, and mul moves a translation by it in
-    O(rank).  No inverse is kept: no library path forms one.
+    reader never sees the vector of one datum paired with another.  No
+    inverse is kept: no library path forms one.
     """
 
-    __slots__ = ("matrix", "hash", "products", "is_identity", "signs", "reflection")
+    __slots__ = ("matrix", "hash", "products", "is_identity", "signs")
 
     def __init__(self, matrix: Mat):
         self.matrix = matrix
@@ -99,7 +99,6 @@ class _Finite:
         self.products: dict[_Finite, _Finite] = {}
         self.is_identity = matrix == identity_matrix(len(matrix))
         self.signs: tuple[Optional[RootDatum], tuple[int, ...]] = (None, ())
-        self.reflection: Optional[tuple[Vec, Vec]] = None
 
     def __hash__(self) -> int:
         return self.hash
@@ -135,12 +134,15 @@ class AffineWeylElement:
 
     Immutable; equal and equally hashed to any element with the same
     translation and matrix, also one built after the intern table was
-    emptied.
+    emptied.  A matrix that is not square of the translation's length is
+    refused: the walks read both with zip, which would truncate.
     """
 
     __slots__ = ("translation", "_u")
 
     def __init__(self, translation: Vec, finite: Mat):
+        if {len(finite), *map(len, finite)} != {len(translation)}:
+            raise AffineWeylError("finite part must be square, of the translation's length")
         _set_translation(self, translation)
         _set_u(self, _intern(finite))
 
@@ -227,10 +229,8 @@ def _memo_on_mu(fn):
 def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
     """(t_lambda u)(t_mu v) = t_(lambda + u mu) uv, with uv read from the table.
 
-    u mu costs O(rank) when mu = 0 (a finite right factor: w s_i, w S) and
-    when u is a recorded reflection s_a (a left factor s_i or
-    s_0 = t_theta^vee s_theta): then u mu = mu - <mu, a> a^vee.  Otherwise
-    the matrix is applied.
+    Nothing is applied when mu = 0 (a finite right factor: w s_i, w S);
+    otherwise the matrix is.
     """
     lam, mu = a.translation, b.translation
     if len(lam) != len(mu):
@@ -241,10 +241,6 @@ def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
         uv = u.products[v] = _intern(mat_mul(u.matrix, v.matrix))
     if not any(mu):
         return _element(lam, uv)
-    if u.reflection is not None:
-        root, coroot = u.reflection
-        c = sum(map(_times, mu, root))
-        return _element(tuple([x + y - c * z for x, y, z in zip(lam, mu, coroot)]), uv)
     return _element(tuple([x + sum(map(_times, row, mu)) for x, row in zip(lam, u.matrix)]), uv)
 
 
@@ -265,26 +261,19 @@ def reflection_matrix(root: Vec, coroot: Vec) -> Mat:
     )
 
 
-def _reflection(translation: Vec, root: Vec, coroot: Vec) -> AffineWeylElement:
-    """t_translation s_root, with (root, coroot) recorded on the interned entry of s_root."""
-    w = AffineWeylElement(translation, reflection_matrix(root, coroot))
-    w._u.reflection = (root, coroot)
-    return w
-
-
 def finite_reflection(rd: RootDatum, i: int) -> AffineWeylElement:
     """The simple reflection s_i as a group element."""
-    return _reflection((0,) * rd.rank, rd.simple_roots[i], rd.simple_coroots[i])
+    return AffineWeylElement((0,) * rd.rank, reflection_matrix(rd.simple_roots[i], rd.simple_coroots[i]))
 
 
-_Wall = tuple[Vec, int, bool, tuple[int, ...]]
+_Wall = tuple[Vec, int, bool, tuple[int, ...], tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
 def _walls(rd: RootDatum) -> tuple[_Wall, ...]:
     """The wall of each affine simple reflection, in generator order.
 
-    An entry (root, k, affine, perm) names the wall <x, root> = 1 of a
+    An entry (root, k, affine, perm, row) names the wall <x, root> = 1 of a
     component's highest root when affine is true and the wall
     <x, root> = 0 of a simple root otherwise; k is the position of root in
     rd.positive_roots.  The height of a root is read from its pairing with
@@ -294,24 +283,29 @@ def _walls(rd: RootDatum) -> tuple[_Wall, ...]:
     s_a in a = root: perm[j] is the root index (m, or ~m for a negative
     root) of s_a(b_j) = b_j - <a^vee, b_j> a, so it sends k to ~k.
     _left_signs reads the signs of s u from those of u through it.
+    row[j] = <a^vee, r_j> for the root r_j of the j-th wall, read from the
+    coroot and the roots themselves (on GSp the matrix is not symmetric):
+    _step moves the pairings of lambda with the wall roots by it.
     """
     roots, coroots, index = rd.positive_roots, rd.positive_coroots, rd._root_index
     two_rho_vee = tuple(sum(c) for c in zip(*coroots))
-
-    def wall(k: int, affine: bool) -> _Wall:
-        a, a_vee = roots[k], coroots[k]
-        perm = tuple(index[tuple([x - pairing(a_vee, b) * y for x, y in zip(b, a)])] for b in roots)
-        return a, k, affine, perm
-
-    walls = []
+    ks = []
     for comp in rd.components():
         in_comp = [
             k for k, root in enumerate(roots)
             if all(i in comp for i, sc in enumerate(rd.simple_coroots) if pairing(sc, root))
         ]
-        walls.append(wall(max(in_comp, key=lambda k: pairing(two_rho_vee, roots[k])), True))
-    walls += [wall(index[root], False) for root in rd.simple_roots]
-    return tuple(walls)
+        ks.append(max(in_comp, key=lambda k: pairing(two_rho_vee, roots[k])))
+    n_affine = len(ks)
+    ks += [index[root] for root in rd.simple_roots]
+    return tuple(
+        (
+            roots[k], k, j < n_affine,
+            tuple(index[tuple([x - pairing(coroots[k], b) * y for x, y in zip(b, roots[k])])] for b in roots),
+            tuple(pairing(coroots[k], roots[m]) for m in ks),
+        )
+        for j, k in enumerate(ks)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -322,10 +316,10 @@ def iwahori_generators(rd: RootDatum) -> tuple[AffineWeylElement, ...]:
     reflection in the wall <x, theta> = 1 and s1..sr the finite simple
     reflections.
     """
-    zero = (0,) * rd.rank
+    coroots, zero = rd.positive_coroots, (0,) * rd.rank
     return tuple(
-        _reflection(rd.positive_coroots[k] if affine else zero, root, rd.positive_coroots[k])
-        for root, k, affine, _ in _walls(rd)
+        AffineWeylElement(coroots[k] if affine else zero, reflection_matrix(root, coroots[k]))
+        for root, k, affine, _, _ in _walls(rd)
     )
 
 
@@ -365,7 +359,8 @@ def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
     d = <lambda, a> otherwise.  So a finite s_i is a descent iff
     <lambda, a_i> < 0, or = 0 with u^-1(a_i) < 0; the affine s_0 of a
     component with highest root theta is one iff <lambda, theta> > 1, or
-    = 1 with u^-1(theta) > 0.  One pairing and one sign are read.
+    = 1 with u^-1(theta) > 0.  One pairing and one sign are read.  An
+    index outside the generators raises AffineWeylError.
 
     >>> from affweyl.root_datum import build_root_datum
     >>> rd = build_root_datum({"preset": "GL", "n": 2})
@@ -375,14 +370,43 @@ def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
     >>> is_left_descent(rd, translation_element((1, -1), rd), 0)
     True
     """
-    return _descends(_walls(rd)[i], w.translation, _signs(rd, w._u))
+    walls = _walls(rd)
+    if not 0 <= exact_int(i, "a generator index", AffineWeylError) < len(walls):
+        raise AffineWeylError(f"generator index {i} out of range")
+    return _descends(walls[i], sum(map(_times, w.translation, walls[i][0])), _signs(rd, w._u))
 
 
-def _descends(wall: _Wall, lam: Vec, signs: tuple[int, ...]) -> bool:
-    """is_left_descent at wall for t_lambda u, given signs = _signs(rd, u)."""
-    root, k, affine, _ = wall
-    d = sum(map(_times, lam, root)) - signs[k]
-    return d > 0 if affine else d < 0
+def _descends(wall: _Wall, p: int, signs: tuple[int, ...]) -> bool:
+    """is_left_descent at wall for t_lambda u, given p = <lambda, root> and signs = _signs(rd, u)."""
+    d = p - signs[wall[1]]
+    return d > 0 if wall[2] else d < 0
+
+
+def _start(rd: RootDatum, w: AffineWeylElement) -> tuple:
+    """w = t_lambda u as (lambda, its pairings with the wall roots, u, _signs(rd, u))."""
+    lam, u = w.translation, w._u
+    return lam, [sum(map(_times, lam, wall[0])) for wall in _walls(rd)], u, _signs(rd, u)
+
+
+def _step(rd: RootDatum, i: int, lam: Vec, pairs: list, u: _Finite, signs: tuple) -> tuple:
+    """s w in wall-pairing coordinates (see _start), s the i-th affine simple reflection.
+
+    s = t_(e a^vee) s_a with e = 1 for an affine wall and 0 otherwise, so
+    s w = t_(lambda + c a^vee) s_a u with c = e - <lambda, a>: the pairings
+    with the wall roots move by c times the wall's row, s_a u is read from
+    the product table and its signs from those of u.  O(#walls + rank);
+    no element is built.
+    """
+    wall = _walls(rd)[i]
+    c = wall[2] - pairs[i]
+    if c:
+        lam = [x + c * y for x, y in zip(lam, rd.positive_coroots[wall[1]])]
+        pairs = [p + c * r for p, r in zip(pairs, wall[4])]
+    s = iwahori_generators(rd)[i]._u
+    su = s.products.get(u)
+    if su is None:
+        su = s.products[u] = _intern(mat_mul(s.matrix, u.matrix))
+    return lam, pairs, su, _left_signs(rd, su, wall, signs)
 
 
 @lru_cache(maxsize=None)
@@ -407,25 +431,27 @@ def reduced_word(rd: RootDatum, w: AffineWeylElement) -> tuple[tuple[int, ...], 
     generators times omega, len(letters) == length(w) and length(omega) == 0.
     Each of the length(w) steps strips the first generator that is a left
     descent of what is left; the remainder is checked to have length zero,
-    which a wrongly claimed descent would break.  The sign vector of what
-    is left is carried from step to step by _left_signs.
+    which a wrongly claimed descent would break.  What is left is carried
+    in wall-pairing coordinates: with c = e - <lambda, a_i> (e = 1 for an
+    affine wall, else 0) a step by wall i sets lambda += c a_i^vee and
+    <lambda, a_j> += c <a_i^vee, a_j>, so each descent test is one
+    subtraction per wall and only omega is built as an element.
     """
-    gens = iwahori_generators(rd)
     walls = _walls(rd)
     letters: list[int] = []
-    cur = w
-    signs = _signs(rd, cur._u)
+    lam, pairs, u, signs = _start(rd, w)
     for _ in range(length(rd, w)):
-        lam = cur.translation
-        i = next((i for i, wall in enumerate(walls) if _descends(wall, lam, signs)), None)
-        if i is None:
+        for i, wall in enumerate(walls):
+            if _descends(wall, pairs[i], signs):
+                break
+        else:
             raise AffineWeylError("no descent found; descent test and length disagree")
         letters.append(i)
-        cur = mul(gens[i], cur)
-        signs = _left_signs(rd, cur._u, walls[i], signs)
-    if length(rd, cur) != 0:
+        lam, pairs, u, signs = _step(rd, i, lam, pairs, u, signs)
+    omega = _element(tuple(lam), u)
+    if length(rd, omega) != 0:
         raise AffineWeylError("greedy descent left a remainder of positive length")
-    return tuple(letters), cur
+    return tuple(letters), omega
 
 
 def omega_part(rd: RootDatum, w: AffineWeylElement) -> AffineWeylElement:
@@ -447,28 +473,33 @@ def bruhat_leq(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> boo
     """Bruhat order, with elements comparable only in one Omega coset.
 
     Elements of different Kottwitz classes lie in different Omega cosets
-    and are rejected at once.  Otherwise the greedy reduced word of w is
-    walked with the lifting property: for a left descent s of w, v <= w
-    iff sv <= sw when s is a descent of v and iff v <= sw otherwise.  The
-    sign vector of v is carried along by _left_signs.
+    and are rejected at once, and so is a v at least as long as w unless
+    v = w.  Otherwise v walks the greedy reduced word of w with the
+    lifting property: for a left descent s of w, v <= w iff sv <= sw when
+    s is a descent of v and iff v <= sw otherwise.  At the end of the word
+    sw is the Omega part of w, which v lies below only if equal to it, so
+    the translation and matrix reached are compared with it; v is refused
+    once it is longer than what is left of w.  v steps in wall-pairing
+    coordinates: by wall i, lambda += c a_i^vee and
+    <lambda, a_j> += c <a_i^vee, a_j> with c = e - <lambda, a_i>, e = 1
+    for an affine wall and 0 otherwise.
     """
     if kottwitz(rd, v) != kottwitz(rd, w):
         return False
-    letters, _ = reduced_word(rd, w)
-    gens = iwahori_generators(rd)
+    letters, omega = reduced_word(rd, w)
+    lv, lw = length(rd, v), len(letters)
+    if lv >= lw:
+        return v == w
     walls = _walls(rd)
-    lv = length(rd, v)
-    lw = len(letters)
-    signs = _signs(rd, v._u)
+    lam, pairs, u, signs = _start(rd, v)
     for i in letters:
-        if lv >= lw:
-            break
-        s, wall = gens[i], walls[i]
-        if _descends(wall, v.translation, signs):
-            v, lv = mul(s, v), lv - 1
-            signs = _left_signs(rd, v._u, wall, signs)
-        w, lw = mul(s, w), lw - 1
-    return v == w
+        if _descends(walls[i], pairs[i], signs):
+            lam, pairs, u, signs = _step(rd, i, lam, pairs, u, signs)
+            lv -= 1
+        lw -= 1
+        if lv > lw:
+            return False
+    return tuple(lam) == omega.translation and u.matrix == omega.finite
 
 
 def bruhat_leq_subword_oracle(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> bool:

@@ -72,7 +72,7 @@ def _alcove_vertices(rd: RootDatum) -> tuple[int, tuple[Vec, ...]]:
     comes last.
     """
     d, coweights = _fundamental_forms(rd.simple_coroots, tuple(zip(*rd.cartan_matrix)))
-    thetas = [root for root, _, affine, _ in _walls(rd) if affine]
+    thetas = [root for root, _, affine, _, _ in _walls(rd) if affine]
     # alpha_j occurs only in the highest root of its own component
     m = [sum(pairing(cw, theta) for theta in thetas) // d for cw in coweights]
     scale = lcm(*m)

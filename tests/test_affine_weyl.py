@@ -93,6 +93,20 @@ def test_rank_mismatch_rejected():
         mul(identity_element(GL2), identity_element(GL3))
 
 
+@pytest.mark.parametrize(
+    "translation,finite",
+    [
+        ((1, 0), identity_element(GL3).finite),  # zip would truncate: length(GL3, .) read 2
+        ((1, 0, 0), ((1, 0, 0), (0, 1, 0))),
+        ((1, 0, 0), ((1, 0, 0), (0, 1), (0, 0, 1))),
+        ((), ((1,),)),
+    ],
+)
+def test_constructor_refuses_mismatched_shapes(translation, finite):
+    with pytest.raises(AffineWeylError, match="must be"):
+        AffineWeylElement(translation, finite)
+
+
 def test_pinned_lengths():
     assert length(GL2, translation_element((1, 0), GL2)) == 1
     assert length(GL2, translation_element((1, 1), GL2)) == 0
@@ -164,6 +178,14 @@ def test_is_left_descent_matches_lengths(case):
         assert is_left_descent(rd, w, i) == (length(rd, mul(s, w)) < lw)
         assert is_left_descent(rd, inv(w), i) == (length(rd, mul(w, s)) < lw)
     assert reduced_word(rd, w) == greedy_word_by_lengths(rd, w)
+
+
+@pytest.mark.parametrize("i", [-1, 3, 99, 1.5, True])
+def test_is_left_descent_refuses_a_generator_index_out_of_range(i):
+    # -1 used to answer for the last wall, and 3 or 99 raised a raw IndexError
+    w = translation_element((1, 0, -1), GL3)
+    with pytest.raises(AffineWeylError, match="out of range|must be an integer"):
+        is_left_descent(GL3, w, i)
 
 
 def test_length_equals_word_search():
