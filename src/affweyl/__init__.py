@@ -70,13 +70,15 @@ from .notation import format_element, parse_element
 def clear_caches() -> None:
     """Empty every module-level memo table (lru_cache) of the package.
 
-    The intern table of finite Weyl matrices is emptied as well.
+    The intern table of finite Weyl matrices is emptied as well; the per-datum affine Weyl contexts are one of the tables.
     """
     import sys
 
-    from .affine_weyl import clear_finite_parts
+    from .affine_weyl import _FINITE_PARTS
 
-    clear_finite_parts()
+    for u in _FINITE_PARTS.values():
+        u.products.clear()  # so an entry still held keeps no other alive
+    _FINITE_PARTS.clear()
     for name, module in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for value in vars(module).values():

@@ -20,7 +20,7 @@ has its covers computed; the rest are carried over by conjugation.
 
 The parahoric image Adm_K(mu) is kept as the members of Adm(mu) that no
 s in K shortens on either side, by the test double_coset_rep repeats (a
-right descent s is read as l(ws) < l(w), with no inverse): these are the
+right descent s_a of t_lambda u is read off u(a), with no inverse): these are the
 minimal double coset representatives, each below every member of its
 coset.  Its closure poset is read off the same covers.  Adm(mu) is
 closed downward and Bruhat intervals are graded (Bjorner-Brenti, Thm

@@ -2,13 +2,14 @@
 
 Elements are pairs (translation, finite part).  Each finite part is an
 integer matrix acting on the cocharacter lattice, interned the first time
-it is seen: one shared entry per matrix holds the matrix, its hash, a
-table of products with other entries and the signs of u^-1 on the
-positive roots, read from the datum's root index.  So `mul` reads the
-finite product from the table and moves the translation in O(rank) when
-the right factor is finite; otherwise it applies the matrix.  `length` is
-one pass over the positive roots.  No inverse is kept, and no library
-path calls `inv`, which eliminates.
+it is seen: one shared entry per matrix holds the matrix, its hash and a
+table of products with other entries.  So `mul` reads the finite product
+from the table and moves the translation in O(rank) when the right factor
+is finite; otherwise it applies the matrix.  Each datum has one context:
+its walls, its affine simple reflections and, per entry, the signed
+permutation of the positive roots by u^-1, read from the datum's root
+index, whose signs `length` reads in one pass.  No inverse is kept, and
+no library path calls `inv`, which eliminates.
 A Frobenius action sigma is the element t_0 S of W semidirect <sigma> in
 the same table: sigma(w) = S w S^-1, and with sigma^m = 1 the twisted
 power w sigma(w) .. sigma^(m-1)(w) is the ordinary power (w S)^m.
@@ -17,17 +18,19 @@ greedily with respect to the fixed base alcove (the alcove in the
 dominant chamber with a vertex at the origin): a simple reflection is a
 left descent when its wall separates that alcove from its image, which
 is_left_descent reads off one pairing with the translation and one entry
-of the sign vector.  reduced_word and bruhat_leq walk in wall-pairing
-coordinates: t_lambda u is carried as lambda, the pairings <lambda, a_j>
-with the roots a_j of the walls, u and its sign vector.  With e = 1 for
-an affine wall and 0 otherwise and c = e - <lambda, a_i>, the step by
-wall i is lambda += c a_i^vee and <lambda, a_j> += c <a_i^vee, a_j>; u
-moves by one product-table lookup and the signs by the wall's signed
-permutation of the positive roots.  A step costs O(#walls + rank), a
-descent test is one subtraction, and no element is built until the end
-of the walk.  The length-zero subgroup keeps track of the fundamental
-group.  The Bruhat order walks v along the cached greedy reduced word of
-w with the lifting property, so it keeps no memo of its own.
+of the signed permutation.  reduced_word and bruhat_leq walk in
+wall-pairing coordinates: t_lambda u is carried as lambda, the pairings
+<lambda, a_j> with the roots a_j of the walls, u and its permutation.
+With e = 1 for an affine wall and 0 otherwise and c = e - <lambda, a_i>,
+the step by wall i is lambda += c a_i^vee and <lambda, a_j> +=
+c <a_i^vee, a_j>; u moves by one product-table lookup and its
+permutation by composition with the generator's.  A step costs
+O(#walls + rank), a descent test is one subtraction, and no element is
+built until the end of the walk.  `affweyl.clear_caches()` drops the
+contexts with the intern table.  The length-zero subgroup keeps track of
+the fundamental group.  The Bruhat order walks v along the cached greedy
+reduced word of w with the lifting property, so it keeps no memo of its
+own.
 
 >>> from affweyl.root_datum import build_root_datum
 >>> rd = build_root_datum({"preset": "GL", "n": 2})
@@ -51,6 +54,7 @@ True
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from operator import mul as _times
@@ -83,50 +87,39 @@ class _Finite:
 
     Its hash is that of the matrix, so an element hashes like the pair
     (translation, matrix).  `products` maps an entry v to the entry of uv
-    (so twists S u S^-1 and twisted powers (u S)^m are products too),
-    `is_identity` says whether u is the identity, and `signs` is a pair
-    (datum, vector) with a 1 in the vector for each positive root a of the
-    datum with u^-1(a) < 0; one assignment replaces both, so a concurrent
-    reader never sees the vector of one datum paired with another.  No
-    inverse is kept: no library path forms one.
+    (so twists S u S^-1 and twisted powers (u S)^m are products too), and
+    `is_identity` says whether u is the identity.  Its action on the roots
+    of a datum is kept by the datum's context.  No inverse is kept.
     """
 
-    __slots__ = ("matrix", "hash", "products", "is_identity", "signs")
+    __slots__ = ("matrix", "hash", "products", "is_identity")
 
     def __init__(self, matrix: Mat):
         self.matrix = matrix
         self.hash = hash(matrix)
         self.products: dict[_Finite, _Finite] = {}
         self.is_identity = matrix == identity_matrix(len(matrix))
-        self.signs: tuple[Optional[RootDatum], tuple[int, ...]] = (None, ())
 
     def __hash__(self) -> int:
         return self.hash
 
 
 _FINITE_PARTS: dict[Mat, _Finite] = {}
-_ROWS: dict[Vec, Vec] = {}
 
 
 def _intern(matrix: Mat) -> _Finite:
     u = _FINITE_PARTS.get(matrix)
     if u is None:
-        # W_0 has few distinct rows (n unit vectors for GL_n), so entries share them
-        matrix = tuple([_ROWS.setdefault(row, row) for row in matrix])
         u = _FINITE_PARTS[matrix] = _Finite(matrix)
     return u
 
 
-def clear_finite_parts() -> None:
-    """Empty the intern table; elements held across this keep working.
-
-    Entries still held by such elements drop their links to other entries,
-    so the rest of the old table can be freed.
-    """
-    for u in _FINITE_PARTS.values():
-        u.products.clear()
-    _FINITE_PARTS.clear()
-    _ROWS.clear()
+def _product(u: _Finite, v: _Finite) -> _Finite:
+    """The entry of uv, read from u's product table."""
+    uv = u.products.get(v)
+    if uv is None:
+        uv = u.products[v] = _intern(mat_mul(u.matrix, v.matrix))
+    return uv
 
 
 class AffineWeylElement:
@@ -235,13 +228,10 @@ def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
     lam, mu = a.translation, b.translation
     if len(lam) != len(mu):
         raise AffineWeylError("rank mismatch in multiplication")
-    u, v = a._u, b._u
-    uv = u.products.get(v)
-    if uv is None:
-        uv = u.products[v] = _intern(mat_mul(u.matrix, v.matrix))
+    uv = _product(a._u, b._u)
     if not any(mu):
         return _element(lam, uv)
-    return _element(tuple([x + sum(map(_times, row, mu)) for x, row in zip(lam, u.matrix)]), uv)
+    return _element(tuple([x + sum(map(_times, row, mu)) for x, row in zip(lam, a._u.matrix)]), uv)
 
 
 def inv(a: AffineWeylElement) -> AffineWeylElement:
@@ -262,53 +252,85 @@ def reflection_matrix(root: Vec, coroot: Vec) -> Mat:
 
 
 def finite_reflection(rd: RootDatum, i: int) -> AffineWeylElement:
-    """The simple reflection s_i as a group element."""
-    return AffineWeylElement((0,) * rd.rank, reflection_matrix(rd.simple_roots[i], rd.simple_coroots[i]))
+    """The simple reflection s_i as a group element; AffineWeylError unless 0 <= i < semisimple rank."""
+    gens = _context(rd).gens
+    return gens[len(gens) - rd.semisimple_rank + _checked_index(i, rd.semisimple_rank)]
 
 
-_Wall = tuple[Vec, int, bool, tuple[int, ...], tuple[int, ...]]
+def _checked_index(i: int, n: int) -> int:
+    """i, once checked to be an integer in range(n); else AffineWeylError."""
+    if not 0 <= exact_int(i, "a generator index", AffineWeylError) < n:
+        raise AffineWeylError(f"generator index {i} out of range")
+    return i
 
 
-@lru_cache(maxsize=None)
-def _walls(rd: RootDatum) -> tuple[_Wall, ...]:
-    """The wall of each affine simple reflection, in generator order.
+_Wall = namedtuple("_Wall", "root coroot k affine row")
 
-    An entry (root, k, affine, perm, row) names the wall <x, root> = 1 of a
-    component's highest root when affine is true and the wall
-    <x, root> = 0 of a simple root otherwise; k is the position of root in
+
+class _Context:
+    """The affine Weyl group of one datum, built once by _context(rd).
+
+    walls and gens list the affine simple reflections, one affine node per
+    component first.  A wall (root, coroot, k, affine, row) is
+    <x, root> = 1 for a component's highest root when affine is true and
+    <x, root> = 0 for a simple root otherwise; k is the position of root in
     rd.positive_roots.  The height of a root is read from its pairing with
     the sum of the positive coroots (2 rho^vee); a root lies in the
     component that holds every simple coroot it pairs non-trivially with.
-    perm is the signed permutation of the positive roots by the reflection
-    s_a in a = root: perm[j] is the root index (m, or ~m for a negative
-    root) of s_a(b_j) = b_j - <a^vee, b_j> a, so it sends k to ~k.
-    _left_signs reads the signs of s u from those of u through it.
     row[j] = <a^vee, r_j> for the root r_j of the j-th wall, read from the
-    coroot and the roots themselves (on GSp the matrix is not symmetric):
-    _step moves the pairings of lambda with the wall roots by it.
+    coroot and the roots (on GSp the matrix is not symmetric): _step moves
+    the pairings of lambda with the wall roots by it.  perms maps each
+    interned finite part u met with this datum to its signed permutation
+    of rd.positive_roots: perm[j] is m, or ~m for a negative root, where
+    u^-1(b_j) = +-b_m, so u^-1(b_j) < 0 exactly when perm[j] < 0.  The key
+    is the entry, not the permutation, which does not determine the
+    matrix: the flip of GL2 permutes the positive roots like the identity,
+    and on a torus every matrix has the empty one.
     """
-    roots, coroots, index = rd.positive_roots, rd.positive_coroots, rd._root_index
-    two_rho_vee = tuple(sum(c) for c in zip(*coroots))
-    ks = []
-    for comp in rd.components():
-        in_comp = [
-            k for k, root in enumerate(roots)
-            if all(i in comp for i, sc in enumerate(rd.simple_coroots) if pairing(sc, root))
-        ]
-        ks.append(max(in_comp, key=lambda k: pairing(two_rho_vee, roots[k])))
-    n_affine = len(ks)
-    ks += [index[root] for root in rd.simple_roots]
-    return tuple(
-        (
-            roots[k], k, j < n_affine,
-            tuple(index[tuple([x - pairing(coroots[k], b) * y for x, y in zip(b, roots[k])])] for b in roots),
-            tuple(pairing(coroots[k], roots[m]) for m in ks),
+
+    __slots__ = ("rd", "walls", "gens", "perms")
+
+    def __init__(self, rd: RootDatum):
+        roots, coroots, index = rd.positive_roots, rd.positive_coroots, rd._root_index
+        two_rho_vee = tuple(sum(c) for c in zip(*coroots))
+        ks = []
+        for comp in rd.components():
+            in_comp = [
+                k for k, root in enumerate(roots)
+                if all(i in comp for i, sc in enumerate(rd.simple_coroots) if pairing(sc, root))
+            ]
+            ks.append(max(in_comp, key=lambda k: pairing(two_rho_vee, roots[k])))
+        n_affine = len(ks)
+        ks += [index[root] for root in rd.simple_roots]
+        self.rd = rd
+        self.walls = tuple(
+            _Wall(roots[k], coroots[k], k, j < n_affine, tuple(pairing(coroots[k], roots[m]) for m in ks))
+            for j, k in enumerate(ks)
         )
-        for j, k in enumerate(ks)
-    )
+        self.gens = tuple(
+            AffineWeylElement(wall.coroot if wall.affine else (0,) * rd.rank, reflection_matrix(wall.root, wall.coroot))
+            for wall in self.walls
+        )
+        self.perms: dict[_Finite, tuple[int, ...]] = {}
+
+    def perm(self, u: _Finite) -> tuple[int, ...]:
+        """u's signed permutation, from u^-1(b) = b u on a miss: where elements meet the datum."""
+        perm = self.perms.get(u)
+        if perm is None:
+            rd = self.rd
+            if len(u.matrix) != rd.rank:
+                raise AffineWeylError(f"an element of rank {len(u.matrix)} met a datum of rank {rd.rank}")
+            try:
+                perm = tuple([rd._root_index[vec_mat(root, u.matrix)] for root in rd.positive_roots])
+            except KeyError:
+                raise AffineWeylError("covector is not a root of the datum") from None
+            self.perms[u] = perm
+        return perm
 
 
-@lru_cache(maxsize=None)
+_context = lru_cache(maxsize=None)(_Context)
+
+
 def iwahori_generators(rd: RootDatum) -> tuple[AffineWeylElement, ...]:
     """The affine simple reflections, one affine node per component first.
 
@@ -316,38 +338,7 @@ def iwahori_generators(rd: RootDatum) -> tuple[AffineWeylElement, ...]:
     reflection in the wall <x, theta> = 1 and s1..sr the finite simple
     reflections.
     """
-    coroots, zero = rd.positive_coroots, (0,) * rd.rank
-    return tuple(
-        AffineWeylElement(coroots[k] if affine else zero, reflection_matrix(root, coroots[k]))
-        for root, k, affine, _, _ in _walls(rd)
-    )
-
-
-def _signs(rd: RootDatum, u: _Finite) -> tuple[int, ...]:
-    """1 for each positive root a with u^-1(a) = a u < 0 (a negative index), else 0; kept on u."""
-    signs_rd, signs = u.signs
-    if signs_rd is not rd:
-        index = rd._root_index
-        try:
-            signs = tuple([1 if index[vec_mat(root, u.matrix)] < 0 else 0 for root in rd.positive_roots])
-        except KeyError:
-            raise AffineWeylError("covector is not a root of the datum") from None
-        u.signs = (rd, signs)
-    return signs
-
-
-def _left_signs(rd: RootDatum, su: _Finite, wall: _Wall, signs: tuple[int, ...]) -> tuple[int, ...]:
-    """_signs(rd, su) for su = s u, s the reflection of wall, read from signs = _signs(rd, u).
-
-    b_j s = s(b_j) = +-b_m by the wall's permutation, so
-    (s u)^-1 b_j = +-u^-1 b_m: its sign is that of u^-1 b_m, flipped for a
-    negative image.  No matrix is applied.
-    """
-    signs_rd, su_signs = su.signs
-    if signs_rd is not rd:
-        su_signs = tuple([signs[m] if m >= 0 else 1 - signs[~m] for m in wall[3]])
-        su.signs = (rd, su_signs)
-    return su_signs
+    return _context(rd).gens
 
 
 def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
@@ -370,43 +361,43 @@ def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
     >>> is_left_descent(rd, translation_element((1, -1), rd), 0)
     True
     """
-    walls = _walls(rd)
-    if not 0 <= exact_int(i, "a generator index", AffineWeylError) < len(walls):
-        raise AffineWeylError(f"generator index {i} out of range")
-    return _descends(walls[i], sum(map(_times, w.translation, walls[i][0])), _signs(rd, w._u))
+    ctx = _context(rd)
+    wall = ctx.walls[_checked_index(i, len(ctx.walls))]
+    return _descends(wall, sum(map(_times, w.translation, wall.root)), ctx.perm(w._u)[wall.k])
 
 
-def _descends(wall: _Wall, p: int, signs: tuple[int, ...]) -> bool:
-    """is_left_descent at wall for t_lambda u, given p = <lambda, root> and signs = _signs(rd, u)."""
-    d = p - signs[wall[1]]
-    return d > 0 if wall[2] else d < 0
+def _descends(wall: _Wall, p: int, m: int) -> bool:
+    """is_left_descent at wall for t_lambda u, given p = <lambda, root> and m = perm[wall.k] (signed)."""
+    d = p - (m < 0)
+    return d > 0 if wall.affine else d < 0
 
 
-def _start(rd: RootDatum, w: AffineWeylElement) -> tuple:
-    """w = t_lambda u as (lambda, its pairings with the wall roots, u, _signs(rd, u))."""
+def _start(ctx: _Context, w: AffineWeylElement) -> tuple:
+    """w = t_lambda u as (lambda, its pairings with the wall roots, u, ctx.perm(u))."""
     lam, u = w.translation, w._u
-    return lam, [sum(map(_times, lam, wall[0])) for wall in _walls(rd)], u, _signs(rd, u)
+    return lam, [sum(map(_times, lam, wall.root)) for wall in ctx.walls], u, ctx.perm(u)
 
 
-def _step(rd: RootDatum, i: int, lam: Vec, pairs: list, u: _Finite, signs: tuple) -> tuple:
+def _step(ctx: _Context, i: int, lam: Vec, pairs: list, u: _Finite, perm: tuple) -> tuple:
     """s w in wall-pairing coordinates (see _start), s the i-th affine simple reflection.
 
     s = t_(e a^vee) s_a with e = 1 for an affine wall and 0 otherwise, so
     s w = t_(lambda + c a^vee) s_a u with c = e - <lambda, a>: the pairings
     with the wall roots move by c times the wall's row, s_a u is read from
-    the product table and its signs from those of u.  O(#walls + rank);
-    no element is built.
+    the product table, and (s_a u)^-1 b_j = u^-1 s_a(b_j) composes s_a's
+    permutation with u's.  O(#walls + rank); no element is built.
     """
-    wall = _walls(rd)[i]
-    c = wall[2] - pairs[i]
+    wall = ctx.walls[i]
+    c = wall.affine - pairs[i]
     if c:
-        lam = [x + c * y for x, y in zip(lam, rd.positive_coroots[wall[1]])]
-        pairs = [p + c * r for p, r in zip(pairs, wall[4])]
-    s = iwahori_generators(rd)[i]._u
-    su = s.products.get(u)
-    if su is None:
-        su = s.products[u] = _intern(mat_mul(s.matrix, u.matrix))
-    return lam, pairs, su, _left_signs(rd, su, wall, signs)
+        lam = [x + c * y for x, y in zip(lam, wall.coroot)]
+        pairs = [p + c * r for p, r in zip(pairs, wall.row)]
+    s = ctx.gens[i]._u
+    su = _product(s, u)
+    su_perm = ctx.perms.get(su)
+    if su_perm is None:
+        su_perm = ctx.perms[su] = tuple([perm[m] if m >= 0 else ~perm[~m] for m in ctx.perm(s)])
+    return lam, pairs, su, su_perm
 
 
 @lru_cache(maxsize=None)
@@ -414,12 +405,12 @@ def length(rd: RootDatum, w: AffineWeylElement) -> int:
     """Iwahori-Matsumoto length l(t_lambda u).
 
     Sum over positive roots a of |<lambda, a> - s_a|, where s_a is 1 when
-    u^-1(a) is negative and 0 when it stays positive.
+    u^-1(a) is negative (a negative entry of u's permutation) and 0 otherwise.
     """
     lam = w.translation
     return sum(
-        abs(sum(map(_times, lam, root)) - s)
-        for root, s in zip(rd.positive_roots, _signs(rd, w._u))
+        abs(sum(map(_times, lam, root)) - (m < 0))
+        for root, m in zip(rd.positive_roots, _context(rd).perm(w._u))
     )
 
 
@@ -437,17 +428,17 @@ def reduced_word(rd: RootDatum, w: AffineWeylElement) -> tuple[tuple[int, ...], 
     <lambda, a_j> += c <a_i^vee, a_j>, so each descent test is one
     subtraction per wall and only omega is built as an element.
     """
-    walls = _walls(rd)
+    ctx = _context(rd)
     letters: list[int] = []
-    lam, pairs, u, signs = _start(rd, w)
+    lam, pairs, u, perm = _start(ctx, w)
     for _ in range(length(rd, w)):
-        for i, wall in enumerate(walls):
-            if _descends(wall, pairs[i], signs):
+        for i, wall in enumerate(ctx.walls):
+            if _descends(wall, pairs[i], perm[wall.k]):
                 break
         else:
             raise AffineWeylError("no descent found; descent test and length disagree")
         letters.append(i)
-        lam, pairs, u, signs = _step(rd, i, lam, pairs, u, signs)
+        lam, pairs, u, perm = _step(ctx, i, lam, pairs, u, perm)
     omega = _element(tuple(lam), u)
     if length(rd, omega) != 0:
         raise AffineWeylError("greedy descent left a remainder of positive length")
@@ -490,11 +481,11 @@ def bruhat_leq(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> boo
     lv, lw = length(rd, v), len(letters)
     if lv >= lw:
         return v == w
-    walls = _walls(rd)
-    lam, pairs, u, signs = _start(rd, v)
+    ctx = _context(rd)
+    lam, pairs, u, perm = _start(ctx, v)
     for i in letters:
-        if _descends(walls[i], pairs[i], signs):
-            lam, pairs, u, signs = _step(rd, i, lam, pairs, u, signs)
+        if _descends(ctx.walls[i], pairs[i], perm[ctx.walls[i].k]):
+            lam, pairs, u, perm = _step(ctx, i, lam, pairs, u, perm)
             lv -= 1
         lw -= 1
         if lv > lw:
@@ -685,11 +676,8 @@ class ParahoricLevel:
 
 
 def make_level(rd: RootDatum, indices: Iterable[int], sigma: Optional[SigmaAction] = None) -> ParahoricLevel:
-    idx = tuple(sorted(set(exact_int(i, "a generator index", AffineWeylError) for i in indices)))
     n_gens = len(iwahori_generators(rd))
-    for i in idx:
-        if not 0 <= i < n_gens:
-            raise AffineWeylError(f"generator index {i} out of range")
+    idx = tuple(sorted({_checked_index(i, n_gens) for i in indices}))
     n_comps = len(rd.components())
     for c, comp in enumerate(rd.components()):
         node_set = {c} | {n_comps + i for i in comp}
@@ -704,23 +692,30 @@ def make_level(rd: RootDatum, indices: Iterable[int], sigma: Optional[SigmaActio
     return ParahoricLevel(idx)
 
 
-def _shorten(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel) -> Optional[AffineWeylElement]:
-    """s w or w s for the first s in K that shortens w; None if w is minimal in W_K w W_K.
+def _right_descends(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
+    """Whether the i-th affine simple reflection s = s_a satisfies l(ws) < l(w).
 
-    A right descent is read by its definition, l(w s) < l(w) (Bjorner-
-    Brenti, Combinatorics of Coxeter Groups, Sec. 1.4): no inverse is formed.
+    As a left descent of w^-1 = t_(-u^-1 lambda) u^-1, pairing with a as -<lambda, u(a)>:
+    u(a) = +-b_j where u's permutation holds k (+) or ~k (-).  One pairing, one sign.
     """
+    ctx = _context(rd)
+    wall, perm = ctx.walls[i], ctx.perm(w._u)
+    m = wall.k if wall.k in perm else ~wall.k
+    p = sum(map(_times, w.translation, rd.positive_roots[perm.index(m)]))
+    return _descends(wall, p if m < 0 else -p, m)
+
+
+def _shorten(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel) -> Optional[AffineWeylElement]:
+    """s w or w s for the first s in K that shortens w; None if w is minimal in W_K w W_K."""
     if not level.generators:
         return None
     gens = iwahori_generators(rd)
     for i in level.generators:
         if is_left_descent(rd, w, i):
             return mul(gens[i], w)
-    lw = length(rd, w)
     for i in level.generators:
-        ws = mul(w, gens[i])
-        if length(rd, ws) < lw:
-            return ws
+        if _right_descends(rd, w, i):
+            return mul(w, gens[i])
     return None
 
 
@@ -728,10 +723,13 @@ def double_coset_rep(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel)
     """Minimal-length element of W_K w W_K: shorten w while some s in K does.
 
     That element is unique, so the order of the steps does not matter.
+    Each step shortens w by one, so more than l(w) steps mean a wrong descent.
     """
-    while (shorter := _shorten(rd, w, level)) is not None:
+    for _ in range(length(rd, w) + 1):
+        if (shorter := _shorten(rd, w, level)) is None:
+            return w
         w = shorter
-    return w
+    raise AffineWeylError("a descent in K did not shorten; descent test and length disagree")
 
 
 def element_sort_key(rd: RootDatum, w: AffineWeylElement):

@@ -42,7 +42,7 @@ from .admissible import adm
 from .affine_weyl import (
     AffineWeylElement,
     _checked_mu,
-    _walls,
+    _context,
     element_sort_key,
     finite_reflection,
     word_length_map,
@@ -72,7 +72,7 @@ def _alcove_vertices(rd: RootDatum) -> tuple[int, tuple[Vec, ...]]:
     comes last.
     """
     d, coweights = _fundamental_forms(rd.simple_coroots, tuple(zip(*rd.cartan_matrix)))
-    thetas = [root for root, _, affine, _, _ in _walls(rd) if affine]
+    thetas = [wall.root for wall in _context(rd).walls if wall.affine]
     # alpha_j occurs only in the highest root of its own component
     m = [sum(pairing(cw, theta) for theta in thetas) // d for cw in coweights]
     scale = lcm(*m)

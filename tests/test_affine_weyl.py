@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from affweyl import affine_weyl
 from affweyl.affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
@@ -186,6 +187,21 @@ def test_is_left_descent_refuses_a_generator_index_out_of_range(i):
     w = translation_element((1, 0, -1), GL3)
     with pytest.raises(AffineWeylError, match="out of range|must be an integer"):
         is_left_descent(GL3, w, i)
+
+
+@pytest.mark.parametrize("i", [-1, 2, True], ids=["negative", "past-the-end", "bool"])
+def test_finite_reflection_refuses_a_bad_index(i):
+    # -1 used to equal finite_reflection(GL3, 1), and 2 raised a raw IndexError
+    with pytest.raises(AffineWeylError, match="out of range|must be an integer"):
+        finite_reflection(GL3, i)
+
+
+@pytest.mark.parametrize("query", [length, reduced_word, lambda rd, w: is_left_descent(rd, w, 0)],
+                         ids=["length", "reduced_word", "is_left_descent"])
+def test_an_element_of_another_rank_is_refused_by_rank(query):
+    w = translation_element((1, 0), GL2)
+    with pytest.raises(AffineWeylError, match="rank 2 met a datum of rank 3"):
+        query(GL3, w)
 
 
 def test_length_equals_word_search():
@@ -493,6 +509,14 @@ def test_shorten_is_none_exactly_at_the_shortest_element(spec):
     else:
         assert shorter in coset
         assert length(rd, shorter) == length(rd, w) - 1
+
+
+def test_double_coset_rep_refuses_a_step_that_does_not_shorten(monkeypatch):
+    # a wrong descent read would otherwise lengthen w for ever
+    lam = translation_element((1, 0, -1), GL3)
+    monkeypatch.setattr(affine_weyl, "_shorten", lambda rd, w, level: mul(w, lam))
+    with pytest.raises(AffineWeylError, match="did not shorten"):
+        double_coset_rep(GL3, identity_element(GL3), make_level(GL3, [1]))
 
 
 @st.composite

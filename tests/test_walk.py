@@ -3,6 +3,7 @@ here against the element route (products of generators, the subword
 oracle) on every preset family, including GSp, where <a_i^vee, a_j> is
 not symmetric in i and j."""
 
+import copy
 import random
 import sys
 
@@ -13,7 +14,7 @@ import affweyl
 from affweyl import affine_weyl
 from affweyl.affine_weyl import (
     AffineWeylError,
-    _walls,
+    _context,
     bruhat_leq,
     bruhat_leq_subword_oracle,
     identity_element,
@@ -49,7 +50,7 @@ def _rebuilt(rd, letters, omega):
 
 
 def _walk_agrees(rd, w):
-    """Whether the greedy word of w, read through the current _walls, rebuilds w with length(w) letters."""
+    """Whether the greedy word of w, read through the current _context, rebuilds w with length(w) letters."""
     try:
         letters, omega = reduced_word.__wrapped__(rd, w)
     except AffineWeylError:
@@ -83,20 +84,19 @@ def test_walk_agrees_with_the_element_route(case):
 @pytest.mark.parametrize("rd", DATA, ids=_id)
 def test_wall_rows_are_the_transposed_cartan_matrix_on_finite_walls(rd):
     # cartan_matrix[i][j] = <a_j^vee, a_i>, and row i of a wall holds <a_i^vee, a_j>
-    walls = _walls(rd)
     n_affine = len(rd.components())
-    for i, (_, _, affine, _, row) in enumerate(walls):
-        assert row[i] == 2
-        if not affine:
-            assert all(row[n_affine + j] == a[i - n_affine] for j, a in enumerate(rd.cartan_matrix))
+    for i, wall in enumerate(_context(rd).walls):
+        assert wall.row[i] == 2
+        if not wall.affine:
+            assert all(wall.row[n_affine + j] == a[i - n_affine] for j, a in enumerate(rd.cartan_matrix))
 
 
 def _transposed(rd):
-    """_walls(rd) with <a_j^vee, a_i> in place of <a_i^vee, a_j>: the wrong update of the pairings."""
-    walls = _walls(rd)
-    coroots = [rd.positive_coroots[k] for _, k, _, _, _ in walls]
-    return tuple((root, k, affine, perm, tuple(pairing(c, root) for c in coroots))
-                 for root, k, affine, perm, _ in walls)
+    """_context(rd) with <a_j^vee, a_i> in place of <a_i^vee, a_j>: the wrong update of the pairings."""
+    mutant = copy.copy(_context(rd))
+    mutant.walls = tuple(wall._replace(row=tuple(pairing(other.coroot, wall.root) for other in mutant.walls))
+                         for wall in mutant.walls)
+    return mutant
 
 
 @pytest.mark.parametrize("rd", [rd for rd in DATA if rd.type_label.startswith("GSp")], ids=_id)
@@ -109,7 +109,7 @@ def test_transposed_rows_are_caught_on_gsp(monkeypatch, rd):
                for _ in range(100)]
     assert all(_walk_agrees(rd, w) for w in samples)
     mutant = _transposed(rd)
-    monkeypatch.setattr(affine_weyl, "_walls", lambda datum: mutant)
+    monkeypatch.setattr(affine_weyl, "_context", lambda datum: mutant)
     assert sum(not _walk_agrees(rd, w) for w in samples) > len(samples) // 2
 
 
