@@ -11,7 +11,20 @@ l(w) = <nu_w, 2 rho>, which for the power t_lambda of index m reads
 m l(w) = l(t_lambda) = sum_{a > 0} |<lambda, a>|.
 Straight classes are closed under length-preserving conjugation by simple
 reflections and twisting by length-zero elements; Omega = pi_1, so each
-distinct twist is kept once.  The partition this generates is
+distinct twist is kept once.  The cyclic shifts are the moves
+w -> s_i w s_pi(i), sigma(s_i) = s_pi(i) (He-Nie, "Minimal length
+elements of extended affine Weyl groups", Compositio Math. 2014).  Which
+of them keep the length is read off descents, not off the products: by
+the exchange condition (Bourbaki, Lie Groups and Lie Algebras, ch. IV,
+section 1, no. 5; it holds in W_a semidirect Omega, Omega having length
+zero and permuting the simple reflections), for simple s, s' the lengths
+l(s w) and l(w s') differ from l(w) by one; when neither is shorter,
+s w s' is w or two longer, when both are, w or two shorter, and when
+only one is, s w s' has length l(w) and is not w, as s w and w s' differ
+in length.  So s_i w s_pi(i) is new and as long as w exactly when one and
+only one of s_i (on the left) and s_pi(i) (on the right) is a descent of
+w, and only those moves are multiplied out.  The
+partition this generates is
 cross-checked against the (Newton, Kottwitz) partition and any mismatch
 raises.  Each element the class search touches has its Newton point
 computed once, and every class keeps its members' slope vectors.
@@ -43,16 +56,18 @@ from .affine_weyl import (
     SigmaAction,
     _check_diagram_automorphism,
     _checked_mu,
+    _context,
+    _descends,
     _memo_on_mu,
     element_sort_key,
     identity_element,
     is_translation,
-    iwahori_generators,
     length,
     mul,
     omega_rep,
     sigma_apply,
     sigma_apply_cochar,
+    sigma_generator_permutation,
     translation_element,
 )
 from .linalg import hasse_diagram, integer_kernel, mat_vec
@@ -99,7 +114,10 @@ def twisted_power(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tu
     """Smallest m with sigma^m = 1 and w sigma(w)..sigma^(m-1)(w) a translation.
 
     With sigma^m = 1 that product is the power (w sigma)^m in W semidirect <sigma>.
+    An element of another rank never becomes a translation of rd, so it is refused first.
     """
+    if w.rank() != rd.rank:
+        raise AffineWeylError(f"an element of rank {w.rank()} met a datum of rank {rd.rank}")
     step = w if sigma.order == 1 else mul(w, sigma.elements[0])
     cur = step
     m = 1
@@ -259,6 +277,33 @@ class StraightClass:
     member_nu_raw: tuple[tuple[Fraction, ...], ...]
 
 
+def _length_keeping_shifts(ctx, pi: Sequence[int], w: AffineWeylElement) -> list[int]:
+    """The i for which exactly one of s_i (left) and s_pi(i) (right) is a descent of w.
+
+    ctx is _context(rd) and pi is how sigma permutes the affine simple reflections.
+    The left descent at wall i is is_left_descent's read.  The right one is
+    _right_descends': for w = t_lambda u and the wall's root a, u(a) = +-b_j
+    is found in the inverse of u's signed permutation, built once here
+    (image[k] = j when u(b_k) = b_j and ~j when u(b_k) = -b_j), and w^-1
+    pairs with a as -<lambda, u(a)>.
+    """
+    lam, perm = w.translation, ctx.perm(w._u)
+    image = [0] * len(perm)
+    for j, m in enumerate(perm):
+        if m >= 0:
+            image[m] = j
+        else:
+            image[~m] = ~j
+    roots = ctx.rd.positive_roots
+    left, right = [], []
+    for wall in ctx.walls:
+        left.append(_descends(wall, sum(map(_times, lam, wall.root)), perm[wall.k]))
+        j = image[wall.k]
+        p = sum(map(_times, lam, roots[j if j >= 0 else ~j]))
+        right.append(_descends(wall, -p if j >= 0 else p, j))
+    return [i for i, d in enumerate(left) if d != right[pi[i]]]
+
+
 @_memo_on_mu
 def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[StraightClass, ...]:
     """Partition of the straight admissible elements into twisted classes.
@@ -266,11 +311,22 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
     Classes are the connected components under length-preserving moves
     w -> s w sigma(s) and w -> omega^-1 w sigma(omega); the search may pass
     through straight elements outside the admissible set, but reported
-    members stay inside it.  Each element touched gets one twisted power,
-    which decides straightness (He's criterion) and gives its Newton
-    point; an element reached by a move must be straight as well, since
-    the moves keep the length and the Newton point.
+    members stay inside it.  A cyclic shift s_i w s_pi(i) is taken exactly
+    when one and only one of s_i, s_pi(i) is a left, respectively right,
+    descent of w (the exchange condition, see the module docstring); an
+    element reached whose length is not the seed's raises.  Each element
+    touched gets one twisted power, which decides straightness (He's
+    criterion) and gives its Newton point; an element reached by a move
+    must be straight as well, since the moves keep the length and the
+    Newton point.  sigma is checked against rd before any power is taken.
     """
+    try:
+        _check_diagram_automorphism(rd, sigma.matrix)
+    except AffineWeylError as exc:
+        raise AffineWeylError(
+            f"sigma {sigma.matrix} is not a diagram automorphism of {rd.type_label}: {exc}"
+        ) from None
+    pi = sigma_generator_permutation(rd, sigma)
     adm_set = set(adm(mu, rd).elements)
     # the powers of the straight elements only; Newton points are made per class
     powers = {}
@@ -278,8 +334,8 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
         power = _straight_power(rd, sigma, w)
         if power is not None:
             powers[w] = power
-    gens = iwahori_generators(rd)
-    sigma_gens = [sigma_apply(sigma, s) for s in gens]
+    ctx = _context(rd)
+    gens = ctx.gens
     omega_moves = _omega_move_generators(rd, sigma)
 
     component_of: dict[AffineWeylElement, int] = {}
@@ -290,21 +346,20 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
         comp_id = len(components)
         comp = {seed}
         frontier = [seed]
+        # every move keeps the length, so each element reached is as long as the seed
+        l_seed = length(rd, seed)
         while frontier:
             w = frontier.pop()
             component_of[w] = comp_id
-            lw = length(rd, w)
-            neighbors = []
-            for s, ss in zip(gens, sigma_gens):
-                cand = mul(mul(s, w), ss)
-                if length(rd, cand) == lw:
-                    neighbors.append(cand)
+            neighbors = [mul(mul(gens[i], w), gens[pi[i]]) for i in _length_keeping_shifts(ctx, pi, w)]
             for om_inv, om_sigma in omega_moves:
                 neighbors.append(mul(mul(om_inv, w), om_sigma))
             for cand in neighbors:
                 if cand not in comp:
                     if cand in component_of:
                         raise ConsistencyError("straight-class components are not disjoint")
+                    if length(rd, cand) != l_seed:
+                        raise ConsistencyError("a class move changed the length")
                     if cand not in powers:
                         power = _straight_power(rd, sigma, cand)
                         if power is None:
@@ -464,14 +519,18 @@ def components_bound_report(
     adm_set = set(adm(mu_dom, rd).elements)
     witnesses = []
     two_rho_vee = tuple(sum(c) for c in zip(*rd.positive_coroots))
+    # witnesses share translation parts: each distinct lambda is checked and lifted once
+    lifts = {}
     for w, nu_raw in zip(cls.members, cls.member_nu_raw):
         levi = levi_datum(nu_raw, rd)
         lam_right = w.translation
         for i in dominant_rep(mat_vec(w.finite, two_rho_vee), rd)[1]:
             lam_right = simple_reflection(lam_right, i, rd)
-        if translation_element(lam_right, rd) not in adm_set:
-            raise ConsistencyError("translation part of a straight witness left Adm(mu)")
-        lift = minuscule_lift(lam_right, mu_dom, rd)
+        lift = lifts.get(lam_right)
+        if lift is None:
+            if translation_element(lam_right, rd) not in adm_set:
+                raise ConsistencyError("translation part of a straight witness left Adm(mu)")
+            lift = lifts[lam_right] = minuscule_lift(lam_right, mu_dom, rd)
         comps = levi.components()
         # central on a factor means zero pairing with all its simple roots
         central_somewhere = not comps or any(

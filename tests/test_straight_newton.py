@@ -45,6 +45,7 @@ from affweyl.straight_newton import (
     newton_point,
     pi1_sigma_invariants,
     straight_classes,
+    twisted_power,
 )
 from test_admissible import _WORKLOADS, _preset_datum
 
@@ -360,8 +361,6 @@ def test_lift_chain_pairings_are_one():
 def test_newton_denominator_divides_twist_order():
     for rd, mu, sigma in [(GL3, (1, 0, 0), SID3), (GSP4, (1, 1, 1), sigma_identity(GSP4))]:
         for cls in straight_classes(mu, rd, sigma):
-            from affweyl.straight_newton import twisted_power
-
             m, _ = twisted_power(rd, sigma, cls.representative)
             assert m % cls.newton.denominator == 0
 
@@ -464,3 +463,48 @@ def test_pi1_sigma_invariants_computes_each_levi_and_sigma_once(monkeypatch):
     distinct = {(dataclasses.astuple(levi), sigma) for levi, sigma in seen}
     assert (len(seen), len(distinct)) == (77, 46)
     assert table.cache_info().misses == len(distinct)
+
+
+def test_a_sigma_of_another_datum_is_refused_before_any_twisted_power(monkeypatch):
+    # the GL3 flip has the rank of GSp4 but is no automorphism of it
+    def no_power(*args):
+        raise AssertionError("a twisted power was taken")
+
+    monkeypatch.setattr(straight_newton, "twisted_power", no_power)
+    flip3 = sigma_from_name(GL3, "flip")
+    with pytest.raises(AffineWeylError, match=r"sigma \(\(0, 0, -1\).* is not a diagram automorphism of GSp4"):
+        b_set((1, 1, 1), GSP4, flip3)
+    with pytest.raises(AffineWeylError, match="wrong shape"):
+        straight_classes((1, 0), GL2, flip3)
+
+
+@pytest.mark.parametrize("query", [twisted_power, newton_point, is_straight])
+def test_an_element_of_another_rank_is_refused_before_any_power(monkeypatch, query):
+    def no_product(*args):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(straight_newton, "mul", no_product)
+    w = translation_element((1, 0), GL2)
+    with pytest.raises(AffineWeylError, match="an element of rank 2 met a datum of rank 3"):
+        query(GL3, SID3, w)
+
+
+def test_a_report_lifts_each_distinct_translation_once(monkeypatch):
+    real = straight_newton.minuscule_lift
+    lifted = []
+
+    def recording(lam, mu, rd):
+        lifted.append(tuple(lam))
+        return real(lam, mu, rd)
+
+    monkeypatch.setattr(straight_newton, "minuscule_lift", recording)
+    mu = (1, 0, 0, 0, 0, 0)
+    rd = build_root_datum({"preset": "GL", "n": 6})
+    sigma = sigma_identity(rd)
+    witnesses = 0
+    for b in b_set(mu, rd, sigma):
+        start = len(lifted)
+        report = components_bound_report(mu, b, rd, sigma)
+        assert sorted(lifted[start:]) == sorted({wit.lambda_w for wit in report.witnesses})
+        witnesses += len(report.witnesses)
+    assert witnesses > len(lifted)
