@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import mul as _times
+from operator import mul as _times, sub as _minus
 from typing import Mapping, Optional, Sequence, Union
 
 from .linalg import (
@@ -573,12 +573,8 @@ def sub_datum(rd: RootDatum, positive_root_indices: Sequence[int], label: str) -
 
     The indices must name every positive root of a closed subsystem, such
     as the roots vanishing on a cocharacter (a Levi).  The simple system
-    is read off heights: with 2 rho_M^vee the sum of the chosen coroots,
-    <2 rho_M^vee, alpha> is twice the height of alpha in a positive system
-    (rho_M^vee is the sum of its fundamental coweights), so the
-    simple roots are those with <2 rho_M^vee, alpha> = 2, one pairing each.
-    On a set that is no positive system that choice may be wrong, and the
-    checks below refuse it.  The datum is derived, not
+    consists of the indecomposable elements: positive roots of the
+    subsystem that are not sums of two of them.  The datum is derived, not
     rebuilt by _build: its positive roots and coroots are the chosen ones
     of rd, their coefficients c are read off the forms of the new simple
     system, and they are sorted as _build sorts them.  RootDatumError is
@@ -594,10 +590,13 @@ def sub_datum(rd: RootDatum, positive_root_indices: Sequence[int], label: str) -
     idx = sorted(set(positive_root_indices))
     roots = [rd.positive_roots[k] for k in idx]
     coroots = [rd.positive_coroots[k] for k in idx]
-    two_rho_vee = [sum(c) for c in zip(*coroots)]
+    root_set = set(roots)
     simple_r, simple_c = [], []
     for root, coroot in zip(roots, coroots):
-        if sum(map(_times, two_rho_vee, root)) == 2:
+        decomposable = any(
+            tuple(map(_minus, root, other)) in root_set for other in roots if other != root
+        )
+        if not decomposable:
             simple_r.append(root)
             simple_c.append(coroot)
     cartan = _cartan_from_data(simple_r, simple_c)

@@ -57,11 +57,13 @@ from .affine_weyl import (
     _check_diagram_automorphism,
     _checked_mu,
     _context,
-    _descends,
     _memo_on_mu,
+    _right_descends,
     element_sort_key,
     identity_element,
+    is_left_descent,
     is_translation,
+    iwahori_generators,
     length,
     mul,
     omega_rep,
@@ -114,10 +116,10 @@ def twisted_power(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tu
     """Smallest m with sigma^m = 1 and w sigma(w)..sigma^(m-1)(w) a translation.
 
     With sigma^m = 1 that product is the power (w sigma)^m in W semidirect <sigma>.
-    An element of another rank never becomes a translation of rd, so it is refused first.
+    An element of another rank never becomes a translation of rd, so it is
+    refused first, where an element meets the datum (_Context.perm).
     """
-    if w.rank() != rd.rank:
-        raise AffineWeylError(f"an element of rank {w.rank()} met a datum of rank {rd.rank}")
+    _context(rd).perm(w._u)
     step = w if sigma.order == 1 else mul(w, sigma.elements[0])
     cur = step
     m = 1
@@ -277,31 +279,12 @@ class StraightClass:
     member_nu_raw: tuple[tuple[Fraction, ...], ...]
 
 
-def _length_keeping_shifts(ctx, pi: Sequence[int], w: AffineWeylElement) -> list[int]:
+def _length_keeping_shifts(rd: RootDatum, pi: Sequence[int], w: AffineWeylElement) -> list[int]:
     """The i for which exactly one of s_i (left) and s_pi(i) (right) is a descent of w.
 
-    ctx is _context(rd) and pi is how sigma permutes the affine simple reflections.
-    The left descent at wall i is is_left_descent's read.  The right one is
-    _right_descends': for w = t_lambda u and the wall's root a, u(a) = +-b_j
-    is found in the inverse of u's signed permutation, built once here
-    (image[k] = j when u(b_k) = b_j and ~j when u(b_k) = -b_j), and w^-1
-    pairs with a as -<lambda, u(a)>.
+    pi is how sigma permutes the affine simple reflections.
     """
-    lam, perm = w.translation, ctx.perm(w._u)
-    image = [0] * len(perm)
-    for j, m in enumerate(perm):
-        if m >= 0:
-            image[m] = j
-        else:
-            image[~m] = ~j
-    roots = ctx.rd.positive_roots
-    left, right = [], []
-    for wall in ctx.walls:
-        left.append(_descends(wall, sum(map(_times, lam, wall.root)), perm[wall.k]))
-        j = image[wall.k]
-        p = sum(map(_times, lam, roots[j if j >= 0 else ~j]))
-        right.append(_descends(wall, -p if j >= 0 else p, j))
-    return [i for i, d in enumerate(left) if d != right[pi[i]]]
+    return [i for i in range(len(pi)) if is_left_descent(rd, w, i) != _right_descends(rd, w, pi[i])]
 
 
 @_memo_on_mu
@@ -334,8 +317,7 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
         power = _straight_power(rd, sigma, w)
         if power is not None:
             powers[w] = power
-    ctx = _context(rd)
-    gens = ctx.gens
+    gens = iwahori_generators(rd)
     omega_moves = _omega_move_generators(rd, sigma)
 
     component_of: dict[AffineWeylElement, int] = {}
@@ -351,7 +333,7 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
         while frontier:
             w = frontier.pop()
             component_of[w] = comp_id
-            neighbors = [mul(mul(gens[i], w), gens[pi[i]]) for i in _length_keeping_shifts(ctx, pi, w)]
+            neighbors = [mul(mul(gens[i], w), gens[pi[i]]) for i in _length_keeping_shifts(rd, pi, w)]
             for om_inv, om_sigma in omega_moves:
                 neighbors.append(mul(mul(om_inv, w), om_sigma))
             for cand in neighbors:

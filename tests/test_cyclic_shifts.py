@@ -10,7 +10,6 @@ flip where it is defined and a factor swap of GL2 x GL2.
 import pytest
 
 from affweyl.affine_weyl import (
-    _context,
     _right_descends,
     identity_element,
     is_left_descent,
@@ -69,11 +68,10 @@ def _mismatches(rd, sigma, pi, elements):
     """(w, i) where the descent rule or _length_keeping_shifts disagrees with the product,
     and the number of moves the product keeps."""
     gens = iwahori_generators(rd)
-    ctx = _context(rd)
     bad, kept_moves = [], 0
     for w in elements:
         lw = length(rd, w)
-        shifts = set(_length_keeping_shifts(ctx, pi, w))
+        shifts = set(_length_keeping_shifts(rd, pi, w))
         for i, s in enumerate(gens):
             moved = mul(mul(s, w), sigma_apply(sigma, s))
             kept = length(rd, moved) == lw and moved != w

@@ -47,8 +47,6 @@ from affweyl.straight_newton import (
     pi1_coinvariants,
     twisted_power,
 )
-from test_admissible import _WORKLOADS
-from test_root_datum import _cartan_spec
 
 
 def _rd(preset, n):
@@ -167,13 +165,6 @@ def _reflection_stable(rd, idx):
 G2 = build_root_datum(
     {"rank": 2, "simple_roots": [[2, -1], [-3, 2]], "simple_coroots": [[1, 0], [0, 1]], "label": "G2"}
 )
-A1_X_C2 = build_root_datum(
-    {
-        "rank": 5,
-        "simple_roots": [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 2, -1]],
-        "simple_coroots": [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, 0]],
-    }
-)
 
 
 @pytest.mark.parametrize(
@@ -194,94 +185,6 @@ def test_sub_datum_on_every_index_set_builds_or_raises_root_datum_error(rd):
             with pytest.raises(RootDatumError):
                 sub_datum(rd, idx, "sub")
     assert refused > 0
-
-
-# ---------------------------------------------------------------------------
-# the simple roots of a sub datum: height one against the pairwise-difference test
-
-
-def _indecomposable(rd, idx):
-    """The earlier selection, kept as the oracle: chosen roots that are no sum of two chosen ones."""
-    roots = [rd.positive_roots[k] for k in sorted(set(idx))]
-    root_set = set(roots)
-    return [
-        root for root in roots
-        if not any(tuple(a - b for a, b in zip(root, other)) in root_set for other in roots if other != root)
-    ]
-
-
-def test_every_levi_of_the_newton_entries_has_the_indecomposable_simple_roots(monkeypatch):
-    cases = []
-    for e in _WORKLOADS["newton"]["entries"]:
-        preset = e["group"].rstrip("0123456789")
-        cases.append((preset, int(e["group"][len(preset):]), tuple(e["mu"]), tuple(e["sigmas"])))
-    seen = []
-
-    def recording(rd, idx, label):
-        seen.append((rd, tuple(idx)))
-        return sub_datum(rd, idx, label)
-
-    _reached_levis(monkeypatch, cases, recording)
-    assert len(seen) >= 50
-    for rd, idx in seen:
-        assert list(sub_datum(rd, idx, "sub").simple_roots) == _indecomposable(rd, idx)
-
-
-def _standard_levi(rd, subset):
-    """Positive-root indices of the Levi of a set of simple roots: coroots in the span of theirs."""
-    return [
-        k for k, cv in enumerate(rd.positive_coroots)
-        if not any(c for i, c in enumerate(root_datum._scaled_coords(rd._forms, rd.simple_coroots, cv))
-                   if i not in subset)
-    ]
-
-
-def _conjugate(rd, idx):
-    """Positive-root indices of w(Phi_M), w = s_r..s_1 the product of the simple reflections."""
-    out = []
-    for k in idx:
-        for sign in (1, -1):
-            beta = tuple(sign * x for x in rd.positive_roots[k])
-            for a, av in zip(rd.simple_roots, rd.simple_coroots):
-                p = pairing(av, beta)
-                beta = tuple(x - p * y for x, y in zip(beta, a))
-            if (m := rd._root_index[beta]) >= 0:
-                out.append(m)
-    return sorted(out)
-
-
-B2 = build_root_datum({**_cartan_spec([[2, -2], [-1, 2]]), "label": "B2"})
-
-
-@pytest.mark.parametrize(
-    "rd",
-    [_rd("GL", 5), _rd("SL", 4), _rd("PGL", 4), _rd("GSp", 6), B2, G2, A1_X_C2],
-    ids=lambda rd: rd.type_label,
-)
-def test_height_one_roots_are_the_indecomposable_ones_on_every_levi_and_a_conjugate(rd):
-    s = rd.semisimple_rank
-    moved = 0
-    for mask in range(1 << s):
-        levi = _standard_levi(rd, {i for i in range(s) if mask >> i & 1})
-        conjugate = _conjugate(rd, levi)
-        moved += conjugate != levi
-        for idx in (levi, conjugate):
-            sub = sub_datum(rd, idx, "sub")
-            assert set(sub.positive_roots) == {rd.positive_roots[k] for k in idx}
-            assert list(sub.simple_roots) == _indecomposable(rd, idx)
-    assert moved
-
-
-def test_a_set_that_is_not_closed_has_roots_outside_the_span():
-    gl3 = _rd("GL", 3)
-    a1, a2 = gl3.simple_roots
-    # alpha_1 and alpha_1 + alpha_2 pair to 3 with the sum of their coroots: no simple root is left
-    idx = [gl3.positive_roots.index(a1), gl3.positive_roots.index(tuple(x + y for x, y in zip(a1, a2)))]
-    with pytest.raises(RootDatumError, match="outside the span"):
-        sub_datum(gl3, idx, "sub")
-    gsp4 = _rd("GSp", 4)
-    with pytest.raises(RootDatumError, match="outside the span"):
-        sub_datum(gsp4, [gsp4.positive_roots.index(a) for a in gsp4.simple_roots], "sub")
 
 
 def test_clear_caches_empties_the_levi_memo():
@@ -393,6 +296,13 @@ def test_sigma_apply_matches_matrix_conjugation_across_clear_caches(case):
 # ---------------------------------------------------------------------------
 # simple-coroot coordinates against an independent Fraction solve
 
+A1_X_C2 = build_root_datum(
+    {
+        "rank": 5,
+        "simple_roots": [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 2, -1]],
+        "simple_coroots": [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, 0]],
+    }
+)
 POSITIVE_SYSTEM_DATA = (
     [_rd("GL", n) for n in range(1, 8)]
     + [_rd(p, n) for p in ("SL", "PGL") for n in range(2, 6)]
