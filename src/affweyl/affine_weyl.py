@@ -127,13 +127,20 @@ class AffineWeylElement:
 
     Immutable; equal and equally hashed to any element with the same
     translation and matrix, also one built after the intern table was
-    emptied.  A matrix that is not square of the translation's length is
-    refused: the walks read both with zip, which would truncate.
+    emptied.  Any sequences are taken and stored as tuples; an entry that
+    is not an integer is refused (1.5 would be a length, True a 1), and so
+    is a matrix that is not square of the translation's length: the walks
+    read both with zip, which would truncate.  The library's own builders
+    hold checked data and go through _element instead.
     """
 
     __slots__ = ("translation", "_u")
 
-    def __init__(self, translation: Vec, finite: Mat):
+    def __init__(self, translation: Sequence[int], finite: Sequence[Sequence[int]]):
+        translation = tuple([exact_int(x, "a translation coordinate", AffineWeylError) for x in translation])
+        finite = tuple([
+            tuple([exact_int(x, "a finite-part entry", AffineWeylError) for x in row]) for row in finite
+        ])
         if {len(finite), *map(len, finite)} != {len(translation)}:
             raise AffineWeylError("finite part must be square, of the translation's length")
         _set_translation(self, translation)
@@ -181,14 +188,20 @@ def _element(translation: Vec, u: _Finite) -> AffineWeylElement:
 
 
 def identity_element(rd: RootDatum) -> AffineWeylElement:
-    return AffineWeylElement((0,) * rd.rank, identity_matrix(rd.rank))
+    return _element((0,) * rd.rank, _intern(identity_matrix(rd.rank)))
 
 
 def translation_element(lam: Sequence[int], rd: RootDatum) -> AffineWeylElement:
     if len(lam) != rd.rank:
         raise AffineWeylError("translation has the wrong rank")
     lam = tuple(exact_int(x, "a translation coordinate", AffineWeylError) for x in lam)
-    return AffineWeylElement(lam, identity_matrix(rd.rank))
+    return _element(lam, _intern(identity_matrix(rd.rank)))
+
+
+def _check_rank(rank: int, datum_rank: int) -> None:
+    """Refuse an element of one rank that meets a datum (or a sigma) of another."""
+    if rank != datum_rank:
+        raise AffineWeylError(f"an element of rank {rank} met a datum of rank {datum_rank}")
 
 
 def _checked_mu(mu: Sequence[int], rd: RootDatum) -> Vec:
@@ -308,7 +321,9 @@ class _Context:
             for j, k in enumerate(ks)
         )
         self.gens = tuple(
-            AffineWeylElement(wall.coroot if wall.affine else (0,) * rd.rank, reflection_matrix(wall.root, wall.coroot))
+            _element(
+                wall.coroot if wall.affine else (0,) * rd.rank, _intern(reflection_matrix(wall.root, wall.coroot))
+            )
             for wall in self.walls
         )
         self.perms: dict[_Finite, tuple[int, ...]] = {}
@@ -318,8 +333,7 @@ class _Context:
         perm = self.perms.get(u)
         if perm is None:
             rd = self.rd
-            if len(u.matrix) != rd.rank:
-                raise AffineWeylError(f"an element of rank {len(u.matrix)} met a datum of rank {rd.rank}")
+            _check_rank(len(u.matrix), rd.rank)
             try:
                 perm = tuple([rd._root_index[vec_mat(root, u.matrix)] for root in rd.positive_roots])
             except KeyError:
@@ -452,6 +466,7 @@ def omega_part(rd: RootDatum, w: AffineWeylElement) -> AffineWeylElement:
 @lru_cache(maxsize=None)
 def kottwitz(rd: RootDatum, w: AffineWeylElement) -> Vec:
     """Class of the translation part in pi_1 = X_*(T) / coroot lattice."""
+    _check_rank(len(w.translation), rd.rank)
     return fundamental_group(rd).project(w.translation)
 
 
@@ -567,38 +582,46 @@ class SigmaAction:
         return AffineWeylElement(zero, self.matrix), AffineWeylElement(zero, self.matrix_inv)
 
 
-def _check_diagram_automorphism(rd: RootDatum, m: Mat) -> None:
-    """Raise unless m permutes rd's simple coroots, compatibly with its simple roots."""
+def _diagram_permutation(rd: RootDatum, m: Mat) -> tuple[int, ...]:
+    """How m permutes rd's affine simple reflections; AffineWeylError naming m and rd unless it may.
+
+    m must send each simple coroot a_i^vee to some a_j^vee, compatibly with the simple
+    roots; the finite node n_affine + i then goes to n_affine + j.  m maps a component onto
+    one, its highest root to the highest root there, so a component's affine node goes to
+    that of the component holding the image of its first node.
+    """
+    def refused(reason: str) -> AffineWeylError:
+        return AffineWeylError(f"sigma {m} is not a diagram automorphism of {rd.type_label}: {reason}")
+
     if len(m) != rd.rank or any(len(row) != rd.rank for row in m):
-        raise AffineWeylError("automorphism matrix has the wrong shape")
+        raise refused("automorphism matrix has the wrong shape")
     perm = []
     for i, coroot in enumerate(rd.simple_coroots):
         image = mat_vec(m, coroot)
-        try:
-            j = rd.simple_coroots.index(image)
-        except ValueError as exc:
-            raise AffineWeylError(
-                f"automorphism does not permute the simple coroots (image of coroot {i})"
-            ) from exc
+        if image not in rd.simple_coroots:
+            raise refused(f"automorphism does not permute the simple coroots (image of coroot {i})")
+        j = rd.simple_coroots.index(image)
         if vec_mat(rd.simple_roots[j], m) != rd.simple_roots[i]:
-            raise AffineWeylError(
-                f"automorphism is not compatible with the pairing at simple root {i}"
-            )
+            raise refused(f"automorphism is not compatible with the pairing at simple root {i}")
         perm.append(j)
     if sorted(perm) != list(range(rd.semisimple_rank)):
-        raise AffineWeylError("automorphism does not permute the simple coroots bijectively")
+        raise refused("automorphism does not permute the simple coroots bijectively")
+    comps = rd.components()
+    comp_of = {i: c for c, comp in enumerate(comps) for i in comp}
+    return tuple(comp_of[perm[comp[0]]] for comp in comps) + tuple(len(comps) + j for j in perm)
 
 
 def make_sigma(rd: RootDatum, matrix: Sequence[Sequence[int]]) -> SigmaAction:
     """Validate a lattice automorphism as a diagram automorphism.
 
     The integer matrix must permute the simple coroots, act compatibly on
-    the simple roots, be invertible over Z and have finite order; this is
-    exactly the condition for the induced map on W to preserve the base
-    alcove and permute the affine simple reflections.
+    the simple roots (the check sigma_generator_permutation reads pi off),
+    be invertible over Z and have finite order; this is exactly the
+    condition for the induced map on W to preserve the base alcove and
+    permute the affine simple reflections.
     """
     m = tuple(tuple(exact_int(x, "an automorphism entry", AffineWeylError) for x in row) for row in matrix)
-    _check_diagram_automorphism(rd, m)
+    _diagram_permutation(rd, m)
     try:
         m_inv = mat_inverse(m)
     except ValueError as exc:
@@ -633,6 +656,7 @@ def sigma_from_name(rd: RootDatum, name: str) -> SigmaAction:
 
 def sigma_apply(sigma: SigmaAction, w: AffineWeylElement) -> AffineWeylElement:
     """sigma(t_lambda u) = t_sigma(lambda) sigma u sigma^-1, the conjugate S w S^-1."""
+    _check_rank(len(w.translation), len(sigma.matrix))
     if sigma.order == 1:
         return w
     s, s_inv = sigma.elements
@@ -656,8 +680,11 @@ def conjugation_permutation(rd: RootDatum, g: AffineWeylElement, g_inv: AffineWe
 
 
 def sigma_generator_permutation(rd: RootDatum, sigma: SigmaAction) -> tuple[int, ...]:
-    """How sigma permutes the affine simple reflections."""
-    return conjugation_permutation(rd, *sigma.elements)
+    """How sigma permutes the affine simple reflections, read off its diagram check on rd; no product is taken.
+
+    A SigmaAction holds no datum, so each public entry point taking a datum and a sigma calls this once.
+    """
+    return _diagram_permutation(rd, sigma.matrix)
 
 
 # ---------------------------------------------------------------------------

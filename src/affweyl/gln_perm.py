@@ -41,8 +41,10 @@ from typing import Callable, Sequence
 from .admissible import adm
 from .affine_weyl import (
     AffineWeylElement,
+    _check_rank,
     _checked_mu,
     _context,
+    _element,
     element_sort_key,
     finite_reflection,
     word_length_map,
@@ -113,6 +115,7 @@ def _passes(lam: Vec, moves: Sequence[Vec], e: int, in_hull: Callable[[Vec], boo
 def is_permissible(w: AffineWeylElement, mu: Sequence[int], rd: RootDatum) -> bool:
     """Kottwitz class of t_mu plus the hull condition at each alcove vertex."""
     mu_dom = _checked_mu(mu, rd)
+    _check_rank(len(w.translation), rd.rank)
     pi1 = fundamental_group(rd)
     if pi1.project(w.translation) != pi1.project(mu_dom):
         return False
@@ -155,7 +158,7 @@ def perm_set(mu: Sequence[int], rd: RootDatum) -> tuple[AffineWeylElement, ...]:
     # radius ends the search before its size guard
     for u in word_length_map(rd, len(rd.positive_roots), reflections):
         moves = _moves(u.finite, vertices)
-        out += [AffineWeylElement(lam, u.finite) for lam in translations if _passes(lam, moves, e, in_hull)]
+        out += [_element(lam, u._u) for lam in translations if _passes(lam, moves, e, in_hull)]
     return tuple(sorted(out, key=lambda w: element_sort_key(rd, w)))
 
 

@@ -14,6 +14,7 @@ import re
 from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
+    _element,
     identity_element,
     iwahori_generators,
     mul,
@@ -34,7 +35,7 @@ def _finite_word(rd: RootDatum, w: AffineWeylElement) -> list[int]:
     so no affine generator is ever a descent.  A length-zero remainder
     other than the identity means u is not in the finite Weyl group.
     """
-    letters, rest = reduced_word(rd, AffineWeylElement((0,) * rd.rank, w.finite))
+    letters, rest = reduced_word(rd, _element((0,) * rd.rank, w._u))
     if not rest._u.is_identity:
         raise AffineWeylError("finite part is not in the finite Weyl group")
     n_affine = len(rd.components())

@@ -54,7 +54,6 @@ from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
     SigmaAction,
-    _check_diagram_automorphism,
     _checked_mu,
     _context,
     _memo_on_mu,
@@ -103,13 +102,13 @@ class NewtonPoint:
 @lru_cache(maxsize=None)
 def pi1_coinvariants(rd: RootDatum, sigma: SigmaAction) -> FinAbGroup:
     """pi_1 modulo the augmentation image of sigma (trivial for sigma = id)."""
-    cols = list(rd.simple_coroots)
-    n = rd.rank
-    for j in range(n):
-        col = tuple(sigma.matrix[i][j] - (1 if i == j else 0) for i in range(n))
-        if any(col):
-            cols.append(col)
-    return quotient_group(n, cols)
+    return quotient_group(rd.rank, rd.simple_coroots + _sigma_minus_one(sigma))
+
+
+def _sigma_minus_one(sigma: SigmaAction) -> tuple[tuple[int, ...], ...]:
+    """The columns of sigma - 1 (all zero for sigma = id; hermite_row_form drops those)."""
+    n = len(sigma.matrix)
+    return tuple(tuple(sigma.matrix[i][j] - (i == j) for i in range(n)) for j in range(n))
 
 
 def twisted_power(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tuple[int, AffineWeylElement]:
@@ -154,6 +153,7 @@ def is_straight(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> bool
     positively homogeneous, so additivity there pins every other n between
     the subadditive bound and the translation bound.
     """
+    sigma_generator_permutation(rd, sigma)
     return _straight_power(rd, sigma, w) is not None
 
 
@@ -177,6 +177,7 @@ def newton_point(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tup
     then divided by m: W_0 acts linearly and m > 0 keeps every pairing's
     sign, so the same reflections are applied as to the slope vector.
     """
+    sigma_generator_permutation(rd, sigma)
     m, power = twisted_power(rd, sigma, w)
     return _newton_of_power(rd, sigma, w, m, power.translation)
 
@@ -213,6 +214,7 @@ def _levi(rd: RootDatum, positive_root_indices: tuple[int, ...]) -> RootDatum:
 
 def mu_bar(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[Fraction, ...]:
     """Average of the sigma-orbit of the dominant representative of mu."""
+    sigma_generator_permutation(rd, sigma)
     cur = _checked_mu(mu, rd)
     total = [Fraction(0)] * rd.rank
     for _ in range(sigma.order):
@@ -234,8 +236,7 @@ def _fixed_class_lattice_generators(rd: RootDatum, sigma: SigmaAction) -> tuple[
 
     Their classes generate the sigma-fixed subgroup of pi_1.
     """
-    n = rd.rank
-    return _coroot_relations(rd, [[sigma.matrix[i][j] - (i == j) for i in range(n)] for j in range(n)])
+    return _coroot_relations(rd, _sigma_minus_one(sigma))
 
 
 def _omega_move_generators(
@@ -301,14 +302,8 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
     touched gets one twisted power, which decides straightness (He's
     criterion) and gives its Newton point; an element reached by a move
     must be straight as well, since the moves keep the length and the
-    Newton point.  sigma is checked against rd before any power is taken.
+    Newton point.  pi is read off sigma's check against rd, before any power.
     """
-    try:
-        _check_diagram_automorphism(rd, sigma.matrix)
-    except AffineWeylError as exc:
-        raise AffineWeylError(
-            f"sigma {sigma.matrix} is not a diagram automorphism of {rd.type_label}: {exc}"
-        ) from None
     pi = sigma_generator_permutation(rd, sigma)
     adm_set = set(adm(mu, rd).elements)
     # the powers of the straight elements only; Newton points are made per class
@@ -449,6 +444,7 @@ def adlv_nonempty(
 @lru_cache(maxsize=None)
 def pi1_sigma_invariants(rd: RootDatum, sigma: SigmaAction) -> FinAbGroup:
     """Fixed subgroup of sigma acting on pi_1 = X_*(T)/coroot lattice."""
+    sigma_generator_permutation(rd, sigma)
     gens = _fixed_class_lattice_generators(rd, sigma)
     if not gens:
         return quotient_group(0, ())
@@ -524,20 +520,14 @@ def components_bound_report(
                 ComponentWitness(w, levi, lift.value, lift.chain_coroots, True, None, DISCRETE_MARKER)
             )
         else:
-            fixed = pi1_sigma_invariants(levi, _restrict_sigma(levi, sigma))
+            try:
+                fixed = pi1_sigma_invariants(levi, sigma)
+            except AffineWeylError as exc:
+                raise AffineWeylError(
+                    "sigma does not stabilize the Levi of this witness; no invariants defined"
+                ) from exc
             witnesses.append(
                 ComponentWitness(w, levi, lift.value, lift.chain_coroots, False, fixed, None)
             )
     return ComponentsBoundReport(mu_dom, b, tuple(witnesses))
-
-
-def _restrict_sigma(levi: RootDatum, sigma: SigmaAction) -> SigmaAction:
-    """sigma itself once it permutes the Levi's simple coroots: a SigmaAction holds no datum."""
-    try:
-        _check_diagram_automorphism(levi, sigma.matrix)
-    except AffineWeylError as exc:
-        raise AffineWeylError(
-            "sigma does not stabilize the Levi of this witness; no invariants defined"
-        ) from exc
-    return sigma
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from affweyl.affine_weyl import (
     _shorten,
     bruhat_leq,
     bruhat_leq_subword_oracle,
+    conjugation_permutation,
     double_coset_rep,
     finite_reflection,
     identity_element,
@@ -36,7 +38,10 @@ from affweyl.affine_weyl import (
     translation_element,
     word_length_map,
 )
+from affweyl.admissible import is_admissible
+from affweyl.gln_perm import is_permissible
 from affweyl.linalg import solve_rational
+from affweyl.notation import format_element
 from affweyl.root_datum import build_root_datum, dominance_leq, fundamental_group, is_dominant
 
 
@@ -196,8 +201,24 @@ def test_finite_reflection_refuses_a_bad_index(i):
         finite_reflection(GL3, i)
 
 
-@pytest.mark.parametrize("query", [length, reduced_word, lambda rd, w: is_left_descent(rd, w, 0)],
-                         ids=["length", "reduced_word", "is_left_descent"])
+RANK_QUERIES = {
+    "length": length,
+    "reduced_word": reduced_word,
+    "is_left_descent": lambda rd, w: is_left_descent(rd, w, 0),
+    # these raised RootDatumError "rank mismatch in fundamental group projection"
+    "kottwitz": kottwitz,
+    "bruhat_leq": lambda rd, w: bruhat_leq(rd, w, w),
+    "is_admissible": lambda rd, w: is_admissible(w, (1, 0, 0), rd),
+    "is_permissible": lambda rd, w: is_permissible(w, (1, 0, 0), rd),
+    # this one built t_0 u at the datum's rank and refused its shape
+    "format_element": format_element,
+    # sigma's matrix stands in for the datum: id handed the element back, the flip refused a product
+    "sigma_apply-id": lambda rd, w: sigma_apply(sigma_identity(rd), w),
+    "sigma_apply-flip": lambda rd, w: sigma_apply(sigma_from_name(rd, "flip"), w),
+}
+
+
+@pytest.mark.parametrize("query", RANK_QUERIES.values(), ids=RANK_QUERIES.keys())
 def test_an_element_of_another_rank_is_refused_by_rank(query):
     w = translation_element((1, 0), GL2)
     with pytest.raises(AffineWeylError, match="rank 2 met a datum of rank 3"):
@@ -387,6 +408,33 @@ def test_sigma_is_homomorphism_preserving_length():
         assert sigma_apply(flip, sigma_apply(flip, v)) == v
 
 
+GL2_X_GL2 = build_root_datum(
+    {"rank": 4, "simple_roots": [[1, -1, 0, 0], [0, 0, 1, -1]], "simple_coroots": [[1, -1, 0, 0], [0, 0, 1, -1]]}
+)
+FACTOR_SWAP = make_sigma(GL2_X_GL2, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+_GL2_CUBED_ROOTS = [[1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]]
+GL2_CUBED = build_root_datum({"rank": 6, "simple_roots": _GL2_CUBED_ROOTS, "simple_coroots": _GL2_CUBED_ROOTS})
+# the factors cycled 1 -> 2 -> 3 -> 1
+FACTOR_CYCLE = make_sigma(GL2_CUBED, [[int(i == (j + 2) % 6) for j in range(6)] for i in range(6)])
+G2 = build_root_datum(
+    {"rank": 2, "simple_roots": [[2, -1], [-3, 2]], "simple_coroots": [[1, 0], [0, 1]], "label": "G2"}
+)
+
+
+def _sigma_cases():
+    """(name, datum, sigma): 48 cases, the flip on the type A presets only."""
+    def preset(p, n):
+        return build_root_datum({"preset": p, "n": n})
+
+    type_a = [preset("GL", n) for n in range(1, 8)] + [preset(p, n) for p in ("SL", "PGL") for n in range(2, 8)]
+    cases = [(rd, name) for rd in type_a for name in ("id", "flip")]
+    cases += [(rd, "id") for rd in [preset("GSp", n) for n in (2, 4, 6, 8, 10)] + [A1_X_C2, G2, GL2_X_GL2]]
+    return [(f"{rd.type_label}-{name}", rd, sigma_from_name(rd, name)) for rd, name in cases] + [
+        ("GL2xGL2-swap", GL2_X_GL2, FACTOR_SWAP),
+        ("GL2^3-cycle", GL2_CUBED, FACTOR_CYCLE),
+    ]
+
+
 def test_sigma_permutes_generators():
     flip = sigma_from_name(GL4, "flip")
     perm = sigma_generator_permutation(GL4, flip)
@@ -394,6 +442,32 @@ def test_sigma_permutes_generators():
     # the finite diagram is reversed: s1 <-> s3, s2 fixed
     assert perm[2] == 2
     assert perm[1] == 3 and perm[3] == 1
+    # read off the diagram check, it is the permutation by conjugation with S
+    cases = _sigma_cases()
+    assert len(cases) == 48
+    mismatched = [
+        name for name, rd, sigma in cases
+        if sigma_generator_permutation(rd, sigma) != conjugation_permutation(rd, *sigma.elements)
+    ]
+    assert not mismatched
+
+
+def test_sigma_generator_permutation_takes_no_product():
+    # the check reads the simple coroots and roots; a product would be the conjugation route again
+    cases = _sigma_cases()
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in (mul.__code__, conjugation_permutation.__code__):
+            seen.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        perms = [sigma_generator_permutation(rd, sigma) for _, rd, sigma in cases]
+    finally:
+        sys.setprofile(None)
+    assert seen == []
+    assert all(sorted(perm) == list(range(len(iwahori_generators(rd)))) for perm, (_, rd, _) in zip(perms, cases))
 
 
 def test_make_sigma_rejects_non_automorphism():
@@ -565,12 +639,20 @@ def test_entry_points_refuse_non_integers(bad):
         make_level(GL3, [bad])
     with pytest.raises(AffineWeylError, match="must be an integer"):
         make_sigma(GL2, [[bad, 0], [0, 1]])
+    with pytest.raises(AffineWeylError, match="translation coordinate must be an integer"):
+        AffineWeylElement((bad, 0), ((1, 0), (0, 1)))
+    with pytest.raises(AffineWeylError, match="finite-part entry must be an integer"):
+        AffineWeylElement((0, 0), ((1, 0), (0, bad)))
 
 
 def test_entry_points_still_take_ints():
     assert translation_element((1, 0, -2), GL3).translation == (1, 0, -2)
     assert make_level(GL3, [2, 1]).generators == (1, 2)
     assert make_sigma(GL2, [[1, 0], [0, 1]]) == sigma_identity(GL2)
+    # any sequences, stored as tuples: a list translation used to be unhashable
+    w = AffineWeylElement([1, 0], [[0, 1], [1, 0]])
+    assert w.translation == (1, 0) and w.finite == ((0, 1), (1, 0))
+    assert hash(w) == hash(mul(translation_element((1, 0), GL2), finite_reflection(GL2, 0)))
 
 
 def test_make_sigma_refuses_a_compatible_matrix_that_is_not_invertible():

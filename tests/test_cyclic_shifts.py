@@ -15,7 +15,6 @@ from affweyl.affine_weyl import (
     is_left_descent,
     iwahori_generators,
     length,
-    make_sigma,
     mul,
     omega_rep,
     sigma_apply,
@@ -25,17 +24,12 @@ from affweyl.affine_weyl import (
 )
 from affweyl.root_datum import build_root_datum
 from affweyl.straight_newton import _length_keeping_shifts
-from test_affine_weyl import A1_X_C2
+from test_affine_weyl import A1_X_C2, FACTOR_SWAP, GL2_X_GL2
 
 
 def _rd(preset, n):
     return build_root_datum({"preset": preset, "n": n})
 
-
-GL2_X_GL2 = build_root_datum(
-    {"rank": 4, "simple_roots": [[1, -1, 0, 0], [0, 0, 1, -1]], "simple_coroots": [[1, -1, 0, 0], [0, 0, 1, -1]]}
-)
-FACTOR_SWAP = make_sigma(GL2_X_GL2, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
 
 # (name, datum, sigma); flip is defined on the type A presets only
 CASES = [

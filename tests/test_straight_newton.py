@@ -15,11 +15,13 @@ from affweyl.affine_weyl import (
     inv,
     iwahori_generators,
     length,
+    make_level,
     make_sigma,
     mul,
     omega_part,
     sigma_apply_cochar,
     sigma_from_name,
+    sigma_generator_permutation,
     sigma_identity,
     translation_element,
 )
@@ -33,7 +35,6 @@ from affweyl.root_datum import (
 from affweyl.straight_newton import (
     DISCRETE_MARKER,
     NewtonPoint,
-    _restrict_sigma,
     adlv_nonempty,
     b_set,
     basic_point,
@@ -423,6 +424,7 @@ def test_lambda_w_is_the_translation_read_through_the_inverse(group, mu, name):
 
 @pytest.mark.parametrize("group,mu,name", NEWTON_CASES)
 def test_restrict_sigma_hands_back_sigma_itself(group, mu, name):
+    # sigma restricted to a Levi is sigma itself, checked on the Levi where it is taken
     rd = _preset_datum(group)
     sigma = sigma_from_name(rd, name)
     restricted = 0
@@ -432,11 +434,14 @@ def test_restrict_sigma_hands_back_sigma_itself(group, mu, name):
             try:
                 rebuilt = make_sigma(levi, sigma.matrix)
             except AffineWeylError:
-                with pytest.raises(AffineWeylError, match="does not stabilize the Levi"):
-                    _restrict_sigma(levi, sigma)
+                refusal = f"is not a diagram automorphism of {levi.type_label}"
+                with pytest.raises(AffineWeylError, match=refusal):
+                    sigma_generator_permutation(levi, sigma)
+                with pytest.raises(AffineWeylError, match=refusal):
+                    pi1_sigma_invariants(levi, sigma)
                 continue
-            assert _restrict_sigma(levi, sigma) is sigma
             assert rebuilt == sigma
+            assert pi1_sigma_invariants(levi, sigma) is pi1_sigma_invariants(levi, rebuilt)
             restricted += 1
     assert restricted
 
@@ -476,6 +481,26 @@ def test_a_sigma_of_another_datum_is_refused_before_any_twisted_power(monkeypatc
         b_set((1, 1, 1), GSP4, flip3)
     with pytest.raises(AffineWeylError, match="wrong shape"):
         straight_classes((1, 0), GL2, flip3)
+
+
+# each answered or raised a raw error: newton_point an IndexError, is_straight True,
+# mu_bar a 2-vector, newton_point on GSp4 a point with kappa = (), pi1_sigma_invariants a group
+FOREIGN_SIGMA_PROBES = {
+    "newton_point-GL3-id_GL2": lambda: newton_point(GL3, SID2, translation_element((1, 0, 0), GL3)),
+    "is_straight-GL3-id_GL2": lambda: is_straight(GL3, SID2, translation_element((1, 0, 0), GL3)),
+    "mu_bar-GL3-flip_GL2": lambda: mu_bar((1, 0, 0), GL3, sigma_from_name(GL2, "flip")),
+    "newton_point-GSp4-flip_GL3": lambda: newton_point(
+        GSP4, sigma_from_name(GL3, "flip"), translation_element((1, 0, 0), GSP4)
+    ),
+    "pi1_sigma_invariants-GSp4-flip_GL3": lambda: pi1_sigma_invariants(GSP4, sigma_from_name(GL3, "flip")),
+    "make_level-GSp4-flip_GL3": lambda: make_level(GSP4, [1], sigma_from_name(GL3, "flip")),
+}
+
+
+@pytest.mark.parametrize("probe", FOREIGN_SIGMA_PROBES.values(), ids=FOREIGN_SIGMA_PROBES.keys())
+def test_a_sigma_of_another_datum_is_refused_by_name(probe):
+    with pytest.raises(AffineWeylError, match=r"^sigma \(\(.* is not a diagram automorphism of (GL3|GSp4): "):
+        probe()
 
 
 @pytest.mark.parametrize("query", [twisted_power, newton_point, is_straight])
