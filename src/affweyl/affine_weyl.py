@@ -723,12 +723,16 @@ def _right_descends(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
     """Whether the i-th affine simple reflection s = s_a satisfies l(ws) < l(w).
 
     As a left descent of w^-1 = t_(-u^-1 lambda) u^-1, pairing with a as -<lambda, u(a)>:
-    u(a) = +-b_j where u's permutation holds k (+) or ~k (-).  One pairing, one sign.
+    u(a) = +-b_j where u's permutation holds k (+) or ~k (-), found in one pass.
+    One pairing, one sign.
     """
     ctx = _context(rd)
     wall, perm = ctx.walls[i], ctx.perm(w._u)
-    m = wall.k if wall.k in perm else ~wall.k
-    p = sum(map(_times, w.translation, rd.positive_roots[perm.index(m)]))
+    k, not_k = wall.k, ~wall.k
+    for j, m in enumerate(perm):
+        if m == k or m == not_k:
+            break
+    p = sum(map(_times, w.translation, rd.positive_roots[j]))
     return _descends(wall, p if m < 0 else -p, m)
 
 

@@ -22,12 +22,13 @@ Presets cover GL(n), SL(n), PGL(n) and GSp(2g); arbitrary finite-type data
 can be supplied explicitly.  The pairing between X_*(T) and X^*(T) is the
 standard dot product in the chosen coordinates.
 
-Walks in the finite Weyl group (dominant_rep, weyl_orbit) carry a point
-together with its simple pairings c_i = <lam, alpha_i>.  The Cartan matrix
-is stored as A[i][j] = <alpha_j^vee, alpha_i>, so s_j(lam) = lam - c_j
-alpha_j^vee has pairings c_i - c_j A[i][j]: one column of A per step, not
-a fresh pairing with every simple root.  A is not symmetric outside the
-simply laced types (GSp, B2, G2), and the index order matters there.
+Walks in the finite Weyl group (dominant_rep, weyl_orbit) carry the simple
+pairings c_i = <lam, alpha_i> of a point (weyl_orbit the point as well).
+The Cartan matrix is stored as A[i][j] = <alpha_j^vee, alpha_i>, so
+s_j(lam) = lam - c_j alpha_j^vee has pairings c_i - c_j A[i][j]: one
+column of A per step, not a fresh pairing with every simple root.  A is
+not symmetric outside the simply laced types (GSp, B2, G2), and the index
+order matters there.
 """
 
 from __future__ import annotations
@@ -125,6 +126,10 @@ class RootDatum:
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the Dynkin diagram, as index tuples."""
+        return self._components
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
         n = self.semisimple_rank
         seen: set[int] = set()
         comps = []
@@ -428,17 +433,25 @@ def dominant_rep(lam: Coords, rd: RootDatum) -> tuple[tuple, tuple[int, ...]]:
     The word lists simple reflection indices in application order: folding
     them over the input, left to right, yields the dominant vector.  Each
     step reflects in the first simple root i with <lam, alpha_i> < 0.
-    lam is paired with the simple roots once and the pairings are then
-    updated along the walk (_reflect), so the vector and the word are
-    those of pairing every point afresh, at O(rank) per step.
+    lam is paired with the simple roots once and only the pairings walk,
+    by one column of the Cartan matrix per step (as in _reflect); the
+    vector moves once at the end, by the summed steps c_j alpha_j^vee.  So
+    the vector and the word are those of pairing every point afresh.
     """
-    cur, pairs = tuple(lam), _pairings(lam, rd.simple_roots, rd)
+    pairs = _pairings(lam, rd.simple_roots, rd)
+    steps = [0] * len(pairs)
     word: list[int] = []
     while True:
-        j = next((i for i, c in enumerate(pairs) if c < 0), None)
-        if j is None:
-            return cur, tuple(word)
-        cur, pairs = _reflect(cur, pairs, j, rd)
+        for j, c in enumerate(pairs):
+            if c < 0:
+                break
+        else:
+            if not word:
+                # already dominant; a torus, with no simple coroots to combine, always is
+                return tuple(lam), ()
+            return tuple([x - y for x, y in zip(lam, vec_mat(steps, rd.simple_coroots))]), tuple(word)
+        steps[j] += c
+        pairs = [p - c * row[j] for p, row in zip(pairs, rd.cartan_matrix)]
         word.append(j)
 
 

@@ -26,18 +26,21 @@ only one of s_i (on the left) and s_pi(i) (on the right) is a descent of
 w, and only those moves are multiplied out.  The
 partition this generates is
 cross-checked against the (Newton, Kottwitz) partition and any mismatch
-raises.  Each element the class search touches has its Newton point
-computed once, and every class keeps its members' slope vectors.
+raises.  Each element the class search touches has one twisted power,
+whose Newton point is compared in integers; every class keeps its
+members' slope vectors.
 
 Newton points are computed in integers: the translation of the twisted
 power is made dominant and divided by m only at the end.  The
-centraliser Levi of a slope vector is derived from the parent datum by
-root_datum.sub_datum, which re-checks what it derives (finite-type
-Cartan matrix, non-negative integer coroot coefficients read off the
-same fundamental-weight forms _build uses, a positive system closed
-under the simple reflections) but does not rebuild the datum by
-reflection closure; it is memoised by (datum, positive-root indices),
-and clear_caches() empties the memo; equal Levis are one canonical datum.
+centraliser Levi of a slope vector is a conjugate x(M_J) of a standard
+Levi.  M_J is derived from the parent datum by root_datum.sub_datum,
+which re-checks what it derives (finite-type Cartan matrix, non-negative
+integer coroot coefficients read off the same fundamental-weight forms
+_build uses, a positive system closed under the simple reflections) but
+does not rebuild the datum by reflection closure; it is memoised by
+(datum, J), and clear_caches() empties the memo.  x, read off the word
+of dominant_rep, carries M_J's root indices to those of the Levi
+(levi_datum); equal Levis are one canonical datum.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul as _times
 from typing import Optional, Sequence
 
@@ -75,6 +78,7 @@ from .linalg import hasse_diagram, integer_kernel, mat_vec
 from .root_datum import (
     FinAbGroup,
     RootDatum,
+    _assemble,
     _pairings,
     dominance_leq,
     dominant_rep,
@@ -179,37 +183,100 @@ def newton_point(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tup
     """
     sigma_generator_permutation(rd, sigma)
     m, power = twisted_power(rd, sigma, w)
-    return _newton_of_power(rd, sigma, w, m, power.translation)
+    den, numerators, kappa = _newton_key(rd, pi1_coinvariants(rd, sigma).project, w, m, power.translation)
+    nu_raw = tuple(Fraction(x, m) for x in power.translation)
+    return nu_raw, NewtonPoint(tuple(Fraction(x, den) for x in numerators), den, kappa)
 
 
-def _newton_of_power(
-    rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement, m: int, lam: Sequence[int]
-) -> tuple[tuple[Fraction, ...], NewtonPoint]:
-    """newton_point of w from its twisted power t_lambda of index m."""
-    nu_raw = tuple(Fraction(x, m) for x in lam)
-    lam_dom, _ = dominant_rep(lam, rd)
-    nu_dom = tuple(Fraction(x, m) for x in lam_dom)
-    den = lcm(*(x.denominator for x in nu_dom)) if nu_dom else 1
-    kappa = pi1_coinvariants(rd, sigma).project(w.translation)
-    return nu_raw, NewtonPoint(nu_dom, den, kappa)
+def _newton_key(rd: RootDatum, project, w: AffineWeylElement, m: int, lam: Sequence[int]) -> tuple:
+    """w's Newton point and Kottwitz class, from its twisted power t_lambda of index m, in integers.
+
+    The point is dom(lambda)/m; with g = gcd(m, dom(lambda)) the key
+    (m/g, dom(lambda)/g, kappa) is that point in lowest terms, so m/g is
+    its denominator and two keys are equal exactly when the points are.
+    project is that of the sigma-coinvariants of pi_1.
+    """
+    lam_dom = dominant_rep(lam, rd)[0]
+    g = gcd(m, *lam_dom)
+    return m // g, tuple([x // g for x in lam_dom]), project(w.translation)
 
 
 def levi_datum(nu_raw: Sequence, rd: RootDatum) -> RootDatum:
     """Sub root datum generated by the roots pairing to zero with nu.
 
-    nu is scaled to an integer vector first, which vanishes on the same
-    roots; the datum is memoised by its set of positive roots.
+    nu is scaled to an integer lambda, which vanishes on the same roots.
+    dominant_rep takes lambda to lambda_dom by s_i1, .., s_ik; each step
+    reflects in a simple root negative on the point, so the word is
+    reduced and x = s_i1 .. s_ik is the shortest element with
+    x(lambda_dom) = lambda: the minimal representative of x W_J, W_J the
+    stabiliser of lambda_dom.  A minimal representative maps the positive
+    roots of J to positive roots (Humphreys, Reflection Groups and Coxeter
+    Groups, section 1.10), so the Levi of lambda is x(M_J), positive and
+    simple roots included, M_J the standard Levi of the simple roots J
+    orthogonal to lambda_dom.  M_J is memoised by J (_levi: at most 2^s
+    per datum); x(M_J) is carried on root indices (_transport) on each
+    call and is the very datum sub_datum derives from its positive roots.
     """
-    nu = [Fraction(x) for x in nu_raw]
+    nu = [x if isinstance(x, Fraction) else Fraction(x) for x in nu_raw]
     den = lcm(*(x.denominator for x in nu))
     lam = tuple(x.numerator * (den // x.denominator) for x in nu)
-    idx = tuple(k for k, c in enumerate(_pairings(lam, rd.positive_roots, rd)) if c == 0)
-    return _levi(rd, idx)
+    lam_dom, word = dominant_rep(lam, rd)
+    standard = _levi(rd, tuple(i for i, c in enumerate(_pairings(lam_dom, rd.simple_roots, rd)) if c == 0))
+    if not word:
+        # x = 1: nothing to carry, but the word must be that of a dominant lambda
+        if lam_dom != lam:
+            raise ConsistencyError("an empty Weyl word moved nu")
+        return standard
+    idx = [k for k, c in enumerate(_pairings(lam, rd.positive_roots, rd)) if c == 0]
+    return _transport(rd, standard, word, idx)
 
 
 @lru_cache(maxsize=None)
-def _levi(rd: RootDatum, positive_root_indices: tuple[int, ...]) -> RootDatum:
-    return sub_datum(rd, positive_root_indices, f"levi:{rd.type_label}")
+def _levi(rd: RootDatum, simple_indices: tuple[int, ...]) -> RootDatum:
+    """Standard Levi of the simple roots J: the positive roots whose coroots lie in the span of J's.
+
+    A coroot's coefficients on the simple coroots, times d, are its
+    pairings with the forms of rd, as _scaled_coords reads them.
+    """
+    outside = [form for i, form in enumerate(rd._forms[1]) if i not in simple_indices]
+    idx = [k for k, cv in enumerate(rd.positive_coroots) if not any(mat_vec(outside, cv))]
+    return sub_datum(rd, idx, f"levi:{rd.type_label}")
+
+
+def _transport(rd: RootDatum, standard: RootDatum, word: Sequence[int], idx: Sequence[int]) -> RootDatum:
+    """x(standard) for x = s_i1 .. s_ik, word = (i1, .., ik), whose positive roots must be rd's idx.
+
+    x moves root indices by the generators' signed permutations, s_ik
+    first (a simple reflection is its own inverse, so its permutation is
+    its action).  Every suffix s_ij .. s_ik of the word is a minimal coset
+    representative as x is (lengths add along a reduced word), so each
+    image on the way is positive.  The fields are those sub_datum derives
+    from idx: the images of the simple roots in rd.positive_roots order;
+    the standard's Cartan matrix with rows and columns in that order, as
+    <x(b)^vee, x(a)> = <b^vee, a>; and the positives sorted by
+    <b^vee, 2 rho_M>, 2 rho_M the sum of M's positive roots, which is twice
+    the height of b^vee and so orders them as sub_datum does.  A negative
+    image, or an image set other than idx, raises ConsistencyError.
+    """
+    ctx = _context(rd)
+    finite = ctx.gens[len(ctx.gens) - rd.semisimple_rank:]
+    s = standard.semisimple_rank
+    # the positives start with the simple roots (height 1); these go first in the standard's order
+    image = [rd._root_index[root] for root in standard.simple_roots + standard.positive_roots[s:]]
+    for i in reversed(word):
+        perm = ctx.perm(finite[i]._u)
+        image = [perm[k] for k in image]
+        if image and min(image) < 0:
+            raise ConsistencyError("the Weyl word takes a positive root of the standard Levi to a negative root")
+    if sorted(image) != idx:
+        raise ConsistencyError("the Weyl word does not carry the standard Levi onto the Levi of nu")
+    order = sorted(range(s), key=image.__getitem__)
+    cartan = tuple(tuple([standard.cartan_matrix[i][j] for j in order]) for i in order)
+    roots, coroots = rd.positive_roots, rd.positive_coroots
+    simple_r, simple_c = [roots[image[i]] for i in order], [coroots[image[i]] for i in order]
+    two_rho = [sum(col) for col in zip(*(roots[k] for k in idx))]
+    positives = [(sum(map(_times, coroots[k], two_rho)), coroots[k], roots[k]) for k in idx]
+    return _assemble(rd.rank, standard.type_label, simple_r, simple_c, cartan, positives)
 
 
 def mu_bar(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[Fraction, ...]:
@@ -303,6 +370,13 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
     criterion) and gives its Newton point; an element reached by a move
     must be straight as well, since the moves keep the length and the
     Newton point.  pi is read off sigma's check against rd, before any power.
+
+    A class must carry one Newton point, checked in integers: the power
+    t_lambda of index m has the point dom(lambda)/m, and with
+    g = gcd(m, dom(lambda)) the key (m/g, dom(lambda)/g, kappa) of
+    _newton_key is that point in lowest terms, so two keys are equal
+    exactly when the points are.  Fractions are made only for the members'
+    slope vectors and for the class's NewtonPoint, read off its key.
     """
     pi = sigma_generator_permutation(rd, sigma)
     adm_set = set(adm(mu, rd).elements)
@@ -349,18 +423,19 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
         components.append(comp)
 
     classes = []
-    # the members' slope vectors outlive the search; they share equal entries
-    slopes: dict[Fraction, Fraction] = {}
+    project = pi1_coinvariants(rd, sigma).project
+    # the members' slope vectors outlive the search: one Fraction per distinct (entry, index)
+    slope = lru_cache(maxsize=None)(Fraction)
     for comp in components:
         members = tuple(sorted(comp & adm_set, key=lambda w: element_sort_key(rd, w)))
-        newton = {w: _newton_of_power(rd, sigma, w, *powers[w]) for w in comp}
-        if len({point for _, point in newton.values()}) != 1:
+        keys = {_newton_key(rd, project, w, *powers[w]) for w in comp}
+        if len(keys) != 1:
             raise ConsistencyError("one twisted class carries several Newton points")
-        member_nu_raw = tuple(tuple(slopes.setdefault(x, x) for x in newton[w][0]) for w in members)
+        ((den, numerators, kappa),) = keys
+        member_nu_raw = tuple(tuple([slope(y, powers[w][0]) for y in powers[w][1]]) for w in members)
         nu_raw = member_nu_raw[0]
-        classes.append(StraightClass(
-            members[0], newton[members[0]][1], nu_raw, members, levi_datum(nu_raw, rd), member_nu_raw,
-        ))
+        newton = NewtonPoint(tuple(Fraction(x, den) for x in numerators), den, kappa)
+        classes.append(StraightClass(members[0], newton, nu_raw, members, levi_datum(nu_raw, rd), member_nu_raw))
 
     # the class partition must coincide with the (Newton, Kottwitz) partition
     by_point: dict[NewtonPoint, set[int]] = {}
@@ -500,7 +575,7 @@ def components_bound_report(
     # witnesses share translation parts: each distinct lambda is checked and lifted once
     lifts = {}
     for w, nu_raw in zip(cls.members, cls.member_nu_raw):
-        levi = levi_datum(nu_raw, rd)
+        levi = cls.levi if w is cls.representative else levi_datum(nu_raw, rd)
         lam_right = w.translation
         for i in dominant_rep(mat_vec(w.finite, two_rho_vee), rd)[1]:
             lam_right = simple_reflection(lam_right, i, rd)

@@ -1,13 +1,16 @@
 """Levi data derived from the parent datum, memoised, and integer Newton points.
 
-Every Levi that b_set and components_bound_report reach is compared with
-the datum _build makes from the same simple system.  Both routes read
-coroot coordinates off the same fundamental-weight forms, so the positive
-systems, coroot_height and dominance_leq are also checked against an
-independent Fraction solve (solve_rational).
+Every Levi that levi_datum hands b_set and components_bound_report is
+compared with the datum _build makes from the same simple system, and
+every conjugate Levi, carried from a standard one along a Weyl word, is
+the very object sub_datum derives from its positive roots.  Both routes
+read coroot coordinates off the same fundamental-weight forms, so the
+positive systems, coroot_height and dominance_leq are also checked against
+an independent Fraction solve (solve_rational).
 """
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -40,6 +43,7 @@ from affweyl.root_datum import (
 )
 from affweyl.stembridge import ChainPreconditionError
 from affweyl.straight_newton import (
+    ConsistencyError,
     NewtonPoint,
     b_set,
     components_bound_report,
@@ -68,20 +72,30 @@ LADDER = [
 ]
 
 
-def _reached_levis(monkeypatch, cases, derive=sub_datum):
-    """(parent, label, Levi) for every Levi the Newton routines derive."""
-    records = []
+def _with_data(entries):
+    """LADDER-style entries as (datum, mu, sigma names)."""
+    return [(_rd(preset, n), mu, sigmas) for preset, n, mu, sigmas in entries]
 
-    def recording(rd, idx, label):
-        levi = derive(rd, idx, label)
-        records.append((rd, label, levi))
+
+def _reached_levis(monkeypatch, cases, derive=sub_datum):
+    """(parent, nu, Levi) for every call by which levi_datum hands the Newton routines a Levi.
+
+    cases are (datum, mu, sigma names).  derive stands in for sub_datum,
+    which makes the standard Levis that levi_datum carries to the others.
+    """
+    records = []
+    levi_datum = straight_newton.levi_datum
+
+    def recording(nu_raw, rd):
+        levi = levi_datum(nu_raw, rd)
+        records.append((rd, tuple(nu_raw), levi))
         return levi
 
     clear_caches()
-    monkeypatch.setattr(straight_newton, "sub_datum", recording)
+    monkeypatch.setattr(straight_newton, "sub_datum", derive)
+    monkeypatch.setattr(straight_newton, "levi_datum", recording)
     try:
-        for preset, n, mu, sigmas in cases:
-            rd = _rd(preset, n)
+        for rd, mu, sigmas in cases:
             for name in sigmas:
                 sigma = sigma_from_name(rd, name)
                 for b in b_set(mu, rd, sigma):
@@ -91,21 +105,28 @@ def _reached_levis(monkeypatch, cases, derive=sub_datum):
                         # a typed refusal comes after the witness Levi is derived
                         pass
     finally:
+        # the recorder watches these routines only; a caller may go on to call levi_datum itself
+        monkeypatch.setattr(straight_newton, "levi_datum", levi_datum)
         clear_caches()
     return records
+
+
+def _distinct(records):
+    """(parent, Levi) once per Levi reached."""
+    return list({id(levi): (rd, levi) for rd, _, levi in records}.values())
 
 
 def _mismatches(records):
     return [
         levi
-        for rd, label, levi in records
-        if levi != _build((rd.rank, levi.simple_roots, levi.simple_coroots), label)
+        for rd, levi in _distinct(records)
+        if levi != _build((rd.rank, levi.simple_roots, levi.simple_coroots), f"levi:{rd.type_label}")
     ]
 
 
 def test_every_reached_levi_equals_the_rebuilt_datum(monkeypatch):
-    records = _reached_levis(monkeypatch, LADDER)
-    assert len(records) >= 80
+    records = _reached_levis(monkeypatch, _with_data(LADDER))
+    assert len(_distinct(records)) >= 80
     # the torus, and Levis with one and with several simple roots
     assert {len(levi.simple_roots) for _, _, levi in records} >= {0, 1, 2, 3}
     assert not _mismatches(records)
@@ -136,8 +157,12 @@ def _drop_one_root(rd, idx, label):
 
 @pytest.mark.parametrize("derive", [_swap_two_roots, _drop_one_root])
 def test_negative_control_a_corrupted_derivation_is_caught(monkeypatch, derive):
-    cases = [("GL", 4, (1, 1, 0, 0), ("id",)), ("GSp", 4, (1, 1, 1), ("id",))]
-    records = _reached_levis(monkeypatch, cases, derive)
+    # a corrupted standard Levi is refused by the transport or differs from _build's datum
+    cases = _with_data([("GL", 4, (1, 1, 0, 0), ("id",)), ("GSp", 4, (1, 1, 1), ("id",))])
+    try:
+        records = _reached_levis(monkeypatch, cases, derive)
+    except ConsistencyError:
+        return
     assert _mismatches(records)
 
 
@@ -328,10 +353,65 @@ def test_positive_system_matches_the_fraction_solve(rd):
 
 
 def test_every_reached_levi_has_the_fraction_solve_positive_system(monkeypatch):
-    records = _reached_levis(monkeypatch, LADDER)
-    assert len(records) >= 80
-    for _, _, levi in records:
+    levis = _distinct(_reached_levis(monkeypatch, _with_data(LADDER)))
+    assert len(levis) >= 80
+    for _, levi in levis:
         _check_positive_system(levi)
+
+
+B2 = build_root_datum({"rank": 2, "simple_roots": [[2, -2], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]], "label": "B2"})
+# beyond LADDER: GL6 with the flip, GSp8, the non-simply-laced B2 and G2, and a product
+TRANSPORT_DATA = _with_data(LADDER) + [
+    (_rd("GL", 6), (1, 1, 0, 0, 0, 0), ("id", "flip")),
+    (_rd("GSp", 8), (1, 1, 1, 1, 1), ("id",)),
+    (B2, (2, 2), ("id",)),
+    (B2, (2, 1), ("id",)),
+    (G2, (2, 3), ("id",)),
+    (G2, (1, 2), ("id",)),
+    (A1_X_C2, (1, 0, 1, 1, 1), ("id",)),
+    (A1_X_C2, (1, 0, 2, 1, 1), ("id",)),
+]
+
+
+def _conjugates(records):
+    """The records whose slope vector is not dominant: their Levi is carried along a Weyl word."""
+    return [(rd, nu, levi) for rd, nu, levi in records if dominant_rep(nu, rd)[1]]
+
+
+def _orthogonal(nu, rd):
+    return [k for k, root in enumerate(rd.positive_roots) if pairing(nu, root) == 0]
+
+
+def test_every_conjugate_levi_is_the_datum_sub_datum_derives(monkeypatch):
+    conjugates = _conjugates(_reached_levis(monkeypatch, TRANSPORT_DATA))
+    # every datum of semisimple rank at least 2 reaches conjugate Levis that have roots
+    assert {rd for rd, _, levi in conjugates if levi.positive_roots} == {
+        rd for rd, _, _ in TRANSPORT_DATA if rd.semisimple_rank >= 2
+    }
+    for rd, nu, levi in conjugates:
+        assert levi is sub_datum(rd, _orthogonal(nu, rd), f"levi:{rd.type_label}"), (rd.type_label, nu)
+
+
+def test_negative_control_a_word_with_one_reflection_dropped_is_caught(monkeypatch):
+    # levi_datum never hands back another Levi: with a letter dropped it raises,
+    # or the shorter word still carries the standard Levi onto the same one
+    conjugates = _conjugates(_reached_levis(monkeypatch, _with_data(LADDER)))
+    outcomes = Counter()
+    for position in range(max(len(dominant_rep(nu, rd)[1]) for rd, nu, _ in conjugates)):
+
+        def dropping(lam, rd, position=position):
+            lam_dom, word = dominant_rep(lam, rd)
+            return lam_dom, word[:position] + word[position + 1:]
+
+        monkeypatch.setattr(straight_newton, "dominant_rep", dropping)
+        for rd, nu, levi in conjugates:
+            if position < len(dominant_rep(nu, rd)[1]):
+                try:
+                    outcomes["same" if straight_newton.levi_datum(nu, rd) is levi else "other"] += 1
+                except ConsistencyError:
+                    outcomes["raised"] += 1
+    assert outcomes["other"] == 0
+    assert outcomes["raised"] > outcomes["same"]
 
 
 def _reference_dominance_leq(lam, mu, rd, integral):

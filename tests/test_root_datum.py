@@ -287,6 +287,16 @@ def test_gl1_degenerate_datum():
     assert dominant_rep((5,), gl1) == ((5,), ())
 
 
+def test_components_are_found_once_per_datum():
+    # the Dynkin search runs on the first call; later calls hand back the same tuple
+    roots = [[1, -1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, -1]]
+    a1_x_a2 = build_root_datum({"rank": 5, "simple_roots": roots, "simple_coroots": roots, "label": "A1xA2"})
+    comps = a1_x_a2.components()
+    assert comps == ((0,), (1, 2))
+    assert a1_x_a2.components() is comps
+    assert rd("GL", 1).components() == ()
+
+
 def test_fundamental_group_with_explicit_sublattice():
     doubled = quotient_group(2, [(2, -2)])
     assert doubled.describe() == "Z/2 x Z"

@@ -483,6 +483,32 @@ def test_a_sigma_of_another_datum_is_refused_before_any_twisted_power(monkeypatc
         straight_classes((1, 0), GL2, flip3)
 
 
+def test_negative_control_a_class_with_two_newton_points_is_refused(monkeypatch):
+    # the flip's search on GL3 reaches straight elements outside Adm(mu); one of them
+    # is given a twisted power of another Newton point, as a wrong power would
+    mu, flip = (1, 0, 0), sigma_from_name(GL3, "flip")
+    adm_set = set(affweyl.adm(mu, GL3).elements)
+    straight_power = straight_newton._straight_power
+    shifted = []
+
+    def another_point(rd, sigma, w):
+        power = straight_power(rd, sigma, w)
+        if power is not None and w not in adm_set and not shifted:
+            shifted.append(w)
+            m, lam = power
+            return m, (lam[0] + 1,) + lam[1:]
+        return power
+
+    affweyl.clear_caches()
+    monkeypatch.setattr(straight_newton, "_straight_power", another_point)
+    try:
+        with pytest.raises(straight_newton.ConsistencyError, match="one twisted class carries several Newton points"):
+            straight_classes(mu, GL3, flip)
+    finally:
+        affweyl.clear_caches()
+    assert len(shifted) == 1
+
+
 # each answered or raised a raw error: newton_point an IndexError, is_straight True,
 # mu_bar a 2-vector, newton_point on GSp4 a point with kappa = (), pi1_sigma_invariants a group
 FOREIGN_SIGMA_PROBES = {
