@@ -3,13 +3,14 @@
 Adm(mu) consists of the elements Bruhat-below some translation by a
 finite Weyl conjugate of mu.  Candidates come from closing each maximal
 translation downward through subwords of one fixed reduced word.  Cover
-edges come from one-letter deletions: for a reduced word s_1..s_l*omega
-of w, the l products with one letter deleted are the elements w*t for
-the reflections t with l(wt) < l(w), and the lower covers of w are those
-of length l(w) - 1 (Bjorner-Brenti, Thm 1.4.3 and Cor 1.4.4).  The same
-covers prove the candidate set equal to Adm(mu): every lower cover of a
-candidate is a candidate, and every candidate is a maximal translation
-or a lower cover of one; any failure is a hard internal error.
+edges come from the affine hyperplanes that separate the base alcove A
+from w(A): the reflections in them are the t with l(tw) < l(w), l(w) of
+them by the Iwahori-Matsumoto count, and the lower covers of w are the
+tw of length l(w) - 1 (see _lower_covers).  The same covers prove the
+candidate set equal to Adm(mu): every lower cover of a candidate is a
+candidate, and every candidate is a maximal translation or a lower cover
+of one; any failure is a hard internal error.  The two routes share no
+reduced word: the closure reads one, the covers read the alcove.
 
 Both computations are done once per Omega-orbit.  A length-zero element
 whose conjugation permutes the affine simple reflections is an
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul as _times
 from typing import Sequence
 
 from .affine_weyl import (
@@ -40,7 +42,10 @@ from .affine_weyl import (
     AffineWeylError,
     ParahoricLevel,
     _checked_mu,
+    _context,
+    _element,
     _memo_on_mu,
+    _product,
     _shorten,
     bruhat_leq,
     conjugation_permutation,
@@ -95,22 +100,38 @@ def _subword_closure(rd: RootDatum, w: AffineWeylElement) -> set[AffineWeylEleme
 
 
 def _lower_covers(rd: RootDatum, w: AffineWeylElement) -> set[AffineWeylElement]:
-    """The Bruhat lower covers of w: its one-letter deletions of length l(w) - 1."""
-    letters, omega = reduced_word(rd, w)
-    gens = iwahori_generators(rd)
-    # suffix[j] is the product of letters[j:] times omega
-    suffix = [omega]
-    for i in reversed(letters):
-        suffix.append(mul(gens[i], suffix[-1]))
-    suffix.reverse()
-    target = len(letters) - 1
+    """The Bruhat lower covers of w, read off the hyperplanes that separate A from w(A).
+
+    A lower cover of w is tw for a reflection t with l(tw) = l(w) - 1: the
+    Bruhat order is generated by w -> tw with l(tw) < l(w) and is graded
+    (Bjorner-Brenti, Def 2.1.1, Thm 2.2.6).  l(tw) < l(w) exactly when the
+    hyperplane of t separates the base alcove A from w(A): the walls that a
+    reduced gallery from A to w(A) crosses give the left inversions
+    s_1, s_1 s_2 s_1, .. of a reduced word, and omega(A) = A.  For
+    w = t_lambda u and a positive root b, set p = <lambda, b>; w(A) lies in
+    the strip d < <x, b> < d + 1 with d = p - 1 if u^-1(b) < 0 and d = p
+    otherwise (is_left_descent), and A in 0 < <x, b> < 1.  So the
+    separating H_(b,k) = {<x, b> = k} are k = 1..d when d > 0 and
+    k = d+1..0 when d < 0, |d| of them: l(w) in all, the Iwahori-Matsumoto
+    count.  The reflection in H_(b,k) is t_(k b^vee) s_b, so
+    s_(b,k) w = t_(lambda + (k - p) b^vee) s_b u: O(rank) for the
+    translation and, once per root, one product-table lookup for s_b u.
+    Of these l(w) elements the covers are those of length l(w) - 1.
+    """
+    ctx = _context(rd)
+    lam, u = w.translation, w._u
+    target = length(rd, w) - 1
     out = set()
-    prefix = identity_element(rd)
-    for j, i in enumerate(letters):
-        v = mul(prefix, suffix[j + 1])
-        if length(rd, v) == target:
-            out.add(v)
-        prefix = mul(prefix, gens[i])
+    for root, coroot, m, s in zip(rd.positive_roots, rd.positive_coroots, ctx.perm(u), ctx.reflections):
+        p = sum(map(_times, lam, root))
+        d = p - (m < 0)
+        if not d:
+            continue
+        su = _product(s, u)
+        for k in range(1, d + 1) if d > 0 else range(d + 1, 1):
+            v = _element(tuple([x + (k - p) * y for x, y in zip(lam, coroot)]), su)
+            if length(rd, v) == target:
+                out.add(v)
     return out
 
 
@@ -157,8 +178,9 @@ def adm(mu: Sequence[int], rd: RootDatum) -> AdmissibleSet:
     """The admissible set of mu at Iwahori level, with its cover relations.
 
     The subword closures of the maximal translations give the candidates
-    and the one-letter deletions give their lower covers.  Two checks on
-    the covers prove that the candidates are exactly Adm(mu):
+    and the separating hyperplanes give their lower covers, two routes
+    that share no reduced word.  Two checks on the covers prove that the
+    candidates are exactly Adm(mu):
 
     - completeness: every lower cover of a candidate is a candidate, so
       the set is closed downward and holds all of Adm(mu);

@@ -6,10 +6,11 @@ it is seen: one shared entry per matrix holds the matrix, its hash and a
 table of products with other entries.  So `mul` reads the finite product
 from the table and moves the translation in O(rank) when the right factor
 is finite; otherwise it applies the matrix.  Each datum has one context:
-its walls, its affine simple reflections and, per entry, the signed
-permutation of the positive roots by u^-1, read from the datum's root
-index, whose signs `length` reads in one pass.  No inverse is kept, and
-no library path calls `inv`, which eliminates.
+its walls, its affine simple reflections, the entries of the reflections
+in its positive roots and, per entry, the signed permutation of the
+positive roots by u^-1, read from the datum's root index, whose signs
+`length` reads in one pass.  No inverse is kept, and no library path
+calls `inv`, which eliminates.
 A Frobenius action sigma is the element t_0 S of W semidirect <sigma> in
 the same table: sigma(w) = S w S^-1, and with sigma^m = 1 the twisted
 power w sigma(w) .. sigma^(m-1)(w) is the ordinary power (w S)^m.
@@ -298,10 +299,15 @@ class _Context:
     u^-1(b_j) = +-b_m, so u^-1(b_j) < 0 exactly when perm[j] < 0.  The key
     is the entry, not the permutation, which does not determine the
     matrix: the flip of GL2 permutes the positive roots like the identity,
-    and on a torus every matrix has the empty one.
+    and on a torus every matrix has the empty one.  reflections holds the
+    entry of s_b, x -> x - <x, b> b^vee, for each positive root b in the
+    order of rd.positive_roots; the gens reuse those of the wall roots.  A
+    reflection s_(b,k) = t_(k b^vee) s_b in an affine hyperplane
+    <x, b> = k has finite part s_b, so the finite part of s_(b,k) w is one
+    product-table lookup from w's.
     """
 
-    __slots__ = ("rd", "walls", "gens", "perms")
+    __slots__ = ("rd", "walls", "gens", "reflections", "perms")
 
     def __init__(self, rd: RootDatum):
         roots, coroots, index = rd.positive_roots, rd.positive_coroots, rd._root_index
@@ -320,11 +326,9 @@ class _Context:
             _Wall(roots[k], coroots[k], k, j < n_affine, tuple(pairing(coroots[k], roots[m]) for m in ks))
             for j, k in enumerate(ks)
         )
+        self.reflections = tuple(_intern(reflection_matrix(b, c)) for b, c in zip(roots, coroots))
         self.gens = tuple(
-            _element(
-                wall.coroot if wall.affine else (0,) * rd.rank, _intern(reflection_matrix(wall.root, wall.coroot))
-            )
-            for wall in self.walls
+            _element(wall.coroot if wall.affine else (0,) * rd.rank, self.reflections[wall.k]) for wall in self.walls
         )
         self.perms: dict[_Finite, tuple[int, ...]] = {}
 

@@ -22,6 +22,7 @@ from affweyl.admissible import (
     tau,
 )
 from affweyl.affine_weyl import (
+    AffineWeylElement,
     AffineWeylError,
     ParahoricLevel,
     bruhat_leq,
@@ -39,6 +40,7 @@ from affweyl.affine_weyl import (
     omega_part,
     omega_rep,
     reduced_word,
+    reflection_matrix,
     sigma_apply,
     sigma_apply_cochar,
     sigma_from_name,
@@ -48,10 +50,11 @@ from affweyl.affine_weyl import (
 )
 from affweyl.notation import format_element, parse_element
 from affweyl.oracles import run_oracle_suite
-from affweyl.root_datum import build_root_datum, dominant_rep, weyl_orbit
+from affweyl.root_datum import build_root_datum, dominant_rep, pairing, weyl_orbit
 from affweyl.gln_perm import adm_eq_perm_check, is_permissible, perm_set
 from affweyl.straight_newton import b_set, basic_point, components_bound_report, mu_bar, straight_classes
 from test_affine_weyl import A1_X_C2
+from test_levi import B2, G2
 from test_linalg import hasse_by_cubic_scan
 
 
@@ -253,6 +256,81 @@ def test_lower_covers_match_subword_oracle(case):
         if bruhat_leq_subword_oracle(rd, v, w)
     }
     assert _lower_covers(rd, w) == expected
+
+
+def _deletion_covers(rd, w):
+    """Reference: the one-letter deletions of w's greedy reduced word that have length l(w) - 1.
+
+    For a reduced word s_1..s_l omega of w, the l products with one letter
+    deleted are the elements wt for the reflections t with l(wt) < l(w), and
+    the lower covers of w are those of length l(w) - 1 (Bjorner-Brenti,
+    Thm 1.4.3 and Cor 1.4.4).
+    """
+    letters, omega = reduced_word(rd, w)
+    gens = iwahori_generators(rd)
+    # suffix[j] is the product of letters[j:] times omega
+    suffix = [omega]
+    for i in reversed(letters):
+        suffix.append(mul(gens[i], suffix[-1]))
+    suffix.reverse()
+    out = set()
+    prefix = identity_element(rd)
+    for j, i in enumerate(letters):
+        v = mul(prefix, suffix[j + 1])
+        if length(rd, v) == len(letters) - 1:
+            out.add(v)
+        prefix = mul(prefix, gens[i])
+    return out
+
+
+def _far_hyperplane_dropped(rd, w):
+    """_lower_covers without s_(b,k) w for the k at the w(A) end of each range: k = d if d > 0, d + 1 if d < 0."""
+    far = set()
+    for root, coroot in zip(rd.positive_roots, rd.positive_coroots):
+        # u^-1(b) is the covector b u; it is negative when it is not a positive root
+        d = pairing(w.translation, root) - (linalg.vec_mat(root, w.finite) not in rd.positive_roots)
+        if d:
+            k = d if d > 0 else d + 1
+            far.add(mul(AffineWeylElement(tuple(k * c for c in coroot), reflection_matrix(root, coroot)), w))
+    return _lower_covers(rd, w) - far
+
+
+# roots and coroots differ on GSp, B2 and G2, which catch a transposed pairing that GL, SL and PGL do not
+GSP6 = build_root_datum({"preset": "GSp", "n": 6})
+DELETION_CASES = [
+    (GL4, (1, 1, 0, 0)),
+    (build_root_datum({"preset": "GL", "n": 5}), (2, 1, 0, 0, 0)),
+    (GSP6, (1, 1, 1, 1)),
+    (GSP6, (2, 1, 0, 1)),
+    (build_root_datum({"preset": "SL", "n": 4}), (1, 0, 1)),
+    (build_root_datum({"preset": "PGL", "n": 4}), (1, 0, 0)),
+    (B2, (2, 2)),
+    (B2, (2, 1)),
+    (G2, (2, 3)),
+    (G2, (1, 2)),
+]
+_over_deletion_cases = pytest.mark.parametrize(
+    "rd,mu", DELETION_CASES, ids=[f"{rd.type_label}-{mu}" for rd, mu in DELETION_CASES]
+)
+
+
+def _deletion_mismatches(rd, elements):
+    """The elements whose lower covers admissible._lower_covers and the deletion rule disagree on."""
+    return [w for w in elements if admissible._lower_covers(rd, w) != _deletion_covers(rd, w)]
+
+
+@_over_deletion_cases
+def test_hyperplane_covers_match_the_deletion_rule(rd, mu):
+    assert not _deletion_mismatches(rd, adm(mu, rd).elements)
+
+
+@_over_deletion_cases
+def test_negative_control_a_dropped_far_hyperplane_is_caught(monkeypatch, rd, mu):
+    elements = adm(mu, rd).elements
+    monkeypatch.setattr(admissible, "_lower_covers", _far_hyperplane_dropped)
+    assert _deletion_mismatches(rd, elements)
+    with pytest.raises(AffineWeylError, match="non-member"):
+        adm.__wrapped__(mu, rd)
 
 
 def _pairwise_cover_edges(rd, elements):

@@ -1,12 +1,14 @@
 """Levi data derived from the parent datum, memoised, and integer Newton points.
 
 Every Levi that levi_datum hands b_set and components_bound_report is
-compared with the datum _build makes from the same simple system, and
-every conjugate Levi, carried from a standard one along a Weyl word, is
-the very object sub_datum derives from its positive roots.  Both routes
-read coroot coordinates off the same fundamental-weight forms, so the
-positive systems, coroot_height and dominance_leq are also checked against
-an independent Fraction solve (solve_rational).
+compared with the datum sub_datum derives from the positive roots
+orthogonal to its slope vector, simple roots in sub_datum's order, and
+with the datum _build makes from the same simple system; every conjugate
+Levi, carried from a standard one along a Weyl word, is the very object
+sub_datum derives from its positive roots.  Both routes read coroot
+coordinates off the same fundamental-weight forms, so the positive
+systems, coroot_height and dominance_leq are also checked against an
+independent Fraction solve (solve_rational).
 """
 
 import dataclasses
@@ -116,11 +118,23 @@ def _distinct(records):
     return list({id(levi): (rd, levi) for rd, _, levi in records}.values())
 
 
+def _orthogonal(nu, rd):
+    return [k for k, root in enumerate(rd.positive_roots) if pairing(nu, root) == 0]
+
+
 def _mismatches(records):
+    """The reached Levis other than sub_datum of the positive roots orthogonal to their slope vector.
+
+    sub_datum lists the simple roots in its own order, so a Levi that holds
+    the right roots in another order is a mismatch too.  Each is also
+    compared with the datum _build makes from its simple system, a route
+    that shares no code with sub_datum's.
+    """
     return [
         levi
-        for rd, levi in _distinct(records)
-        if levi != _build((rd.rank, levi.simple_roots, levi.simple_coroots), f"levi:{rd.type_label}")
+        for rd, nu, levi in records
+        if levi != sub_datum(rd, _orthogonal(nu, rd), f"levi:{rd.type_label}")
+        or levi != _build((rd.rank, levi.simple_roots, levi.simple_coroots), f"levi:{rd.type_label}")
     ]
 
 
@@ -157,7 +171,7 @@ def _drop_one_root(rd, idx, label):
 
 @pytest.mark.parametrize("derive", [_swap_two_roots, _drop_one_root])
 def test_negative_control_a_corrupted_derivation_is_caught(monkeypatch, derive):
-    # a corrupted standard Levi is refused by the transport or differs from _build's datum
+    # a corrupted standard Levi is refused by the transport or differs from the datum sub_datum derives
     cases = _with_data([("GL", 4, (1, 1, 0, 0), ("id",)), ("GSp", 4, (1, 1, 1), ("id",))])
     try:
         records = _reached_levis(monkeypatch, cases, derive)
@@ -376,10 +390,6 @@ TRANSPORT_DATA = _with_data(LADDER) + [
 def _conjugates(records):
     """The records whose slope vector is not dominant: their Levi is carried along a Weyl word."""
     return [(rd, nu, levi) for rd, nu, levi in records if dominant_rep(nu, rd)[1]]
-
-
-def _orthogonal(nu, rd):
-    return [k for k, root in enumerate(rd.positive_roots) if pairing(nu, root) == 0]
 
 
 def test_every_conjugate_levi_is_the_datum_sub_datum_derives(monkeypatch):
