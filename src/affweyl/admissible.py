@@ -41,6 +41,7 @@ from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
     ParahoricLevel,
+    _checked_level,
     _checked_mu,
     _context,
     _element,
@@ -262,6 +263,7 @@ def adm_K(
     They come in the order of adm(mu).elements; at the Iwahori level that
     is every element.
     """
+    _checked_level(rd, level.generators)
     return tuple(w for w in adm(mu, rd).elements if _shorten(rd, w, level) is None)
 
 
@@ -281,10 +283,10 @@ class KRPoset:
 
 
 def kr_poset(mu: Sequence[int], rd: RootDatum, level: ParahoricLevel) -> KRPoset:
-    """Bruhat order on Adm_K(mu), walked down the cover edges of Adm(mu)."""
+    """Bruhat order on Adm_K(mu), walked down the cover edges of Adm(mu); adm_K checks the level."""
     mu = _checked_mu(mu, rd)
-    aset = adm(mu, rd)
     nodes = adm_K(mu, rd, level)
+    aset = adm(mu, rd)
     bit = {w: 1 << a for a, w in enumerate(nodes)}
     # down[j] masks the nodes below element j; sorted edges go up in length,
     # so one pass completes down[i] before edge (i, j) reads it

@@ -11,9 +11,9 @@ in its positive roots and, per entry, the signed permutation of the
 positive roots by u^-1, read from the datum's root index, whose signs
 `length` reads in one pass.  No inverse is kept, and no library path
 calls `inv`, which eliminates.
-A Frobenius action sigma is the element t_0 S of W semidirect <sigma> in
-the same table: sigma(w) = S w S^-1, and with sigma^m = 1 the twisted
-power w sigma(w) .. sigma^(m-1)(w) is the ordinary power (w S)^m.
+A Frobenius action sigma with matrix S acts on W by
+sigma(t_lambda u) = t_(S lambda) S u S^-1 (sigma_apply); S itself is
+never interned, only the conjugates S u S^-1, which lie in W_0 with u.
 Length is the closed Iwahori-Matsumoto count.  Reduced words are taken
 greedily with respect to the fixed base alcove (the alcove in the
 dominant chamber with a vertex at the origin): a simple reflection is a
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from operator import mul as _times
 from typing import Iterable, Optional, Sequence
 
@@ -84,12 +84,11 @@ class AffineWeylError(ValueError):
 
 
 class _Finite:
-    """The interned entry of one finite Weyl or Frobenius matrix u.
+    """The interned entry of one finite Weyl matrix u.
 
     Its hash is that of the matrix, so an element hashes like the pair
-    (translation, matrix).  `products` maps an entry v to the entry of uv
-    (so twists S u S^-1 and twisted powers (u S)^m are products too), and
-    `is_identity` says whether u is the identity.  Its action on the roots
+    (translation, matrix).  `products` maps an entry v to the entry of uv,
+    and `is_identity` says whether u is the identity.  Its action on the roots
     of a datum is kept by the datum's context.  No inverse is kept.
     """
 
@@ -236,7 +235,7 @@ def _memo_on_mu(fn):
 def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
     """(t_lambda u)(t_mu v) = t_(lambda + u mu) uv, with uv read from the table.
 
-    Nothing is applied when mu = 0 (a finite right factor: w s_i, w S);
+    Nothing is applied when mu = 0 (a finite right factor such as s_i);
     otherwise the matrix is.
     """
     lam, mu = a.translation, b.translation
@@ -296,10 +295,10 @@ class _Context:
     the pairings of lambda with the wall roots by it.  perms maps each
     interned finite part u met with this datum to its signed permutation
     of rd.positive_roots: perm[j] is m, or ~m for a negative root, where
-    u^-1(b_j) = +-b_m, so u^-1(b_j) < 0 exactly when perm[j] < 0.  The key
-    is the entry, not the permutation, which does not determine the
-    matrix: the flip of GL2 permutes the positive roots like the identity,
-    and on a torus every matrix has the empty one.  reflections holds the
+    u^-1(b_j) = +-b_m, so u^-1(b_j) < 0 exactly when perm[j] < 0.  On W_0
+    the permutation determines u, but the key is the entry: a hand-built
+    element may carry a matrix outside W_0, such as the flip of GL2, which
+    permutes the positive roots like the identity.  reflections holds the
     entry of s_b, x -> x - <x, b> b^vee, for each positive root b in the
     order of rd.positive_roots; the gens reuse those of the wall roots.  A
     reflection s_(b,k) = t_(k b^vee) s_b in an affine hyperplane
@@ -573,17 +572,11 @@ def word_length_map(
 
 @dataclass(frozen=True)
 class SigmaAction:
-    """Finite-order automorphism of the based datum, acting on W."""
+    """Finite-order automorphism of the based datum, acting on W by sigma_apply."""
 
     matrix: Mat
     matrix_inv: Mat
     order: int
-
-    @cached_property
-    def elements(self) -> tuple[AffineWeylElement, AffineWeylElement]:
-        """(S, S^-1): sigma and its inverse as the elements t_0 S, t_0 S^-1."""
-        zero = (0,) * len(self.matrix)
-        return AffineWeylElement(zero, self.matrix), AffineWeylElement(zero, self.matrix_inv)
 
 
 def _diagram_permutation(rd: RootDatum, m: Mat) -> tuple[int, ...]:
@@ -659,12 +652,16 @@ def sigma_from_name(rd: RootDatum, name: str) -> SigmaAction:
 
 
 def sigma_apply(sigma: SigmaAction, w: AffineWeylElement) -> AffineWeylElement:
-    """sigma(t_lambda u) = t_sigma(lambda) sigma u sigma^-1, the conjugate S w S^-1."""
+    """sigma(t_lambda u) = t_(S lambda) S u S^-1, the one place sigma meets an element.
+
+    S u S^-1 is formed by mat_mul, outside the product tables; only it is
+    interned, and it lies in W_0 when u does.  sigma = id returns w itself.
+    """
     _check_rank(len(w.translation), len(sigma.matrix))
     if sigma.order == 1:
         return w
-    s, s_inv = sigma.elements
-    return mul(mul(s, w), s_inv)
+    s = sigma.matrix
+    return _element(mat_vec(s, w.translation), _intern(mat_mul(s, mat_mul(w._u.matrix, sigma.matrix_inv))))
 
 
 def sigma_apply_cochar(sigma: SigmaAction, lam: Sequence[int]) -> Vec:
@@ -697,7 +694,7 @@ def sigma_generator_permutation(rd: RootDatum, sigma: SigmaAction) -> tuple[int,
 
 @dataclass(frozen=True)
 class ParahoricLevel:
-    """A subset K of the affine simple reflections with W_K finite."""
+    """A subset K of the affine simple reflections with W_K finite; it holds no datum (see _checked_level)."""
 
     generators: tuple[int, ...]
 
@@ -706,16 +703,22 @@ class ParahoricLevel:
         return ParahoricLevel(())
 
 
-def make_level(rd: RootDatum, indices: Iterable[int], sigma: Optional[SigmaAction] = None) -> ParahoricLevel:
+def _checked_level(rd: RootDatum, indices: Iterable[int]) -> tuple[int, ...]:
+    """The sorted generator indices of a level on rd; AffineWeylError unless W_K is finite there.
+
+    A ParahoricLevel holds no datum, so each public entry point taking a datum and a level calls this once.
+    """
     n_gens = len(iwahori_generators(rd))
     idx = tuple(sorted({_checked_index(i, n_gens) for i in indices}))
     n_comps = len(rd.components())
     for c, comp in enumerate(rd.components()):
-        node_set = {c} | {n_comps + i for i in comp}
-        if node_set <= set(idx):
-            raise AffineWeylError(
-                "level contains every node of an affine component; W_K would be infinite"
-            )
+        if {c, *(n_comps + i for i in comp)} <= set(idx):
+            raise AffineWeylError("level contains every node of an affine component; W_K would be infinite")
+    return idx
+
+
+def make_level(rd: RootDatum, indices: Iterable[int], sigma: Optional[SigmaAction] = None) -> ParahoricLevel:
+    idx = _checked_level(rd, indices)
     if sigma is not None:
         perm = sigma_generator_permutation(rd, sigma)
         if {perm[i] for i in idx} != set(idx):
@@ -760,6 +763,7 @@ def double_coset_rep(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel)
     That element is unique, so the order of the steps does not matter.
     Each step shortens w by one, so more than l(w) steps mean a wrong descent.
     """
+    _checked_level(rd, level.generators)
     for _ in range(length(rd, w) + 1):
         if (shorter := _shorten(rd, w, level)) is None:
             return w

@@ -27,26 +27,23 @@ from .root_datum import RootDatum
 _TERM_RE = re.compile(r"^(e|t\[(?P<tv>-?\d+(,-?\d+)*)\]|s(?P<si>\d+)|tau\[(?P<ov>-?\d+(,-?\d+)*)\])$")
 
 
-def _finite_word(rd: RootDatum, w: AffineWeylElement) -> list[int]:
-    """Greedy reduced word of the finite part, in finite generator indices.
+def _finite_word(rd: RootDatum, w: AffineWeylElement) -> tuple[int, ...]:
+    """Greedy reduced word of the finite part, as affine generator indices.
 
-    It is the cached reduced word of t_0 u shifted by the number of affine
-    nodes: at translation 0 the wall of an affine node pairs to -sign <= 0,
-    so no affine generator is ever a descent.  A length-zero remainder
+    It is the cached reduced word of t_0 u: at translation 0 the wall of an
+    affine node pairs to -sign <= 0, so no affine generator is ever a
+    descent and every letter is a finite node.  A length-zero remainder
     other than the identity means u is not in the finite Weyl group.
     """
     letters, rest = reduced_word(rd, _element((0,) * rd.rank, w._u))
     if not rest._u.is_identity:
         raise AffineWeylError("finite part is not in the finite Weyl group")
-    n_affine = len(rd.components())
-    return [i - n_affine for i in letters]
+    return letters
 
 
 def format_element(rd: RootDatum, w: AffineWeylElement) -> str:
     parts = ["t[" + ",".join(str(x) for x in w.translation) + "]"]
-    n_affine = len(rd.components())
-    for i in _finite_word(rd, w):
-        parts.append(f"s{n_affine + i}")
+    parts += [f"s{i}" for i in _finite_word(rd, w)]
     return "*".join(parts)
 
 

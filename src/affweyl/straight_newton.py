@@ -1,10 +1,10 @@
 """Straight elements, Newton points, B(G, mu) and the component bound data.
 
-A sigma-straight element has additive lengths along its twisted powers,
-the powers of w sigma in W semidirect <sigma>; its Newton point is the
-slope vector of the first twisted power that is a translation (with sigma
-back at the identity), made dominant, together with the Kottwitz class in
-the sigma-coinvariants of pi_1.  One twisted power per element gives both:
+A sigma-straight element has additive lengths along its twisted powers
+w sigma(w) .. sigma^(m-1)(w); its Newton point is the slope vector of the
+first twisted power that is a translation with sigma^m = 1, made
+dominant, together with the Kottwitz class in the sigma-coinvariants of
+pi_1.  One twisted power per element gives both:
 by He's criterion (He, "Geometric and homological properties of affine
 Deligne-Lusztig varieties", Ann. Math. 2014) w is straight iff
 l(w) = <nu_w, 2 rho>, which for the power t_lambda of index m reads
@@ -118,17 +118,22 @@ def _sigma_minus_one(sigma: SigmaAction) -> tuple[tuple[int, ...], ...]:
 def twisted_power(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tuple[int, AffineWeylElement]:
     """Smallest m with sigma^m = 1 and w sigma(w)..sigma^(m-1)(w) a translation.
 
-    With sigma^m = 1 that product is the power (w sigma)^m in W semidirect <sigma>.
-    An element of another rank never becomes a translation of rd, so it is
-    refused first, where an element meets the datum (_Context.perm).
+    m is a multiple of sigma's order o, and that product is the (m/o)-th
+    power of the sigma-norm N(w) = w sigma(w)..sigma^(o-1)(w), as
+    sigma^o(w) = w; so N(w) is taken once and multiplied until a
+    translation.  An element of another rank never becomes a translation
+    of rd, so it is refused first, where an element meets the datum
+    (_Context.perm).
     """
     _context(rd).perm(w._u)
-    step = w if sigma.order == 1 else mul(w, sigma.elements[0])
-    cur = step
-    m = 1
-    while not (m % sigma.order == 0 and is_translation(cur, rd)):
+    step = shifted = w
+    for _ in range(sigma.order - 1):
+        shifted = sigma_apply(sigma, shifted)
+        step = mul(step, shifted)
+    cur, m = step, sigma.order
+    while not is_translation(cur, rd):
         cur = mul(cur, step)
-        m += 1
+        m += sigma.order
         if m > 100000:
             raise AffineWeylError("twisted powers never reached a translation")
     return m, cur

@@ -205,6 +205,25 @@ def test_kr_poset_node_count_matches_adm_K():
     assert len(poset.nodes) == len(adm_K((1, 0, 0), GL3, level))
 
 
+# levels whose W_K is infinite on GL2: made on GL3, or built without make_level
+_FOREIGN_LEVELS = {"made-on-GL3": make_level(GL3, [0, 1]), "built-directly": ParahoricLevel((0, 1))}
+_LEVEL_ENTRY_POINTS = {
+    "adm_K": lambda level: adm_K((1, 0), GL2, level),
+    "kr_poset": lambda level: kr_poset((1, 0), GL2, level),
+    "double_coset_rep": lambda level: double_coset_rep(GL2, tau((1, 0), GL2), level),
+}
+
+
+@pytest.mark.parametrize("level", _FOREIGN_LEVELS.values(), ids=_FOREIGN_LEVELS)
+@pytest.mark.parametrize("entry", _LEVEL_ENTRY_POINTS.values(), ids=_LEVEL_ENTRY_POINTS)
+def test_a_level_is_checked_against_the_datum_it_is_used_with(entry, level):
+    # the message make_level(GL2, [0, 1]) raises, not a one-node answer
+    with pytest.raises(AffineWeylError, match="every node of an affine component"):
+        make_level(GL2, level.generators)
+    with pytest.raises(AffineWeylError, match="every node of an affine component"):
+        entry(level)
+
+
 def test_sigma_stability_under_flip():
     flip = sigma_from_name(GL4, "flip")
     mu = (1, 1, 0, 0)

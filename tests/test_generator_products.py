@@ -31,6 +31,7 @@ from affweyl.affine_weyl import (
 from affweyl.linalg import mat_mul, vec_mat
 from affweyl.root_datum import build_root_datum
 from test_affine_weyl import A1_X_C2
+from test_levi import B2, G2
 from test_root_datum import _cartan_spec
 
 DATA = [
@@ -91,7 +92,9 @@ def test_product_with_a_finite_right_factor_is_the_dense_one(case, data):
 @given(_elements(FLIPPED))
 def test_product_with_sigma_is_the_dense_one(case):
     rd, w = case
-    for s in sigma_from_name(rd, "flip").elements:
+    sigma, zero = sigma_from_name(rd, "flip"), (0,) * rd.rank
+    # S and S^-1 built by hand: outside W_0, so mul takes them through the matrix route
+    for s in (AffineWeylElement(zero, sigma.matrix), AffineWeylElement(zero, sigma.matrix_inv)):
         assert mul(w, s) == _dense(w, s)
         assert mul(s, w) == _dense(s, w)
 
@@ -174,16 +177,38 @@ def test_right_descent_read_matches_lengths(rd):
 
 
 def test_a_permutation_does_not_determine_the_finite_part():
-    # why the entries stay keyed by the matrix: the flip of GL2 permutes the
-    # positive roots like the identity, and on a torus every matrix has the
-    # empty permutation, but neither is the identity
+    # why the entries stay keyed by the matrix: outside W_0 the permutation is
+    # not faithful.  The flip of GL2 permutes the positive roots like the
+    # identity, and on a torus every matrix has the empty permutation, but
+    # neither S nor S^-1, built here by hand, is the identity
     gl2 = DATA[0]
     torus = build_root_datum({"rank": 2, "simple_roots": [], "simple_coroots": [], "label": "T2"})
     for rd, sigma in ((gl2, sigma_from_name(gl2, "flip")), (torus, make_sigma(torus, [[0, 1], [1, 0]]))):
-        s, _ = sigma.elements
-        assert _context(rd).perm(s._u) == tuple(range(len(rd.positive_roots)))  # (0,) and ()
-        assert not s._u.is_identity
-        assert s != identity_element(rd) and mul(s, s) == identity_element(rd)
+        zero = (0,) * rd.rank
+        s, s_inv = AffineWeylElement(zero, sigma.matrix), AffineWeylElement(zero, sigma.matrix_inv)
+        for x in (s, s_inv):
+            assert _context(rd).perm(x._u) == tuple(range(len(rd.positive_roots)))  # (0,) and ()
+            assert not x._u.is_identity and x != identity_element(rd)
+        assert mul(s, s_inv) == identity_element(rd) and mul(s, s) == identity_element(rd)
+
+
+FAITHFUL_DATA = [
+    build_root_datum({"preset": p, "n": n})
+    for p, n in [("GL", n) for n in range(2, 7)] + [("SL", 3), ("SL", 4), ("PGL", 3), ("PGL", 4)]
+    + [("GSp", 4), ("GSp", 6), ("GSp", 8)]
+] + [B2, G2, A1_X_C2]
+# |W_0|: n! on GL_n, SL_n and PGL_n; 2^g g! on GSp_2g; 8 on B2, 12 on G2, 2 * 8 on A1 x C2
+FAITHFUL_ORDERS = [2, 6, 24, 120, 720, 6, 24, 6, 24, 8, 48, 384, 8, 12, 16]
+
+
+@pytest.mark.parametrize("rd,order", zip(FAITHFUL_DATA, FAITHFUL_ORDERS), ids=[_id(rd) for rd in FAITHFUL_DATA])
+def test_the_signed_permutation_is_faithful_on_the_finite_weyl_group(rd, order):
+    # u in W_0 fixing every root fixes every coroot and the annihilator of the
+    # roots, so u = 1: inside W_0 the permutation could key the entries
+    finite = _finite_group(rd)
+    ctx = _context(rd)
+    assert len(finite) == order
+    assert len({ctx.perm(u._u) for u in finite}) == order
 
 
 @pytest.mark.parametrize("clear", [affweyl.clear_caches], ids=lambda f: f.__name__)

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import affweyl
 from affweyl import affine_weyl
+from affweyl.admissible import adm
 from affweyl.affine_weyl import (
     AffineWeylElement,
+    finite_reflection,
     identity_element,
     inv,
     iwahori_generators,
@@ -27,6 +29,9 @@ from affweyl.affine_weyl import (
 )
 from affweyl.linalg import mat_mul
 from affweyl.root_datum import build_root_datum
+from affweyl.stembridge import NotMinusculeError
+from affweyl.straight_newton import b_set, components_bound_report, is_straight, newton_point
+from test_affine_weyl import FACTOR_CYCLE, FACTOR_SWAP, GL2_CUBED, GL2_X_GL2
 
 SPECS = [("GL", 2), ("GL", 3), ("GL", 4), ("SL", 3), ("PGL", 3), ("GSp", 4)]
 DATA = [build_root_datum({"preset": p, "n": n}) for p, n in SPECS]
@@ -209,3 +214,46 @@ def test_concurrent_lengths_on_data_sharing_matrices():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not wrong
+
+
+# ---------------------------------------------------------------------------
+# sigma is applied to elements, never multiplied into them
+
+
+def _flip(preset, n):
+    rd = build_root_datum({"preset": preset, "n": n})
+    return rd, sigma_from_name(rd, "flip")
+
+
+W0_ONLY_CASES = [
+    (*_flip("GL", 3), [(1, 0, 0), (1, 1, 0)]),
+    (*_flip("GL", 4), [(1, 1, 0, 0)]),
+    (*_flip("GL", 5), [(1, 0, 0, 0, 0)]),
+    (*_flip("SL", 4), [(1, 0, 1)]),
+    (*_flip("PGL", 4), [(1, 0, 0)]),
+    (GL2_X_GL2, FACTOR_SWAP, [(1, 0, 1, 0), (1, 0, 0, 0)]),
+    (GL2_CUBED, FACTOR_CYCLE, [(1, 0, 1, 0, 1, 0), (1, 0, 0, 0, 0, 0)]),
+]
+
+
+@pytest.mark.parametrize("rd,sigma,mus", W0_ONLY_CASES, ids=["GL3", "GL4", "GL5", "SL4", "PGL4", "GL2xGL2-swap", "GL2^3-cycle"])
+def test_the_intern_table_holds_only_finite_weyl_matrices(rd, sigma, mus):
+    # every library path that meets sigma interns S u S^-1, never S or a product u S;
+    # one datum per run, as the flip of GL3 is the longest element of SL4's W_0
+    affweyl.clear_caches()
+    for mu in mus:
+        for b in b_set(mu, rd, sigma):
+            try:
+                components_bound_report(mu, b, rd, sigma)
+            except NotMinusculeError:
+                # SL4 is simply connected, so its one minuscule coweight is 0
+                assert rd.type_label == "SL4"
+        for w in adm(mu, rd).elements:
+            newton_point(rd, sigma, w)
+            is_straight(rd, sigma, w)
+            sigma_apply(sigma, w)
+    keys = set(affine_weyl._FINITE_PARTS)
+    # the oracle: W_0, by breadth-first search over the finite simple reflections
+    reflections = [finite_reflection(rd, i) for i in range(rd.semisimple_rank)]
+    assert keys <= {u.finite for u in word_length_map(rd, gens=reflections)}
+    assert sigma.matrix not in keys
