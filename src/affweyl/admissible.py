@@ -9,7 +9,9 @@ them by the Iwahori-Matsumoto count, and the lower covers of w are the
 tw of length l(w) - 1 (see _lower_covers).  The same covers prove the
 candidate set equal to Adm(mu): every lower cover of a candidate is a
 candidate, and every candidate is a maximal translation or a lower cover
-of one; any failure is a hard internal error.  The two routes share no
+of one; and every interval of length 2 in the cover edges has two middle
+elements, which proves the edges as well.  Any failure is a hard
+internal error.  The two routes share no
 reduced word: the closure reads one, the covers read the alcove.
 
 Both computations are done once per Omega-orbit.  A length-zero element
@@ -32,6 +34,7 @@ bitmask.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul as _times
@@ -199,6 +202,14 @@ def adm(mu: Sequence[int], rd: RootDatum) -> AdmissibleSet:
     length is refused, which also keeps the saturation finite.
     Completeness is checked at one element per orbit, which covers all as
     the candidates are Omega-stable; soundness is checked on every edge.
+
+    The two checks prove the elements, not the edges: covers that lose
+    edges but leave every element one upper cover would pass them.  So the
+    edges are checked as well: every interval of length 2 in the Bruhat
+    order has exactly two middle elements (Bjorner-Brenti, section 2.7),
+    and Adm(mu) is closed downward, so each x two cover steps below w must
+    be reached through exactly two lower covers of w.  The conjugations
+    carry edges to edges, so this too is checked at one element per orbit.
     """
     maximal = _maximal_translations(mu, rd)
     conjugations = _omega_conjugations(rd)
@@ -225,28 +236,36 @@ def adm(mu: Sequence[int], rd: RootDatum) -> AdmissibleSet:
     # each conjugation as a permutation of positions in elements
     maps = [[index[image[w]] for w in elements] for image in images]
     edges = []
-    seen = [False] * len(elements)
+    # lower[j] lists the positions of j's lower covers, computed at one element per orbit
+    lower: list = [None] * len(elements)
+    computed = []
     for r, w in enumerate(elements):
-        if seen[r]:
+        if lower[r] is not None:
             continue
+        computed.append(r)
         below = _lower_covers(rd, w)
         if not below <= candidates:
             raise AffineWeylError(
                 "admissible enumeration mismatch: subword closure missed a lower cover"
             )
-        seen[r] = True
-        orbit = [(r, [index[v] for v in below])]
-        for j, j_below in orbit:
-            edges += [(i, j) for i in j_below]
+        lower[r] = [index[v] for v in below]
+        orbit = [r]
+        for j in orbit:
+            edges += [(i, j) for i in lower[j]]
             for conj in maps:
                 k = conj[j]
-                if not seen[k]:
-                    seen[k] = True
-                    orbit.append((k, [conj[i] for i in j_below]))
+                if lower[k] is None:
+                    lower[k] = [conj[i] for i in lower[j]]
+                    orbit.append(k)
     if {elements[i] for i, _ in edges} | set(maximal) != candidates:
         raise AffineWeylError(
             "admissible enumeration mismatch: subword closure produced a non-member"
         )
+    for r in computed:
+        if any(c != 2 for c in Counter(x for v in lower[r] for x in lower[v]).values()):
+            raise AffineWeylError(
+                "admissible enumeration mismatch: a length-2 interval of the cover edges does not have two middle elements"
+            )
     return AdmissibleSet(mu, elements, ParahoricLevel.iwahori(), tuple(sorted(edges)))
 
 

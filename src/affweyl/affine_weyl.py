@@ -56,7 +56,7 @@ True
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from operator import mul as _times
 from typing import Iterable, Optional, Sequence
@@ -572,11 +572,38 @@ def word_length_map(
 
 @dataclass(frozen=True)
 class SigmaAction:
-    """Finite-order automorphism of the based datum, acting on W by sigma_apply."""
+    """Finite-order lattice automorphism S, acting on W by sigma_apply; it is its matrix alone.
+
+    Construction checks what needs no datum (integer entries, a square
+    matrix, order at most 2520, which makes it invertible over the integers)
+    and derives the order o and S^-1 = S^(o-1), the last power before the
+    identity, with no elimination; a matrix of no such order is eliminated
+    only to say whether it is invertible.  Equality and hash read the matrix
+    only.  It holds no datum, so make_sigma and each entry point taking a
+    datum run the diagram check.
+    """
 
     matrix: Mat
-    matrix_inv: Mat
-    order: int
+    matrix_inv: Mat = field(init=False, repr=False, compare=False)
+    order: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = tuple(tuple(exact_int(x, "an automorphism entry", AffineWeylError) for x in row) for row in self.matrix)
+        if any(len(row) != len(m) for row in m):
+            raise AffineWeylError("automorphism matrix is not square")
+        one = identity_matrix(len(m))
+        m_inv, power, order = one, m, 1
+        while power != one:
+            m_inv, power = power, mat_mul(power, m)
+            order += 1
+            if order > 2520:
+                try:
+                    mat_inverse(m)
+                except ValueError as exc:
+                    raise AffineWeylError("automorphism matrix is not invertible over the integers") from exc
+                raise AffineWeylError("automorphism does not have small finite order")
+        for name, value in (("matrix", m), ("matrix_inv", m_inv), ("order", order)):
+            object.__setattr__(self, name, value)
 
 
 def _diagram_permutation(rd: RootDatum, m: Mat) -> tuple[int, ...]:
@@ -609,32 +636,21 @@ def _diagram_permutation(rd: RootDatum, m: Mat) -> tuple[int, ...]:
 
 
 def make_sigma(rd: RootDatum, matrix: Sequence[Sequence[int]]) -> SigmaAction:
-    """Validate a lattice automorphism as a diagram automorphism.
+    """Validate a lattice automorphism as a diagram automorphism of rd.
 
-    The integer matrix must permute the simple coroots, act compatibly on
-    the simple roots (the check sigma_generator_permutation reads pi off),
-    be invertible over Z and have finite order; this is exactly the
-    condition for the induced map on W to preserve the base alcove and
-    permute the affine simple reflections.
+    SigmaAction checks that the integer matrix is invertible over Z and of
+    finite order; here it must also permute the simple coroots and act
+    compatibly on the simple roots (the check sigma_generator_permutation
+    reads pi off).  This is exactly the condition for the induced map on W
+    to preserve the base alcove and permute the affine simple reflections.
     """
-    m = tuple(tuple(exact_int(x, "an automorphism entry", AffineWeylError) for x in row) for row in matrix)
-    _diagram_permutation(rd, m)
-    try:
-        m_inv = mat_inverse(m)
-    except ValueError as exc:
-        raise AffineWeylError("automorphism matrix is not invertible over the integers") from exc
-    power = m
-    order = 1
-    while power != identity_matrix(rd.rank):
-        power = mat_mul(power, m)
-        order += 1
-        if order > 2520:
-            raise AffineWeylError("automorphism does not have small finite order")
-    return SigmaAction(m, m_inv, order)
+    sigma = SigmaAction(matrix)
+    _diagram_permutation(rd, sigma.matrix)
+    return sigma
 
 
 def sigma_identity(rd: RootDatum) -> SigmaAction:
-    return SigmaAction(identity_matrix(rd.rank), identity_matrix(rd.rank), 1)
+    return SigmaAction(identity_matrix(rd.rank))
 
 
 def sigma_from_name(rd: RootDatum, name: str) -> SigmaAction:
@@ -662,10 +678,6 @@ def sigma_apply(sigma: SigmaAction, w: AffineWeylElement) -> AffineWeylElement:
         return w
     s = sigma.matrix
     return _element(mat_vec(s, w.translation), _intern(mat_mul(s, mat_mul(w._u.matrix, sigma.matrix_inv))))
-
-
-def sigma_apply_cochar(sigma: SigmaAction, lam: Sequence[int]) -> Vec:
-    return mat_vec(sigma.matrix, tuple(lam))
 
 
 def conjugation_permutation(rd: RootDatum, g: AffineWeylElement, g_inv: AffineWeylElement) -> tuple[int, ...]:
@@ -730,16 +742,12 @@ def _right_descends(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
     """Whether the i-th affine simple reflection s = s_a satisfies l(ws) < l(w).
 
     As a left descent of w^-1 = t_(-u^-1 lambda) u^-1, pairing with a as -<lambda, u(a)>:
-    u(a) = +-b_j where u's permutation holds k (+) or ~k (-), found in one pass.
-    One pairing, one sign.
+    u(a) = +-b_j where u's permutation holds k (+) or ~k (-).  One pairing, one sign.
     """
     ctx = _context(rd)
     wall, perm = ctx.walls[i], ctx.perm(w._u)
-    k, not_k = wall.k, ~wall.k
-    for j, m in enumerate(perm):
-        if m == k or m == not_k:
-            break
-    p = sum(map(_times, w.translation, rd.positive_roots[j]))
+    m = wall.k if wall.k in perm else ~wall.k
+    p = sum(map(_times, w.translation, rd.positive_roots[perm.index(m)]))
     return _descends(wall, p if m < 0 else -p, m)
 
 

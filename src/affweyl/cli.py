@@ -1,9 +1,15 @@
 """Command line interface.
 
 Commands: describe, adm, newton, components-bound, stembridge, perm-check,
-poset, oracle-suite.  Output is byte-deterministic for identical inputs;
-tables, TSV and DOT carry a header comment with the group, mu, sigma,
-level and tool version, JSON carries the same data in a "meta" object.
+poset, oracle-suite.  Each command takes only the flags it reads: --level
+belongs to adm and poset, --sigma to every command with a group but
+stembridge, --mu to every one but describe.  A --config value for a flag
+the command does not take is refused, and so is a --format it does not
+print: components-bound prints JSON only, stembridge a table or JSON, and
+only a poset prints DOT.  Output is byte-deterministic for identical
+inputs; tables, TSV and DOT carry a header comment with the group, mu,
+sigma, level and tool version (id and an empty level where the command
+takes none), JSON carries the same data in a "meta" object.
 Exit codes: 0 success, 1 domain precondition failure, 2 usage or config
 error.
 """
@@ -89,6 +95,7 @@ def _parse_level(rd, text: Optional[str], sigma):
 
 
 def _build_context(args):
+    """The datum and sigma of the flags, once the config file's values are set on args."""
     spec = None
     if getattr(args, "config", None):
         try:
@@ -101,11 +108,11 @@ def _build_context(args):
         spec = config.get("group")
         if isinstance(spec, str):
             spec = _parse_group(spec)
-        # config values take precedence over flags
+        # config values take precedence over flags; a key needs a flag of the command
         for key in ("mu", "sigma", "level", "format"):
             if key in config:
                 value = config[key]
-                if not isinstance(value, str) or (key == "format" and value not in FORMATS):
+                if not hasattr(args, key) or not isinstance(value, str) or (key == "format" and value not in FORMATS):
                     raise ConfigError(f"config value {key}={value!r} is not accepted")
                 setattr(args, key, value)
     if spec is None:
@@ -116,13 +123,18 @@ def _build_context(args):
         rd = build_root_datum(spec)
     except RootDatumError as exc:
         raise ConfigError(f"invalid group spec: {exc}") from exc
-    sigma_name = getattr(args, "sigma", None) or "id"
     try:
-        sigma = sigma_from_name(rd, sigma_name)
+        return rd, sigma_from_name(rd, getattr(args, "sigma", None) or "id")
     except AffineWeylError as exc:
         raise ConfigError(str(exc)) from exc
-    level = _parse_level(rd, getattr(args, "level", None), sigma)
-    return rd, sigma, level
+
+
+def _check_format(args, command: str, formats) -> None:
+    """Refuse a --format the command does not print; DOT keeps the message of a command without a poset."""
+    if args.format == "dot":
+        raise ConfigError(f"{command} has no poset; dot output is not available")
+    if args.format not in (None, *formats):
+        raise ConfigError(f"{command} prints {' or '.join(formats)} only; --format {args.format} is not available")
 
 
 def _meta_obj(args, rd) -> dict:
@@ -191,9 +203,8 @@ def _fmt_kappa(kappa) -> str:
 
 
 def cmd_describe(args) -> int:
-    rd, sigma, level = _build_context(args)
-    if args.format == "dot":
-        raise ConfigError("describe has no poset; dot output is not available")
+    rd, sigma = _build_context(args)
+    _check_format(args, "describe", ("table", "tsv", "json"))
     pi1 = fundamental_group(rd)
     rows = [
         ("label", rd.type_label),
@@ -223,7 +234,8 @@ def _wants_dot(args) -> bool:
 
 
 def cmd_adm(args) -> int:
-    rd, sigma, level = _build_context(args)
+    rd, sigma = _build_context(args)
+    level = _parse_level(rd, args.level, sigma)
     mu = _mu(args, rd, "adm")
     if _wants_dot(args):
         return _emit_poset(args, rd, mu, level)
@@ -268,7 +280,7 @@ def _newton_rows(rd, mu, sigma):
 
 
 def cmd_newton(args) -> int:
-    rd, sigma, level = _build_context(args)
+    rd, sigma = _build_context(args)
     mu = _mu(args, rd, "newton")
     dot = _wants_dot(args)
     classes, rows, edges = _newton_rows(rd, mu, sigma)
@@ -280,9 +292,8 @@ def cmd_newton(args) -> int:
 
 
 def cmd_components_bound(args) -> int:
-    rd, sigma, level = _build_context(args)
-    if args.format == "dot":
-        raise ConfigError("components-bound has no poset; dot output is not available")
+    rd, sigma = _build_context(args)
+    _check_format(args, "components-bound", ("json",))
     mu = _mu(args, rd, "components-bound")
     classes, rows, _ = _newton_rows(rd, mu, sigma)
     column = 6 if args.b == "basic" else 0  # the basic column, else the id column
@@ -320,9 +331,8 @@ def cmd_components_bound(args) -> int:
 
 
 def cmd_stembridge(args) -> int:
-    rd, sigma, level = _build_context(args)
-    if args.format == "dot":
-        raise ConfigError("stembridge has no poset; dot output is not available")
+    rd, _ = _build_context(args)
+    _check_format(args, "stembridge", ("table", "json"))
     if not args.mu or not args.lam:
         raise ConfigError("stembridge needs --mu and --lambda")
     mu = _parse_cochar(args.mu, rd, "--mu")
@@ -390,13 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"affweyl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mu=True):
+    def common(p, mu=True, sigma=True, level=False):
         p.add_argument("--group", help="preset group, e.g. GL3, GSp4, SL3, PGL3")
         p.add_argument("--config", help="JSON config file overriding flags")
         if mu:
             p.add_argument("--mu", help="cocharacter coordinates, e.g. 1,0,0")
-        p.add_argument("--sigma", default=None, help="id (default) or flip")
-        p.add_argument("--level", default=None, help="parahoric generators, e.g. s1,s2")
+        if sigma:
+            p.add_argument("--sigma", default=None, help="id (default) or flip")
+        if level:
+            p.add_argument("--level", default=None, help="parahoric generators, e.g. s1,s2")
         p.add_argument("--format", default=None, choices=FORMATS)
         p.add_argument("--out", default=None, help="write output to a file")
 
@@ -405,12 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_describe)
 
     p = sub.add_parser("adm", help="enumerate the admissible set")
-    common(p)
+    common(p, level=True)
     p.add_argument("--poset", action="store_true", help="emit the closure poset as DOT")
     p.set_defaults(fn=cmd_adm)
 
     p = sub.add_parser("poset", help="closure poset of the admissible set as DOT")
-    common(p)
+    common(p, level=True)
     p.set_defaults(fn=cmd_adm, poset=True)
 
     p = sub.add_parser("newton", help="straight classes and Newton points")
@@ -424,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_components_bound)
 
     p = sub.add_parser("stembridge", help="dominance chain between two dominant cocharacters")
-    common(p)
+    common(p, sigma=False)
     p.add_argument("--lambda", dest="lam", help="target cocharacter coordinates")
     p.set_defaults(fn=cmd_stembridge)
 

@@ -45,7 +45,7 @@ of dominant_rep, carries M_J's root indices to those of the Levi
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -70,7 +70,6 @@ from .affine_weyl import (
     mul,
     omega_rep,
     sigma_apply,
-    sigma_apply_cochar,
     sigma_generator_permutation,
     translation_element,
 )
@@ -82,6 +81,7 @@ from .root_datum import (
     _pairings,
     dominance_leq,
     dominant_rep,
+    exact_int,
     pairing,
     quotient_group,
     simple_reflection,
@@ -96,11 +96,26 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonPoint:
-    """Dominant slope vector plus Kottwitz class in the coinvariants."""
+    """Dominant slope vector plus Kottwitz class in the coinvariants: a point is (nu, kappa).
+
+    Each coordinate of nu must be an int or a Fraction, and each of kappa an
+    int; denominator is derived, the lcm of the reduced denominators of nu,
+    and equality and hash read (nu, kappa) only.
+    """
 
     nu: tuple[Fraction, ...]
-    denominator: int
+    denominator: int = field(init=False, compare=False)
     kappa: tuple[int, ...]
+
+    def __post_init__(self):
+        nu = tuple(self.nu)
+        for x in nu:
+            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+                raise AffineWeylError(f"a Newton point coordinate must be an int or a Fraction, not {x!r}")
+        nu = tuple(map(Fraction, nu))
+        kappa = tuple(exact_int(x, "a Kottwitz class coordinate", AffineWeylError) for x in self.kappa)
+        for name, value in (("nu", nu), ("denominator", lcm(*(x.denominator for x in nu))), ("kappa", kappa)):
+            object.__setattr__(self, name, value)
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +205,7 @@ def newton_point(rd: RootDatum, sigma: SigmaAction, w: AffineWeylElement) -> tup
     m, power = twisted_power(rd, sigma, w)
     den, numerators, kappa = _newton_key(rd, pi1_coinvariants(rd, sigma).project, w, m, power.translation)
     nu_raw = tuple(Fraction(x, m) for x in power.translation)
-    return nu_raw, NewtonPoint(tuple(Fraction(x, den) for x in numerators), den, kappa)
+    return nu_raw, NewtonPoint(tuple(Fraction(x, den) for x in numerators), kappa)
 
 
 def _newton_key(rd: RootDatum, project, w: AffineWeylElement, m: int, lam: Sequence[int]) -> tuple:
@@ -291,7 +306,7 @@ def mu_bar(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[Fracti
     total = [Fraction(0)] * rd.rank
     for _ in range(sigma.order):
         total = [a + b for a, b in zip(total, cur)]
-        cur = sigma_apply_cochar(sigma, cur)
+        cur = mat_vec(sigma.matrix, cur)
     return tuple(x / sigma.order for x in total)
 
 
@@ -439,7 +454,7 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
         ((den, numerators, kappa),) = keys
         member_nu_raw = tuple(tuple([slope(y, powers[w][0]) for y in powers[w][1]]) for w in members)
         nu_raw = member_nu_raw[0]
-        newton = NewtonPoint(tuple(Fraction(x, den) for x in numerators), den, kappa)
+        newton = NewtonPoint(tuple(Fraction(x, den) for x in numerators), kappa)
         classes.append(StraightClass(members[0], newton, nu_raw, members, levi_datum(nu_raw, rd), member_nu_raw))
 
     # the class partition must coincide with the (Newton, Kottwitz) partition

@@ -42,7 +42,6 @@ from affweyl.affine_weyl import (
     reduced_word,
     reflection_matrix,
     sigma_apply,
-    sigma_apply_cochar,
     sigma_from_name,
     sigma_identity,
     translation_element,
@@ -228,7 +227,7 @@ def test_sigma_stability_under_flip():
     flip = sigma_from_name(GL4, "flip")
     mu = (1, 1, 0, 0)
     image = {sigma_apply(flip, w) for w in adm(mu, GL4).elements}
-    mu_image = dominant_rep(sigma_apply_cochar(flip, mu), GL4)[0]
+    mu_image = dominant_rep(linalg.mat_vec(flip.matrix, mu), GL4)[0]
     assert mu_image == (0, 0, -1, -1)
     assert image == set(adm(mu_image, GL4).elements)
 
@@ -236,7 +235,7 @@ def test_sigma_stability_under_flip():
 def test_sigma_fixed_mu_fixes_adm():
     flip = sigma_from_name(GL4, "flip")
     mu = (1, 0, 0, -1)
-    assert dominant_rep(sigma_apply_cochar(flip, mu), GL4)[0] == mu
+    assert dominant_rep(linalg.mat_vec(flip.matrix, mu), GL4)[0] == mu
     aset = set(adm(mu, GL4).elements)
     assert {sigma_apply(flip, w) for w in aset} == aset
 
@@ -349,6 +348,33 @@ def test_negative_control_a_dropped_far_hyperplane_is_caught(monkeypatch, rd, mu
     monkeypatch.setattr(admissible, "_lower_covers", _far_hyperplane_dropped)
     assert _deletion_mismatches(rd, elements)
     with pytest.raises(AffineWeylError, match="non-member"):
+        adm.__wrapped__(mu, rd)
+
+
+def _positive_hyperplanes_dropped(rd, w):
+    """_lower_covers without s_(b,k) w for every k > 0: the covers across a hyperplane on the far side of A."""
+    dropped = set()
+    for root, coroot in zip(rd.positive_roots, rd.positive_coroots):
+        d = pairing(w.translation, root) - (linalg.vec_mat(root, w.finite) not in rd.positive_roots)
+        for k in range(1, d + 1):
+            dropped.add(mul(AffineWeylElement(tuple(k * c for c in coroot), reflection_matrix(root, coroot)), w))
+    return _lower_covers(rd, w) - dropped
+
+
+@pytest.mark.parametrize("preset,n,mu", [("GL", 4, (1, 1, 0, 0)), ("GSp", 4, (1, 1, 1)), ("SL", 4, (1, 0, 1))])
+def test_negative_control_lost_cover_edges_are_caught(monkeypatch, preset, n, mu):
+    # the lost edges leave the elements right: every cover lies inside and every
+    # non-maximal element keeps an upper cover, so only the edge check sees the loss
+    rd = build_root_datum({"preset": preset, "n": n})
+    aset = adm(mu, rd)
+    members = set(aset.elements)
+    kept = {w: _positive_hyperplanes_dropped(rd, w) for w in aset.elements}
+    assert all(below <= members for below in kept.values())
+    maximal = {translation_element(lam, rd) for lam in weyl_orbit(aset.mu, rd)}
+    assert set().union(*kept.values()) | maximal == members
+    assert sum(map(len, kept.values())) < len(aset.cover_edges)
+    monkeypatch.setattr(admissible, "_lower_covers", _positive_hyperplanes_dropped)
+    with pytest.raises(AffineWeylError, match="length-2 interval of the cover edges does not have two middle elements"):
         adm.__wrapped__(mu, rd)
 
 
@@ -718,7 +744,7 @@ def _oracle_suite_run():
     ids=["newton", "adm-ladder", "word-queries", "oracle-suite"],
 )
 def test_no_library_path_inverts_a_matrix(make_run):
-    # sigma is built before the hook: make_sigma's one elimination is allowed
+    # a sigma built inside the run eliminates nothing either: its inverse is its last power before 1
     affweyl.clear_caches()
     run = make_run()
     seen = []

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import sys
@@ -11,6 +12,7 @@ from affweyl.affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
     ParahoricLevel,
+    SigmaAction,
     _shorten,
     bruhat_leq,
     bruhat_leq_subword_oracle,
@@ -40,7 +42,7 @@ from affweyl.affine_weyl import (
 )
 from affweyl.admissible import is_admissible
 from affweyl.gln_perm import is_permissible
-from affweyl.linalg import solve_rational
+from affweyl.linalg import identity_matrix, mat_inverse, mat_mul, solve_rational
 from affweyl.notation import format_element
 from affweyl.root_datum import build_root_datum, dominance_leq, fundamental_group, is_dominant
 
@@ -665,3 +667,45 @@ def test_make_sigma_refuses_a_compatible_matrix_that_is_not_invertible():
     # it fixes the simple coroot (1, -1) and its root, but its determinant is 3
     with pytest.raises(AffineWeylError, match="not invertible"):
         make_sigma(GL2, [[2, 1], [1, 2]])
+
+
+def test_a_sigma_is_its_matrix():
+    # the order and S^-1 are derived; S^-1 is checked against elimination, the order against a power count
+    for name, rd, sigma in _sigma_cases():
+        again = SigmaAction(sigma.matrix)
+        assert again == sigma and hash(again) == hash(sigma), name
+        assert again.matrix_inv == mat_inverse(sigma.matrix), name
+        powers = [sigma.matrix]
+        while powers[-1] != identity_matrix(rd.rank):
+            powers.append(mat_mul(powers[-1], sigma.matrix))
+        assert len(powers) == sigma.order, name
+    rotations = [[[0, -1], [1, 0]], [[1, -1], [1, 0]], [[0, 1], [1, 0]]]
+    assert [SigmaAction(m).order for m in rotations] == [4, 6, 2]
+    assert FACTOR_CYCLE.order == 3 and FACTOR_CYCLE.matrix_inv == mat_mul(FACTOR_CYCLE.matrix, FACTOR_CYCLE.matrix)
+    # lists are stored as tuples, so a sigma is hashable and equal to one built from tuples
+    assert SigmaAction([[0, 1], [1, 0]]) == SigmaAction(((0, 1), (1, 0)))
+    assert repr(SigmaAction([[0, 1], [1, 0]])) == "SigmaAction(matrix=((0, 1), (1, 0)))"
+
+
+def test_a_sigma_with_an_order_or_inverse_of_its_own_cannot_be_built():
+    # b_set on GL3 used to end in ConsistencyError for the flip given order 3
+    flip = sigma_from_name(GL3, "flip")
+    with pytest.raises(TypeError):
+        SigmaAction(flip.matrix, flip.matrix_inv, 3)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(flip, order=3)
+
+
+@pytest.mark.parametrize("matrix,message", [
+    ([[1, 0], [0, 1.0]], "automorphism entry must be an integer"),
+    ([[1, 0], [0, True]], "automorphism entry must be an integer"),
+    ([[1, 0, 0], [0, 1, 0]], "not square"),
+    ([[1, 0], [0]], "not square"),
+    ([[2, 1], [1, 2]], "not invertible over the integers"),
+    ([[1, 0], [0, 0]], "not invertible over the integers"),
+    ([[1, 1], [0, 1]], "does not have small finite order"),
+    ([[2, 1], [1, 1]], "does not have small finite order"),
+])
+def test_a_sigma_is_refused_at_construction(matrix, message):
+    with pytest.raises(AffineWeylError, match=message):
+        SigmaAction(matrix)

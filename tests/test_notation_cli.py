@@ -445,6 +445,65 @@ def test_cli_commands_without_a_poset_refuse_dot(capsys, argv):
     assert err.startswith(f"error: {argv[0]} has no poset; dot output is not available")
 
 
+CB_ARGV = ("components-bound", "--group", "GL2", "--mu", "1,0", "--b", "basic")
+STEMBRIDGE_ARGV = ("stembridge", "--group", "GL2", "--mu", "1,0", "--lambda", "1,0")
+UNREAD_FLAGS = [
+    (("describe", "--group", "GL2"), "--level"),
+    (("newton", "--group", "GL2", "--mu", "1,0"), "--level"),
+    (CB_ARGV, "--level"),
+    (STEMBRIDGE_ARGV, "--level"),
+    (STEMBRIDGE_ARGV, "--sigma"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", UNREAD_FLAGS, ids=[f"{argv[0]}{flag}" for argv, flag in UNREAD_FLAGS])
+def test_cli_a_flag_the_command_does_not_read_is_refused(capsys, argv, flag):
+    value = "s1" if flag == "--level" else "id"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in out.err
+
+
+@pytest.mark.parametrize("argv,flag", UNREAD_FLAGS + [(("describe", "--group", "GL2"), "--mu")],
+                         ids=[f"{argv[0]}{flag}" for argv, flag in UNREAD_FLAGS] + ["describe--mu"])
+def test_cli_a_config_value_for_a_flag_the_command_does_not_take_is_refused(tmp_path, capsys, argv, flag):
+    key = flag[2:]
+    value = {"level": "s1", "sigma": "id", "mu": "1,0"}[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config value {key}={value!r} is not accepted")
+
+
+def test_cli_a_config_level_is_read_where_the_command_takes_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "GL2", "mu": "1,0", "level": "s1"}))
+    by_config = run_cli(capsys, "adm", "--config", str(cfg))
+    assert by_config == run_cli(capsys, "adm", "--group", "GL2", "--mu", "1,0", "--level", "s1")
+    assert by_config[0] == 0 and "level=s1" in by_config[1]
+
+
+FORMATS_NOT_PRINTED = [(CB_ARGV, "table"), (CB_ARGV, "tsv"), (STEMBRIDGE_ARGV, "tsv")]
+
+
+@pytest.mark.parametrize("argv,fmt", FORMATS_NOT_PRINTED, ids=[f"{argv[0]}-{fmt}" for argv, fmt in FORMATS_NOT_PRINTED])
+def test_cli_a_format_the_command_does_not_print_is_refused(tmp_path, capsys, argv, fmt):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": fmt}))
+    for extra in (("--format", fmt), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {argv[0]} prints ") and f"--format {fmt} is not available" in err.splitlines()[0]
+
+
+def test_cli_components_bound_prints_the_same_json_with_format_json(capsys):
+    code, out, _ = run_cli(capsys, *CB_ARGV)
+    assert code == 0 and run_cli(capsys, *CB_ARGV, "--format", "json") == (0, out, "")
+
+
 POSET_ARGV = [
     ("poset", "--group", "GL2", "--mu", "1,0"),
     ("adm", "--group", "GL2", "--mu", "1,0", "--poset"),

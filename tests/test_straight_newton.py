@@ -19,7 +19,6 @@ from affweyl.affine_weyl import (
     make_sigma,
     mul,
     omega_part,
-    sigma_apply_cochar,
     sigma_from_name,
     sigma_generator_permutation,
     sigma_identity,
@@ -105,7 +104,7 @@ def test_newton_of_translation_under_flip_is_orbit_average():
     lam = (1, 0, 0, 0)
     raw, _ = newton_point(GL4, flip, translation_element(lam, GL4))
     avg = tuple(
-        F(a + b, 2) for a, b in zip(lam, sigma_apply_cochar(flip, lam))
+        F(a + b, 2) for a, b in zip(lam, mat_vec(flip.matrix, lam))
     )
     assert raw == avg == (F(1, 2), F(0), F(0), F(-1, 2))
 
@@ -229,9 +228,9 @@ def test_adlv_nonempty_examples():
     points = b_set((1, 0), GL2, SID2)
     basic = basic_point((1, 0), GL2, SID2)
     assert adlv_nonempty((1, 0), basic, GL2, SID2)
-    fake = NewtonPoint((F(2), F(-1)), 1, (1,))
+    fake = NewtonPoint((F(2), F(-1)), (1,))
     assert not adlv_nonempty((1, 0), fake, GL2, SID2)
-    wrong_kappa = NewtonPoint(points[0].nu, points[0].denominator, (0,))
+    wrong_kappa = NewtonPoint(points[0].nu, (0,))
     assert not adlv_nonempty((1, 0), wrong_kappa, GL2, SID2)
 
 
@@ -322,7 +321,7 @@ def test_components_bound_central_mu():
 
 
 def test_components_bound_rejects_foreign_point():
-    fake = NewtonPoint((F(2), F(0)), 1, (1,))
+    fake = NewtonPoint((F(2), F(0)), (1,))
     with pytest.raises(AffineWeylError):
         components_bound_report((1, 0), fake, GL2, SID2)
 
@@ -364,6 +363,47 @@ def test_newton_denominator_divides_twist_order():
         for cls in straight_classes(mu, rd, sigma):
             m, _ = twisted_power(rd, sigma, cls.representative)
             assert m % cls.newton.denominator == 0
+
+
+def test_a_newton_point_is_nu_and_kappa():
+    # a point of B(GL2, (1,0)) built by a caller: no stored denominator can disagree with nu
+    probe = NewtonPoint((F(1, 2), F(1, 2)), (1,))
+    assert probe.denominator == 2
+    assert adlv_nonempty((1, 0), probe, GL2, SID2)
+    assert components_bound_report((1, 0), probe, GL2, SID2).b == probe
+    assert probe == basic_point((1, 0), GL2, SID2)
+    # ints are taken as Fractions, any sequences as tuples
+    assert NewtonPoint([1, 0], [1]) == NewtonPoint((F(1), F(0)), (1,)) == b_set((1, 0), GL2, SID2)[1]
+    with pytest.raises(TypeError):
+        NewtonPoint(probe.nu, 2, (1,))
+    for bad in (0.5, True, "1/2", None):
+        with pytest.raises(AffineWeylError, match="int or a Fraction"):
+            NewtonPoint((bad, F(1, 2)), (1,))
+    with pytest.raises(AffineWeylError, match="Kottwitz class coordinate must be an integer"):
+        NewtonPoint(probe.nu, (1.0,))
+
+
+NEWTON_DENOMINATOR_CASES = [
+    (f"{entry['name']}:{name}", _preset_datum(entry["group"]), tuple(entry["mu"]), name)
+    for entry in _WORKLOADS["newton"]["entries"]
+    for name in entry["sigmas"]
+] + [("GSp6:id", _preset_datum("GSp6"), (2, 1, 0, 1), "id")]
+
+
+@pytest.mark.parametrize("rd,mu,name", [c[1:] for c in NEWTON_DENOMINATOR_CASES], ids=[c[0] for c in NEWTON_DENOMINATOR_CASES])
+def test_the_derived_denominator_is_that_of_the_integer_key(rd, mu, name):
+    # the lcm of nu's reduced denominators against m/g, g = gcd(m, dom(lambda)), of the twisted power
+    sigma = sigma_from_name(rd, name)
+    project = straight_newton.pi1_coinvariants(rd, sigma).project
+    denominators = set()
+    for cls in straight_classes(mu, rd, sigma):
+        m, power = twisted_power(rd, sigma, cls.representative)
+        key = straight_newton._newton_key(rd, project, cls.representative, m, power.translation)
+        assert key[0] == cls.newton.denominator
+        assert NewtonPoint(cls.newton.nu, cls.newton.kappa) == cls.newton
+        denominators.add(cls.newton.denominator)
+    if rd.type_label == "GSp6" and mu == (2, 1, 0, 1):
+        assert denominators == {1, 2, 3}
 
 
 # mul calls of b_set plus every components_bound_report on GL6 (1,0,...,0)
