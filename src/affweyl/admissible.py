@@ -64,7 +64,7 @@ from .affine_weyl import (
     translation_element,
     word_length_map,
 )
-from .linalg import hasse_diagram
+from .linalg import hasse_diagram, identity_matrix
 from .root_datum import RootDatum, weyl_orbit
 
 
@@ -140,28 +140,31 @@ def _lower_covers(rd: RootDatum, w: AffineWeylElement) -> set[AffineWeylElement]
 
 
 def _omega_conjugations(
-    rd: RootDatum,
+    rd: RootDatum, sections: Sequence[Sequence[int]]
 ) -> tuple[tuple[AffineWeylElement, AffineWeylElement], ...]:
-    """Pairs (omega, omega^-1) whose conjugations generate Omega's action on W.
+    """Pairs (omega, omega^-1) whose conjugations generate the action of the sections' omegas on W.
 
-    The candidates are the distinct length-zero elements omega_rep(e_i) of
-    the unit cocharacters, which generate Omega; the inverse is
-    omega_rep(-e_i), the length-zero element of the opposite class.  Each
-    must map every affine simple reflection to one by conjugation, else
-    AffineWeylError: then it is an automorphism of the Coxeter system, and
-    as Omega is abelian it fixes every Omega part, so its action on W is
-    that permutation.  An omega is kept only if its permutation lies
-    outside the group generated by the permutations of those already kept.
+    The candidates are the distinct length-zero elements omega_rep(e) of
+    the cocharacters e in sections; the inverse is omega_rep(-e), the
+    length-zero element of the opposite class.  Each must map every affine
+    simple reflection to one by conjugation, else AffineWeylError: then it
+    is an automorphism of the Coxeter system, and as Omega is abelian it
+    fixes every Omega part, so its action on W is that permutation.  An
+    omega is kept only if its permutation lies outside the group generated
+    by the permutations of those already kept.  adm passes the unit
+    cocharacters, whose classes generate Omega = pi_1; straight_classes
+    passes the lattice generators of the sigma-fixed classes, whose omegas
+    generate Omega^sigma.
 
+    >>> from affweyl.linalg import identity_matrix
     >>> from affweyl.root_datum import build_root_datum
-    >>> [len(_omega_conjugations(build_root_datum({"preset": p, "n": n})))
-    ...  for p, n in [("GL", 3), ("SL", 4), ("PGL", 4), ("GSp", 4)]]
+    >>> data = [build_root_datum({"preset": p, "n": n}) for p, n in [("GL", 3), ("SL", 4), ("PGL", 4), ("GSp", 4)]]
+    >>> [len(_omega_conjugations(rd, identity_matrix(rd.rank))) for rd in data]
     [1, 0, 1, 1]
     """
-    units = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
     kept = []
     group = {tuple(range(len(iwahori_generators(rd))))}
-    for omega, e in {omega_rep(rd, e): e for e in units}.items():
+    for omega, e in {omega_rep(rd, e): e for e in sections}.items():
         omega_inv = omega_rep(rd, tuple(-x for x in e))
         perm = conjugation_permutation(rd, omega, omega_inv)
         if perm in group:
@@ -212,7 +215,7 @@ def adm(mu: Sequence[int], rd: RootDatum) -> AdmissibleSet:
     carry edges to edges, so this too is checked at one element per orbit.
     """
     maximal = _maximal_translations(mu, rd)
-    conjugations = _omega_conjugations(rd)
+    conjugations = _omega_conjugations(rd, identity_matrix(rd.rank))
     images: list[dict[AffineWeylElement, AffineWeylElement]] = [{} for _ in conjugations]
     candidates: set[AffineWeylElement] = set()
     for t in maximal:

@@ -606,35 +606,6 @@ class SigmaAction:
             object.__setattr__(self, name, value)
 
 
-def _diagram_permutation(rd: RootDatum, m: Mat) -> tuple[int, ...]:
-    """How m permutes rd's affine simple reflections; AffineWeylError naming m and rd unless it may.
-
-    m must send each simple coroot a_i^vee to some a_j^vee, compatibly with the simple
-    roots; the finite node n_affine + i then goes to n_affine + j.  m maps a component onto
-    one, its highest root to the highest root there, so a component's affine node goes to
-    that of the component holding the image of its first node.
-    """
-    def refused(reason: str) -> AffineWeylError:
-        return AffineWeylError(f"sigma {m} is not a diagram automorphism of {rd.type_label}: {reason}")
-
-    if len(m) != rd.rank or any(len(row) != rd.rank for row in m):
-        raise refused("automorphism matrix has the wrong shape")
-    perm = []
-    for i, coroot in enumerate(rd.simple_coroots):
-        image = mat_vec(m, coroot)
-        if image not in rd.simple_coroots:
-            raise refused(f"automorphism does not permute the simple coroots (image of coroot {i})")
-        j = rd.simple_coroots.index(image)
-        if vec_mat(rd.simple_roots[j], m) != rd.simple_roots[i]:
-            raise refused(f"automorphism is not compatible with the pairing at simple root {i}")
-        perm.append(j)
-    if sorted(perm) != list(range(rd.semisimple_rank)):
-        raise refused("automorphism does not permute the simple coroots bijectively")
-    comps = rd.components()
-    comp_of = {i: c for c, comp in enumerate(comps) for i in comp}
-    return tuple(comp_of[perm[comp[0]]] for comp in comps) + tuple(len(comps) + j for j in perm)
-
-
 def make_sigma(rd: RootDatum, matrix: Sequence[Sequence[int]]) -> SigmaAction:
     """Validate a lattice automorphism as a diagram automorphism of rd.
 
@@ -645,7 +616,7 @@ def make_sigma(rd: RootDatum, matrix: Sequence[Sequence[int]]) -> SigmaAction:
     to preserve the base alcove and permute the affine simple reflections.
     """
     sigma = SigmaAction(matrix)
-    _diagram_permutation(rd, sigma.matrix)
+    sigma_generator_permutation(rd, sigma)
     return sigma
 
 
@@ -693,11 +664,38 @@ def conjugation_permutation(rd: RootDatum, g: AffineWeylElement, g_inv: AffineWe
 
 
 def sigma_generator_permutation(rd: RootDatum, sigma: SigmaAction) -> tuple[int, ...]:
-    """How sigma permutes the affine simple reflections, read off its diagram check on rd; no product is taken.
+    """How sigma permutes rd's affine simple reflections, read off its diagram check; no product is taken.
 
-    A SigmaAction holds no datum, so each public entry point taking a datum and a sigma calls this once.
+    AffineWeylError naming the matrix and rd unless sigma is a diagram
+    automorphism: S must send each simple coroot a_i^vee to some a_j^vee,
+    compatibly with the simple roots; the finite node n_affine + i then goes
+    to n_affine + j.  S maps a component onto one, its highest root to the
+    highest root there, so a component's affine node goes to that of the
+    component holding the image of its first node.  A SigmaAction holds no
+    datum, so each public entry point taking a datum and a sigma calls this
+    once.
     """
-    return _diagram_permutation(rd, sigma.matrix)
+    m = sigma.matrix
+
+    def refused(reason: str) -> AffineWeylError:
+        return AffineWeylError(f"sigma {m} is not a diagram automorphism of {rd.type_label}: {reason}")
+
+    if len(m) != rd.rank or any(len(row) != rd.rank for row in m):
+        raise refused("automorphism matrix has the wrong shape")
+    perm = []
+    for i, coroot in enumerate(rd.simple_coroots):
+        image = mat_vec(m, coroot)
+        if image not in rd.simple_coroots:
+            raise refused(f"automorphism does not permute the simple coroots (image of coroot {i})")
+        j = rd.simple_coroots.index(image)
+        if vec_mat(rd.simple_roots[j], m) != rd.simple_roots[i]:
+            raise refused(f"automorphism is not compatible with the pairing at simple root {i}")
+        perm.append(j)
+    if sorted(perm) != list(range(rd.semisimple_rank)):
+        raise refused("automorphism does not permute the simple coroots bijectively")
+    comps = rd.components()
+    comp_of = {i: c for c, comp in enumerate(comps) for i in comp}
+    return tuple(comp_of[perm[comp[0]]] for comp in comps) + tuple(len(comps) + j for j in perm)
 
 
 # ---------------------------------------------------------------------------

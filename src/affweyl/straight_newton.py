@@ -9,13 +9,12 @@ by He's criterion (He, "Geometric and homological properties of affine
 Deligne-Lusztig varieties", Ann. Math. 2014) w is straight iff
 l(w) = <nu_w, 2 rho>, which for the power t_lambda of index m reads
 m l(w) = l(t_lambda) = sum_{a > 0} |<lambda, a>|.
-Straight classes are closed under length-preserving conjugation by simple
-reflections and twisting by length-zero elements; Omega = pi_1, so each
-distinct twist is kept once.  The cyclic shifts are the moves
-w -> s_i w s_pi(i), sigma(s_i) = s_pi(i) (He-Nie, "Minimal length
-elements of extended affine Weyl groups", Compositio Math. 2014).  Which
-of them keep the length is read off descents, not off the products: by
-the exchange condition (Bourbaki, Lie Groups and Lie Algebras, ch. IV,
+Straight classes are closed under length-preserving cyclic shifts
+w -> s_i w s_pi(i), sigma(s_i) = s_pi(i), and under twists
+w -> omega^-1 w sigma(omega) by length-zero elements (He-Nie, "Minimal
+length elements of extended affine Weyl groups", Compositio Math. 2014).
+Which shifts keep the length is read off descents, not off the products:
+by the exchange condition (Bourbaki, Lie Groups and Lie Algebras, ch. IV,
 section 1, no. 5; it holds in W_a semidirect Omega, Omega having length
 zero and permuting the simple reflections), for simple s, s' the lengths
 l(s w) and l(w s') differ from l(w) by one; when neither is shorter,
@@ -23,12 +22,21 @@ s w s' is w or two longer, when both are, w or two shorter, and when
 only one is, s w s' has length l(w) and is not w, as s w and w s' differ
 in length.  So s_i w s_pi(i) is new and as long as w exactly when one and
 only one of s_i (on the left) and s_pi(i) (on the right) is a descent of
-w, and only those moves are multiplied out.  The
-partition this generates is
-cross-checked against the (Newton, Kottwitz) partition and any mismatch
-raises.  Each element the class search touches has one twisted power,
-whose Newton point is compared in integers; every class keeps its
-members' slope vectors.
+w, and only those moves are multiplied out.  A twist moves the Kottwitz
+class by (sigma - 1) of omega's class, so only omegas of sigma-fixed class
+are taken, and for those it is a plain conjugation: sigma(omega) has
+length zero and omega's class, and Omega -> pi_1 is a bijection
+(omega_rep), so sigma(omega) = omega.  The search conjugates by the
+generators of Omega^sigma that admissible._omega_conjugations keeps, as
+adm does by those of Omega: Omega is abelian, so a conjugation is fixed by
+how it permutes the affine simple reflections and one omega per new
+permutation loses no move; and the search closes a finite set (one
+length, one Omega part), where the forward closure under bijections is
+the orbit of the group they generate, so no omega^-1 is needed.  The
+partition this generates is cross-checked against the (Newton, Kottwitz)
+partition and any mismatch raises.  Each element the class search touches
+has one twisted power, whose Newton point is compared in integers; every
+class keeps its members' slope vectors.
 
 Newton points are computed in integers: the translation of the twisted
 power is made dominant and divided by m only at the end.  The
@@ -52,7 +60,7 @@ from math import gcd, lcm
 from operator import mul as _times
 from typing import Optional, Sequence
 
-from .admissible import adm
+from .admissible import _omega_conjugations, adm
 from .affine_weyl import (
     AffineWeylElement,
     AffineWeylError,
@@ -62,13 +70,11 @@ from .affine_weyl import (
     _memo_on_mu,
     _right_descends,
     element_sort_key,
-    identity_element,
     is_left_descent,
     is_translation,
     iwahori_generators,
     length,
     mul,
-    omega_rep,
     sigma_apply,
     sigma_generator_permutation,
     translation_element,
@@ -94,6 +100,15 @@ class ConsistencyError(RuntimeError):
     """A structural identity the library relies on failed on real data."""
 
 
+def _slope(x) -> Fraction:
+    """x as a Fraction if it is an int or a Fraction (not a bool); AffineWeylError otherwise."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise AffineWeylError(f"a Newton point coordinate must be an int or a Fraction, not {x!r}")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class NewtonPoint:
     """Dominant slope vector plus Kottwitz class in the coinvariants: a point is (nu, kappa).
@@ -108,11 +123,7 @@ class NewtonPoint:
     kappa: tuple[int, ...]
 
     def __post_init__(self):
-        nu = tuple(self.nu)
-        for x in nu:
-            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
-                raise AffineWeylError(f"a Newton point coordinate must be an int or a Fraction, not {x!r}")
-        nu = tuple(map(Fraction, nu))
+        nu = tuple(map(_slope, self.nu))
         kappa = tuple(exact_int(x, "a Kottwitz class coordinate", AffineWeylError) for x in self.kappa)
         for name, value in (("nu", nu), ("denominator", lcm(*(x.denominator for x in nu))), ("kappa", kappa)):
             object.__setattr__(self, name, value)
@@ -236,8 +247,11 @@ def levi_datum(nu_raw: Sequence, rd: RootDatum) -> RootDatum:
     orthogonal to lambda_dom.  M_J is memoised by J (_levi: at most 2^s
     per datum); x(M_J) is carried on root indices (_transport) on each
     call and is the very datum sub_datum derives from its positive roots.
+    Each coordinate of nu must be an int or a Fraction, as in a
+    NewtonPoint; anything else, a bool or a float included, raises
+    AffineWeylError.
     """
-    nu = [x if isinstance(x, Fraction) else Fraction(x) for x in nu_raw]
+    nu = list(map(_slope, nu_raw))
     den = lcm(*(x.denominator for x in nu))
     lam = tuple(x.numerator * (den // x.denominator) for x in nu)
     lam_dom, word = dominant_rep(lam, rd)
@@ -326,29 +340,6 @@ def _fixed_class_lattice_generators(rd: RootDatum, sigma: SigmaAction) -> tuple[
     return _coroot_relations(rd, _sigma_minus_one(sigma))
 
 
-def _omega_move_generators(
-    rd: RootDatum, sigma: SigmaAction
-) -> tuple[tuple[AffineWeylElement, AffineWeylElement], ...]:
-    """Length-zero twist moves w -> omega^-1 w sigma(omega) that preserve the Kottwitz class.
-
-    Twisting by omega shifts kappa by (sigma - 1) of omega's class, and
-    twists compose, so only omegas with sigma-fixed class are relevant;
-    anything else would walk the search out of the kappa fiber for good.
-    The omegas of the fixed-class lattice generators and their inverses
-    generate the moves; omega^-1 is omega_rep(-lambda).  Omega = pi_1,
-    so generators of one class give the same omega: each distinct omega
-    other than 1 (a no-op) is kept once, as the pair (omega^-1, sigma(omega)).
-    """
-    moves: dict[AffineWeylElement, tuple[AffineWeylElement, AffineWeylElement]] = {}
-    one = identity_element(rd)
-    for section in _fixed_class_lattice_generators(rd, sigma):
-        om, om_inv = omega_rep(rd, section), omega_rep(rd, tuple(-x for x in section))
-        for x, x_inv in ((om, om_inv), (om_inv, om)):
-            if x != one and x not in moves:
-                moves[x] = (x_inv, sigma_apply(sigma, x))
-    return tuple(moves.values())
-
-
 @dataclass(frozen=True)
 class StraightClass:
     """One twisted class of straight elements meeting Adm(mu).
@@ -380,7 +371,10 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
     """Partition of the straight admissible elements into twisted classes.
 
     Classes are the connected components under length-preserving moves
-    w -> s w sigma(s) and w -> omega^-1 w sigma(omega); the search may pass
+    w -> s w sigma(s) and w -> omega w omega^-1, omega running over the
+    generators of Omega^sigma that _omega_conjugations keeps for the
+    sigma-fixed class lattice (sigma(omega) = omega, see the module
+    docstring; checked, ConsistencyError otherwise); the search may pass
     through straight elements outside the admissible set, but reported
     members stay inside it.  A cyclic shift s_i w s_pi(i) is taken exactly
     when one and only one of s_i, s_pi(i) is a left, respectively right,
@@ -407,7 +401,10 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
         if power is not None:
             powers[w] = power
     gens = iwahori_generators(rd)
-    omega_moves = _omega_move_generators(rd, sigma)
+    conjugations = _omega_conjugations(rd, _fixed_class_lattice_generators(rd, sigma))
+    # a twist by omega of sigma-fixed class is conjugation by omega only if sigma(omega) = omega
+    if any(sigma_apply(sigma, omega) != omega for omega, _ in conjugations):
+        raise ConsistencyError("sigma moves a length-zero element of sigma-fixed class")
 
     component_of: dict[AffineWeylElement, int] = {}
     components: list[set[AffineWeylElement]] = []
@@ -423,8 +420,7 @@ def straight_classes(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tu
             w = frontier.pop()
             component_of[w] = comp_id
             neighbors = [mul(mul(gens[i], w), gens[pi[i]]) for i in _length_keeping_shifts(rd, pi, w)]
-            for om_inv, om_sigma in omega_moves:
-                neighbors.append(mul(mul(om_inv, w), om_sigma))
+            neighbors += [mul(mul(omega, w), omega_inv) for omega, omega_inv in conjugations]
             for cand in neighbors:
                 if cand not in comp:
                     if cand in component_of:

@@ -529,7 +529,7 @@ def test_dropped_member_is_refused(monkeypatch):
 
 def test_non_automorphism_conjugation_is_refused(monkeypatch):
     s1 = finite_reflection(GL3, 0)
-    monkeypatch.setattr(admissible, "_omega_conjugations", lambda rd: ((s1, s1),))
+    monkeypatch.setattr(admissible, "_omega_conjugations", lambda rd, sections: ((s1, s1),))
     with pytest.raises(AffineWeylError):
         adm.__wrapped__((1, 0, 0), GL3)
 
@@ -537,7 +537,7 @@ def test_non_automorphism_conjugation_is_refused(monkeypatch):
 def test_conjugation_helper_checks_the_generators(monkeypatch):
     monkeypatch.setattr(admissible, "omega_rep", lambda rd, lam: finite_reflection(rd, 0))
     with pytest.raises(AffineWeylError, match="permute the affine simple reflections"):
-        admissible._omega_conjugations(GL3)
+        admissible._omega_conjugations(GL3, linalg.identity_matrix(3))
 
 
 def _cover_edges_one_by_one(rd, elements):
@@ -572,7 +572,7 @@ TRANSPORT_CASES = [
 def test_omega_transport_matches_direct_covers(rd, mu):
     aset = adm(mu, rd)
     elements = set(aset.elements)
-    for omega, omega_inv in admissible._omega_conjugations(rd):
+    for omega, omega_inv in admissible._omega_conjugations(rd, linalg.identity_matrix(rd.rank)):
         assert {mul(mul(omega, w), omega_inv) for w in aset.elements} == elements
     below = {j: set() for j in range(len(aset))}
     for i, j in aset.cover_edges:

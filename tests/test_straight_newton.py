@@ -116,6 +116,21 @@ def test_levi_datum_examples():
     assert len(levi_datum((F(1, 2), F(1, 2), F(0)), GL3).positive_roots) == 1
 
 
+@pytest.mark.parametrize("nu", [("1", "0"), (True, False), (0.1, 0.9), (F(1, 2), 0.5)], ids=repr)
+def test_levi_datum_refuses_what_a_newton_point_refuses(nu):
+    # one check for both: a string, a bool or a float is refused, never converted
+    for build in (lambda: levi_datum(nu, GL2), lambda: NewtonPoint(nu, ())):
+        with pytest.raises(AffineWeylError, match="must be an int or a Fraction, not"):
+            build()
+
+
+def test_levi_datum_takes_ints_and_fractions_alike():
+    for nu, rd, n_pos in [((1, 0), GL2, 0), ((1, 1), GL2, 1), ((0, 1), GL2, 0), ((F(1, 2), F(1, 2), 0), GL3, 1)]:
+        levi = levi_datum(nu, rd)
+        assert levi is levi_datum(tuple(map(F, nu)), rd)
+        assert len(levi.positive_roots) == n_pos
+
+
 def test_levi_centrality_respects_the_similitude_direction():
     # (0,0,1) pairs nontrivially with the long root, so it is not central
     assert len(levi_datum((0, 0, 1), GSP4).positive_roots) == 1

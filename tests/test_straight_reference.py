@@ -11,13 +11,16 @@ rule on every element of Adm(mu).
 On all of these entries the omega twists never change the classes: the
 simple-reflection moves already connect them.  So whether the search
 applies its twists at all is checked by planting a twist that leaves the
-straight elements, which the search must refuse.
+straight elements, which the search must refuse.  The search conjugates
+by the generators _omega_conjugations keeps; they must generate the same
+permutations of the affine simple reflections as conjugation by every
+reference omega and omega^-1, each of which sigma fixes.
 """
 
 import pytest
 
 from affweyl import straight_newton
-from affweyl.admissible import adm
+from affweyl.admissible import _omega_conjugations, adm
 from affweyl.affine_weyl import (
     element_sort_key,
     identity_element,
@@ -29,11 +32,11 @@ from affweyl.affine_weyl import (
     sigma_apply,
     sigma_from_name,
 )
+from affweyl.linalg import identity_matrix
 from affweyl.root_datum import build_root_datum
 from affweyl.straight_newton import (
     ConsistencyError,
     _fixed_class_lattice_generators,
-    _omega_move_generators,
     is_straight,
     levi_datum,
     newton_point,
@@ -132,14 +135,43 @@ def test_he_criterion_matches_the_length_rule_on_adm(case):
     assert straight
 
 
+def _search_conjugations(rd, sigma):
+    return _omega_conjugations(rd, _fixed_class_lattice_generators(rd, sigma))
+
+
+def _generated_group(perms, size):
+    """The permutation group the perms generate, as a set of tuples."""
+    group = {tuple(range(size))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for p in perms:
+            h = tuple(p[i] for i in g)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return group
+
+
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_omega_moves_are_the_distinct_nontrivial_twists(case):
+    # up to the group they generate: the kept conjugations act as every reference omega and omega^-1 do
     rd, _, sigma = _case(*case)
+    gens = iwahori_generators(rd)
+
+    def conjugation(om):
+        om_inv = inv(om)
+        return tuple(gens.index(mul(mul(om, s), om_inv)) for s in gens)
+
     one = identity_element(rd)
     distinct = {om for om in reference_omegas(rd, sigma) if om != one}
-    moves = _omega_move_generators(rd, sigma)
-    assert len(moves) == len(distinct)
-    assert set(moves) == {(inv(om), sigma_apply(sigma, om)) for om in distinct}
+    # the twist omega^-1 w sigma(omega) of the reference is conjugation by omega^-1
+    assert all(sigma_apply(sigma, om) == om for om in distinct)
+    kept = _search_conjugations(rd, sigma)
+    assert all(omega_inv == inv(omega) and omega in distinct for omega, omega_inv in kept)
+    assert _generated_group([conjugation(om) for om, _ in kept], len(gens)) == _generated_group(
+        [conjugation(om) for om in distinct], len(gens)
+    )
 
 
 def test_omega_move_counts_on_the_benchmark_data():
@@ -149,8 +181,33 @@ def test_omega_move_counts_on_the_benchmark_data():
         ("GL", 5, "flip"), ("GSp", 6, "id"), ("PGL", 4, "id"),
     ]:
         rd = build_root_datum({"preset": preset, "n": n})
-        counts.append(len(_omega_move_generators(rd, sigma_from_name(rd, sigma_name))))
-    assert counts == [2, 0, 2, 0, 2, 3]
+        counts.append(len(_search_conjugations(rd, sigma_from_name(rd, sigma_name))))
+    assert counts == [1, 0, 1, 0, 1, 1]
+
+
+# data outside CASES: on each CASES entry straight_classes checks sigma(omega) = omega itself
+@pytest.mark.parametrize(
+    "preset,n,sigma_name,count",
+    [("PGL", 5, "id", 1), ("PGL", 6, "id", 1), ("PGL", 4, "flip", 1), ("PGL", 6, "flip", 1),
+     ("GL", 4, "flip", 0), ("SL", 4, "flip", 0)],
+)
+def test_sigma_fixes_every_kept_generator(preset, n, sigma_name, count):
+    rd = build_root_datum({"preset": preset, "n": n})
+    sigma = sigma_from_name(rd, sigma_name)
+    kept = _search_conjugations(rd, sigma)
+    assert len(kept) == count
+    assert all(sigma_apply(sigma, omega) == omega for omega, _ in kept)
+
+
+def test_class_search_refuses_a_generator_sigma_moves(monkeypatch):
+    # the unit cocharacters of GL4 give tau, whose class the flip negates:
+    # sigma(tau) = tau^-1, so conjugation by tau is no twist of the search
+    rd, mu, sigma = _case("GL", 4, (1, 0, 0, -1), "flip")
+    ((tau, tau_inv),) = _omega_conjugations(rd, identity_matrix(rd.rank))
+    assert sigma_apply(sigma, tau) == tau_inv != tau
+    monkeypatch.setattr(straight_newton, "_fixed_class_lattice_generators", lambda rd, sigma: identity_matrix(rd.rank))
+    with pytest.raises(ConsistencyError, match="sigma moves a length-zero element"):
+        straight_classes.__wrapped__(mu, rd, sigma)
 
 
 @pytest.mark.parametrize("case", [CASES[0], CASES[3], CASES[4]], ids=_case_id)
@@ -160,6 +217,6 @@ def test_class_search_applies_its_omega_moves(case, monkeypatch):
     # or merges two Newton points
     rd, mu, sigma = _case(*case)
     planted = ((identity_element(rd), iwahori_generators(rd)[-1]),)
-    monkeypatch.setattr(straight_newton, "_omega_move_generators", lambda rd, sigma: planted)
+    monkeypatch.setattr(straight_newton, "_omega_conjugations", lambda rd, sections: planted)
     with pytest.raises(ConsistencyError):
         straight_classes.__wrapped__(mu, rd, sigma)
