@@ -77,7 +77,9 @@ def clear_caches() -> None:
     from .affine_weyl import _FINITE_PARTS
 
     for u in _FINITE_PARTS.values():
-        u.products.clear()  # so an entry still held keeps no other alive
+        # so an entry still held keeps no other entry and no dropped context alive
+        u.products.clear()
+        u.ctx = u.perm = None
     _FINITE_PARTS.clear()
     for name, module in list(sys.modules.items()):
         if name.startswith(__name__ + "."):

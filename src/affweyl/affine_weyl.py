@@ -7,10 +7,16 @@ table of products with other entries.  So `mul` reads the finite product
 from the table and moves the translation in O(rank) when the right factor
 is finite; otherwise it applies the matrix.  Each datum has one context:
 its walls, its affine simple reflections, the entries of the reflections
-in its positive roots and, per entry, the signed permutation of the
-positive roots by u^-1, read from the datum's root index, whose signs
-`length` reads in one pass.  No inverse is kept, and no library path
-calls `inv`, which eliminates.
+in its positive roots and the signed permutation of the positive roots by
+u^-1 of each entry it meets, read from the datum's root index, whose signs
+`length` reads in one pass.  On W_0 that permutation is a faithful key, so
+an entry proven to lie in W_0 of the datum (the identity, a reflection,
+or a product of two such) is owned by the context and registered under
+its permutation: a product of two entries of one owner is found by
+composing their permutations, and only an entry met for the first time
+gets its matrix, by one mat_mul.  Any other pair, such as a matrix built
+by hand, is multiplied as matrices.  No inverse is kept, and no library
+path calls `inv`, which eliminates.
 A Frobenius action sigma with matrix S acts on W by
 sigma(t_lambda u) = t_(S lambda) S u S^-1 (sigma_apply); S itself is
 never interned, only the conjugates S u S^-1, which lie in W_0 with u.
@@ -88,17 +94,21 @@ class _Finite:
 
     Its hash is that of the matrix, so an element hashes like the pair
     (translation, matrix).  `products` maps an entry v to the entry of uv,
-    and `is_identity` says whether u is the identity.  Its action on the roots
-    of a datum is kept by the datum's context.  No inverse is kept.
+    and `is_identity` says whether u is the identity.  `ctx` is the context
+    that owns u, or None: the one whose W_0 u was first proven to lie in,
+    and `perm` is u's signed permutation there (see _Context).  No inverse
+    is kept.
     """
 
-    __slots__ = ("matrix", "hash", "products", "is_identity")
+    __slots__ = ("matrix", "hash", "products", "is_identity", "ctx", "perm")
 
     def __init__(self, matrix: Mat):
         self.matrix = matrix
         self.hash = hash(matrix)
         self.products: dict[_Finite, _Finite] = {}
         self.is_identity = matrix == identity_matrix(len(matrix))
+        self.ctx: Optional[_Context] = None
+        self.perm: Optional[tuple[int, ...]] = None
 
     def __hash__(self) -> int:
         return self.hash
@@ -115,10 +125,15 @@ def _intern(matrix: Mat) -> _Finite:
 
 
 def _product(u: _Finite, v: _Finite) -> _Finite:
-    """The entry of uv, read from u's product table."""
+    """The entry of uv, read from u's product table; on a miss composed by their owner, else a mat_mul."""
     uv = u.products.get(v)
     if uv is None:
-        uv = u.products[v] = _intern(mat_mul(u.matrix, v.matrix))
+        ctx = u.ctx
+        if ctx is not None and ctx is v.ctx:
+            uv = ctx.product(u, v)
+        else:
+            uv = _intern(mat_mul(u.matrix, v.matrix))
+        u.products[v] = uv
     return uv
 
 
@@ -292,13 +307,21 @@ class _Context:
     component that holds every simple coroot it pairs non-trivially with.
     row[j] = <a^vee, r_j> for the root r_j of the j-th wall, read from the
     coroot and the roots (on GSp the matrix is not symmetric): _step moves
-    the pairings of lambda with the wall roots by it.  perms maps each
-    interned finite part u met with this datum to its signed permutation
-    of rd.positive_roots: perm[j] is m, or ~m for a negative root, where
-    u^-1(b_j) = +-b_m, so u^-1(b_j) < 0 exactly when perm[j] < 0.  On W_0
-    the permutation determines u, but the key is the entry: a hand-built
-    element may carry a matrix outside W_0, such as the flip of GL2, which
-    permutes the positive roots like the identity.  reflections holds the
+    the pairings of lambda with the wall roots by it.
+
+    perm(u) is the signed permutation of rd.positive_roots by an entry u:
+    perm[j] is m, or ~m for a negative root, where u^-1(b_j) = +-b_m, so
+    u^-1(b_j) < 0 exactly when perm[j] < 0.  The permutation of uv is
+    compose(perm(u), perm(v)).  On W_0 it determines u, so entries holds
+    the entries this context owns, keyed by their permutation: the identity
+    and the reflections, claimed when the context is built, and products of
+    two owned entries, found by product.  An entry another context owns
+    first (equal matrices of another datum of the same rank) is not
+    claimed.  perms keeps the permutations of the entries met here that
+    this context does not own: a matrix built by hand may lie outside W_0,
+    such as the flip of GL2, which permutes the positive roots like the
+    identity.  negated[x] = ~x for -#roots <= x < #roots, one int object
+    per value for all permutations composed here.  reflections holds the
     entry of s_b, x -> x - <x, b> b^vee, for each positive root b in the
     order of rd.positive_roots; the gens reuse those of the wall roots.  A
     reflection s_(b,k) = t_(k b^vee) s_b in an affine hyperplane
@@ -306,7 +329,7 @@ class _Context:
     product-table lookup from w's.
     """
 
-    __slots__ = ("rd", "walls", "gens", "reflections", "perms")
+    __slots__ = ("rd", "walls", "gens", "reflections", "entries", "perms", "negated", "__weakref__")
 
     def __init__(self, rd: RootDatum):
         roots, coroots, index = rd.positive_roots, rd.positive_coroots, rd._root_index
@@ -329,10 +352,18 @@ class _Context:
         self.gens = tuple(
             _element(wall.coroot if wall.affine else (0,) * rd.rank, self.reflections[wall.k]) for wall in self.walls
         )
+        self.entries: dict[tuple[int, ...], _Finite] = {}
         self.perms: dict[_Finite, tuple[int, ...]] = {}
+        n = len(roots)
+        self.negated = tuple(~k for k in range(n)) + tuple(range(n - 1, -1, -1))
+        for u in (_intern(identity_matrix(rd.rank)), *self.reflections):
+            if u.ctx is None:
+                self._own(u, self.perm(u))
 
     def perm(self, u: _Finite) -> tuple[int, ...]:
-        """u's signed permutation, from u^-1(b) = b u on a miss: where elements meet the datum."""
+        """u's signed permutation: u's own if this context owns u, else from u^-1(b) = b u on a miss in perms."""
+        if u.ctx is self:
+            return u.perm
         perm = self.perms.get(u)
         if perm is None:
             rd = self.rd
@@ -343,6 +374,26 @@ class _Context:
                 raise AffineWeylError("covector is not a root of the datum") from None
             self.perms[u] = perm
         return perm
+
+    def compose(self, p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+        """The permutation of uv from p of u and q of v: (uv)^-1 b_j = v^-1(+-b_m) for m = p[j]."""
+        negated = self.negated
+        return tuple([q[m] if m >= 0 else negated[q[~m]] for m in p])
+
+    def product(self, u: _Finite, v: _Finite) -> _Finite:
+        """The entry of uv for two entries this context owns; a new one gets its matrix and is owned."""
+        perm = self.compose(u.perm, v.perm)
+        uv = self.entries.get(perm)
+        if uv is None:
+            uv = _intern(mat_mul(u.matrix, v.matrix))
+            if uv.ctx is None:
+                self._own(uv, perm)
+        return uv
+
+    def _own(self, u: _Finite, perm: tuple[int, ...]) -> None:
+        u.perm, u.ctx = perm, self  # perm first: a thread that sees the owner reads its permutation
+        self.entries[perm] = u
+        self.perms.pop(u, None)
 
 
 _context = lru_cache(maxsize=None)(_Context)
@@ -401,8 +452,9 @@ def _step(ctx: _Context, i: int, lam: Vec, pairs: list, u: _Finite, perm: tuple)
     s = t_(e a^vee) s_a with e = 1 for an affine wall and 0 otherwise, so
     s w = t_(lambda + c a^vee) s_a u with c = e - <lambda, a>: the pairings
     with the wall roots move by c times the wall's row, s_a u is read from
-    the product table, and (s_a u)^-1 b_j = u^-1 s_a(b_j) composes s_a's
-    permutation with u's.  O(#walls + rank); no element is built.
+    the product table, and its permutation is the one it is owned under,
+    else ctx.compose of s_a's with u's.  O(#walls + rank); no element is
+    built.
     """
     wall = ctx.walls[i]
     c = wall.affine - pairs[i]
@@ -411,9 +463,9 @@ def _step(ctx: _Context, i: int, lam: Vec, pairs: list, u: _Finite, perm: tuple)
         pairs = [p + c * r for p, r in zip(pairs, wall.row)]
     s = ctx.gens[i]._u
     su = _product(s, u)
-    su_perm = ctx.perms.get(su)
+    su_perm = su.perm if su.ctx is ctx else ctx.perms.get(su)
     if su_perm is None:
-        su_perm = ctx.perms[su] = tuple([perm[m] if m >= 0 else ~perm[~m] for m in ctx.perm(s)])
+        su_perm = ctx.perms[su] = ctx.compose(ctx.perm(s), perm)
     return lam, pairs, su, su_perm
 
 

@@ -3,6 +3,9 @@ along reduced words, each checked against plain matrix arithmetic and
 vec_mat."""
 
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,7 +135,7 @@ def test_signs_read_through_a_wall_equal_the_vec_mat_signs(rd):
             assert perm == _vec_mat_perm(rd, u.finite)
             _, _, su, su_perm = _step(ctx, i, u.translation, [0] * len(ctx.walls), fresh, perm)
             assert su.matrix == mat_mul(ctx.gens[i].finite, u.finite)
-            assert su_perm == ctx.perms[su] == _vec_mat_perm(rd, su.matrix)
+            assert su_perm == ctx.perm(su) == _vec_mat_perm(rd, su.matrix)
 
 
 @_PROPERTY
@@ -229,3 +232,160 @@ def test_generators_built_before_a_clear_multiply_like_dense_products(clear):
     for g in rebuilt:
         assert g._u is affine_weyl._FINITE_PARTS[g.finite]
         assert mul(g, lam) == _dense(g, lam)
+
+
+def test_an_element_held_across_a_clear_keeps_no_context_alive():
+    rd = DATA[6]  # GSp4
+    affweyl.clear_caches()  # so no context of another rank-3 datum owns a shared reflection
+    gens = iwahori_generators(rd)
+    held = [*gens, mul(mul(gens[0], gens[1]), gens[2])]
+    ctx = weakref.ref(_context(rd))
+    assert all(w._u.ctx is ctx() for w in held)
+    affweyl.clear_caches()
+    assert ctx() is None
+    assert all(w._u.ctx is None and w._u.perm is None for w in held)
+    assert [_context(rd).perm(w._u) for w in held] == [_vec_mat_perm(rd, w.finite) for w in held]
+
+
+# ---------------------------------------------------------------------------
+# finite products by composing signed permutations
+
+
+def _composition_problems(rd, words):
+    """Multiply the words' generators in a fresh context, then pairs of the products; what differs from mat_mul.
+
+    Every entry met is owned by that context, so each product table miss
+    is composed; each product must be the interned entry of the dense
+    matrix product, with that matrix's vec_mat permutation.
+    """
+    affweyl.clear_caches()
+    ctx = _context(rd)
+    one = identity_element(rd)._u
+    products, problems = [], []
+
+    def check(u, v):
+        uv, dense = affine_weyl._product(u, v), mat_mul(u.matrix, v.matrix)
+        if uv is not affine_weyl._FINITE_PARTS.get(dense) or uv.ctx is not ctx:
+            problems.append((u.matrix, v.matrix))
+        elif ctx.perm(uv) != _vec_mat_perm(rd, dense):
+            problems.append(("perm", dense))
+        return uv
+
+    for word in words:
+        u = one
+        for i in word:
+            u = check(u, ctx.gens[i]._u)
+        products.append(u)
+    for u in products:
+        for v in products:
+            check(u, v)
+    return problems
+
+
+@_PROPERTY
+@given(st.data())
+def test_generator_words_compose_to_the_dense_product(data):
+    rd = data.draw(st.sampled_from(FAITHFUL_DATA), label="rd")
+    letters = st.integers(0, len(iwahori_generators(rd)) - 1)
+    words = data.draw(st.lists(st.lists(letters, max_size=12), min_size=1, max_size=4), label="words")
+    assert _composition_problems(rd, words) == []
+
+
+def _sign_dropped(self, p, q):
+    return tuple([q[m] if m >= 0 else q[~m] for m in p])
+
+
+@pytest.mark.parametrize("rd", [DATA[1], DATA[6], A1_X_C2], ids=_id)
+def test_negative_control_a_dropped_sign_in_composition_is_caught(monkeypatch, rd):
+    words = [[1, 2, 1, 0], [0, 1, 2], [2, 0, 1, 2, 0]]
+    assert _composition_problems(rd, words) == []
+    monkeypatch.setattr(_Context, "compose", _sign_dropped)
+    try:
+        assert _composition_problems(rd, words)
+    finally:
+        monkeypatch.undo()
+        affweyl.clear_caches()  # drop the entries and product tables made under the broken rule
+
+
+def test_two_data_of_one_rank_interleaved():
+    # GL4 and GSp6 both have rank 4: the identity and some reflections are
+    # one entry for both, owned by the context built first, and a product
+    # with an entry the other owns takes the matrix route
+    gl4, gsp6 = DATA[2], DATA[7]
+    affweyl.clear_caches()
+    ctxs = [_context(gsp6), _context(gl4)]
+    rng = random.Random(4)
+    walks = [identity_element(rd) for rd in (gsp6, gl4)]
+    for _ in range(300):
+        k = rng.randrange(2)
+        rd, ctx = (gsp6, gl4)[k], ctxs[k]
+        g = ctx.gens[rng.randrange(len(ctx.gens))]
+        a, b = (walks[k], g) if rng.randrange(2) else (g, walks[k])
+        walks[k] = mul(a, b)
+        assert walks[k] == _dense(a, b)
+        assert ctx.perm(walks[k]._u) == _vec_mat_perm(rd, walks[k].finite)
+    finite = _finite_group(gl4)
+    assert len({ctxs[1].perm(u._u) for u in finite}) == 24
+    owners = [u._u.ctx for u in finite]
+    assert ctxs[0] in owners and ctxs[1] in owners  # GSp6's context owns a part of GL4's W_0
+    assert set(owners) <= {*ctxs, None}  # and a product through such an entry is owned by neither
+    for ctx in ctxs:
+        assert all(u.ctx is ctx and u.perm == p for p, u in ctx.entries.items())
+        assert not any(u.ctx is ctx for u in ctx.perms)
+
+
+def test_concurrent_products_in_fresh_contexts():
+    # threads that meet the same new entries at once, in data of one rank:
+    # each product is still the dense one, under its vec_mat permutation
+    rng = random.Random(9)
+    words = [(rd, [rng.randrange(len(iwahori_generators(rd))) for _ in range(10)])
+             for rd in (DATA[2], DATA[7]) for _ in range(20)]
+    expected = []
+    for rd, word in words:
+        m = identity_element(rd).finite
+        for i in word:
+            m = mat_mul(m, iwahori_generators(rd)[i].finite)
+        expected.append(m)
+    wrong = []
+
+    def work(offset):
+        for k in range(len(words)):
+            j = (k + offset) % len(words)
+            rd, word = words[j]
+            ctx = _context(rd)
+            u = identity_element(rd)._u
+            for i in word:
+                u = affine_weyl._product(u, ctx.gens[i]._u)
+            if u.matrix != expected[j] or ctx.perm(u) != _vec_mat_perm(rd, u.matrix):
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            affweyl.clear_caches()
+            threads = [threading.Thread(target=work, args=(7 * t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+
+
+def test_a_flip_built_by_hand_keeps_the_matrix_route():
+    gl2 = DATA[0]
+    affweyl.clear_caches()  # so no context of another rank-2 datum owns the identity
+    ctx = _context(gl2)
+    zero = (0, 0)
+    flip = AffineWeylElement(zero, sigma_from_name(gl2, "flip").matrix)
+    one = identity_element(gl2)
+    for g in iwahori_generators(gl2):
+        assert mul(flip, g) == _dense(flip, g) and mul(g, flip) == _dense(g, flip)
+    assert mul(flip, flip) == one
+    # its permutation is the identity's, but it is not entered under it
+    assert ctx.perm(flip._u) == ctx.perm(one._u) == (0,)
+    assert flip._u.ctx is None and ctx.perms[flip._u] == (0,)
+    assert ctx.entries[(0,)] is one._u
