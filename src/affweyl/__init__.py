@@ -70,17 +70,13 @@ from .notation import format_element, parse_element
 def clear_caches() -> None:
     """Empty every module-level memo table (lru_cache) of the package.
 
-    The intern table of finite Weyl matrices is emptied as well; the per-datum affine Weyl contexts are one of the tables.
+    Every datum's affine Weyl context is dropped with the entries it made, and the intern table with it.
     """
     import sys
 
-    from .affine_weyl import _FINITE_PARTS
+    from .affine_weyl import _drop_contexts
 
-    for u in _FINITE_PARTS.values():
-        # so an entry still held keeps no other entry and no dropped context alive
-        u.products.clear()
-        u.ctx = u.perm = None
-    _FINITE_PARTS.clear()
+    _drop_contexts()
     for name, module in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for value in vars(module).values():

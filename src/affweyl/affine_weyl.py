@@ -1,43 +1,32 @@
 """The extended affine Weyl group X_*(T) x W_0 with exact combinatorics.
 
 Elements are pairs (translation, finite part).  Each finite part is an
-integer matrix acting on the cocharacter lattice, interned the first time
-it is seen: one shared entry per matrix holds the matrix, its hash and a
-table of products with other entries.  So `mul` reads the finite product
-from the table and moves the translation in O(rank) when the right factor
-is finite; otherwise it applies the matrix.  Each datum has one context:
-its walls, its affine simple reflections, the entries of the reflections
-in its positive roots and the signed permutation of the positive roots by
-u^-1 of each entry it meets, read from the datum's root index, whose signs
-`length` reads in one pass.  On W_0 that permutation is a faithful key, so
-an entry proven to lie in W_0 of the datum (the identity, a reflection,
-or a product of two such) is owned by the context and registered under
-its permutation: a product of two entries of one owner is found by
-composing their permutations, and only an entry met for the first time
-gets its matrix, by one mat_mul.  Any other pair, such as a matrix built
-by hand, is multiplied as matrices.  No inverse is kept, and no library
-path calls `inv`, which eliminates.
+entry: an integer matrix on the cocharacter lattice, its hash and a table
+of products with other entries, so `mul` reads the finite product from
+the table and moves the translation in O(rank) when the right factor is
+finite; otherwise it applies the matrix.  Each datum has one context
+(_Context): its walls, its affine simple reflections and the entries it
+made, keyed by their signed permutation of the positive roots, a faithful
+key on W_0 whose signs `length` reads in one pass.  An entry belongs to
+the context that made it: the identity, a reflection, a product of two of
+its entries or a sigma-conjugate of one.  A product of two entries of one
+context composes their permutations, and only a new entry gets its
+matrix, by one mat_mul; any other pair, such as a matrix built by hand,
+is multiplied as matrices and interned by matrix.  No inverse is kept,
+and no library path calls `inv`, which eliminates.
 A Frobenius action sigma with matrix S acts on W by
-sigma(t_lambda u) = t_(S lambda) S u S^-1 (sigma_apply); S itself is
-never interned, only the conjugates S u S^-1, which lie in W_0 with u.
+sigma(t_lambda u) = t_(S lambda) S u S^-1 (sigma_apply); S is never an
+entry, only the conjugates S u S^-1, which lie in W_0 with u.
 Length is the closed Iwahori-Matsumoto count.  Reduced words are taken
-greedily with respect to the fixed base alcove (the alcove in the
-dominant chamber with a vertex at the origin): a simple reflection is a
-left descent when its wall separates that alcove from its image, which
-is_left_descent reads off one pairing with the translation and one entry
-of the signed permutation.  reduced_word and bruhat_leq walk in
-wall-pairing coordinates: t_lambda u is carried as lambda, the pairings
-<lambda, a_j> with the roots a_j of the walls, u and its permutation.
-With e = 1 for an affine wall and 0 otherwise and c = e - <lambda, a_i>,
-the step by wall i is lambda += c a_i^vee and <lambda, a_j> +=
-c <a_i^vee, a_j>; u moves by one product-table lookup and its
-permutation by composition with the generator's.  A step costs
+greedily with respect to the base alcove, the one in the dominant chamber
+with a vertex at the origin (is_left_descent).  reduced_word and
+bruhat_leq walk in wall-pairing coordinates (_step): a step costs
 O(#walls + rank), a descent test is one subtraction, and no element is
-built until the end of the walk.  `affweyl.clear_caches()` drops the
-contexts with the intern table.  The length-zero subgroup keeps track of
-the fundamental group.  The Bruhat order walks v along the cached greedy
-reduced word of w with the lifting property, so it keeps no memo of its
-own.
+built until the end of the walk.  The Bruhat order walks v along the
+cached greedy reduced word of w with the lifting property, so it keeps
+no memo of its own.  The length-zero subgroup keeps track of the
+fundamental group.  `affweyl.clear_caches()` drops the contexts with
+their entries.
 
 >>> from affweyl.root_datum import build_root_datum
 >>> rd = build_root_datum({"preset": "GL", "n": 2})
@@ -52,10 +41,10 @@ True
 >>> mul(w, inv(w)) == identity_element(rd)
 True
 
-Equal matrices share one entry, so the product of s1 with itself is read
-back as the very matrix of the identity:
+Within a datum an entry is keyed by its permutation, so the product of s1
+with itself is read back as the datum's very entry of the identity:
 
->>> mul(s1, s1).finite is identity_element(rd).finite
+>>> mul(s1, s1)._u is identity_element(rd)._u
 True
 """
 
@@ -63,7 +52,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 from operator import mul as _times
 from typing import Iterable, Optional, Sequence
 
@@ -90,31 +79,31 @@ class AffineWeylError(ValueError):
 
 
 class _Finite:
-    """The interned entry of one finite Weyl matrix u.
+    """The entry of one finite Weyl matrix u.
 
     Its hash is that of the matrix, so an element hashes like the pair
     (translation, matrix).  `products` maps an entry v to the entry of uv,
     and `is_identity` says whether u is the identity.  `ctx` is the context
-    that owns u, or None: the one whose W_0 u was first proven to lie in,
-    and `perm` is u's signed permutation there (see _Context).  No inverse
-    is kept.
+    that made u and `perm` u's signed permutation there (see _Context), both
+    set when u is made; both are None for a matrix met outside a context.
+    No inverse is kept.
     """
 
     __slots__ = ("matrix", "hash", "products", "is_identity", "ctx", "perm")
 
-    def __init__(self, matrix: Mat):
+    def __init__(self, matrix: Mat, ctx: Optional[_Context] = None, perm: Optional[tuple[int, ...]] = None):
         self.matrix = matrix
         self.hash = hash(matrix)
         self.products: dict[_Finite, _Finite] = {}
         self.is_identity = matrix == identity_matrix(len(matrix))
-        self.ctx: Optional[_Context] = None
-        self.perm: Optional[tuple[int, ...]] = None
+        self.ctx = ctx
+        self.perm = perm
 
     def __hash__(self) -> int:
         return self.hash
 
 
-_FINITE_PARTS: dict[Mat, _Finite] = {}
+_FINITE_PARTS: dict[Mat, _Finite] = {}  # matrices met outside a context
 
 
 def _intern(matrix: Mat) -> _Finite:
@@ -125,7 +114,7 @@ def _intern(matrix: Mat) -> _Finite:
 
 
 def _product(u: _Finite, v: _Finite) -> _Finite:
-    """The entry of uv, read from u's product table; on a miss composed by their owner, else a mat_mul."""
+    """The entry of uv, read from u's product table; on a miss composed by their context, else a mat_mul."""
     uv = u.products.get(v)
     if uv is None:
         ctx = u.ctx
@@ -203,14 +192,14 @@ def _element(translation: Vec, u: _Finite) -> AffineWeylElement:
 
 
 def identity_element(rd: RootDatum) -> AffineWeylElement:
-    return _element((0,) * rd.rank, _intern(identity_matrix(rd.rank)))
+    return _element((0,) * rd.rank, _context(rd).one)
 
 
 def translation_element(lam: Sequence[int], rd: RootDatum) -> AffineWeylElement:
     if len(lam) != rd.rank:
         raise AffineWeylError("translation has the wrong rank")
     lam = tuple(exact_int(x, "a translation coordinate", AffineWeylError) for x in lam)
-    return _element(lam, _intern(identity_matrix(rd.rank)))
+    return _element(lam, _context(rd).one)
 
 
 def _check_rank(rank: int, datum_rank: int) -> None:
@@ -313,23 +302,22 @@ class _Context:
     perm[j] is m, or ~m for a negative root, where u^-1(b_j) = +-b_m, so
     u^-1(b_j) < 0 exactly when perm[j] < 0.  The permutation of uv is
     compose(perm(u), perm(v)).  On W_0 it determines u, so entries holds
-    the entries this context owns, keyed by their permutation: the identity
-    and the reflections, claimed when the context is built, and products of
-    two owned entries, found by product.  An entry another context owns
-    first (equal matrices of another datum of the same rank) is not
-    claimed.  perms keeps the permutations of the entries met here that
-    this context does not own: a matrix built by hand may lie outside W_0,
-    such as the flip of GL2, which permutes the positive roots like the
-    identity.  negated[x] = ~x for -#roots <= x < #roots, one int object
-    per value for all permutations composed here.  reflections holds the
-    entry of s_b, x -> x - <x, b> b^vee, for each positive root b in the
-    order of rd.positive_roots; the gens reuse those of the wall roots.  A
+    the entries this context made (entry), keyed by their permutation:
+    one, the reflections, products of two of them (product) and
+    sigma-conjugates of one (conjugate).  perms keeps the permutations of
+    the other entries met here: another context's, or a matrix built by
+    hand, which may lie outside W_0, such as the flip of GL2, which
+    permutes the positive roots like the identity.  negated[x] = ~x for
+    -#roots <= x < #roots, one int object per value for all permutations
+    composed here.  reflections holds the entry of s_b,
+    x -> x - <x, b> b^vee, for each positive root b in the order of
+    rd.positive_roots; the gens reuse those of the wall roots.  A
     reflection s_(b,k) = t_(k b^vee) s_b in an affine hyperplane
     <x, b> = k has finite part s_b, so the finite part of s_(b,k) w is one
     product-table lookup from w's.
     """
 
-    __slots__ = ("rd", "walls", "gens", "reflections", "entries", "perms", "negated", "__weakref__")
+    __slots__ = ("rd", "walls", "gens", "one", "reflections", "entries", "perms", "sigmas", "negated", "__weakref__")
 
     def __init__(self, rd: RootDatum):
         roots, coroots, index = rd.positive_roots, rd.positive_coroots, rd._root_index
@@ -348,31 +336,33 @@ class _Context:
             _Wall(roots[k], coroots[k], k, j < n_affine, tuple(pairing(coroots[k], roots[m]) for m in ks))
             for j, k in enumerate(ks)
         )
-        self.reflections = tuple(_intern(reflection_matrix(b, c)) for b, c in zip(roots, coroots))
+        n = len(roots)
+        self.negated = tuple(~k for k in range(n)) + tuple(range(n - 1, -1, -1))
+        self.entries: dict[tuple[int, ...], _Finite] = {}
+        self.perms: dict[_Finite, tuple[int, ...]] = {}
+        self.sigmas: dict[SigmaAction, Optional[tuple]] = {}
+        self.one = self.entry(tuple(range(n)), identity_matrix(rd.rank))
+        self.reflections = tuple(self.entry(self.read_perm(s), s) for s in map(reflection_matrix, roots, coroots))
         self.gens = tuple(
             _element(wall.coroot if wall.affine else (0,) * rd.rank, self.reflections[wall.k]) for wall in self.walls
         )
-        self.entries: dict[tuple[int, ...], _Finite] = {}
-        self.perms: dict[_Finite, tuple[int, ...]] = {}
-        n = len(roots)
-        self.negated = tuple(~k for k in range(n)) + tuple(range(n - 1, -1, -1))
-        for u in (_intern(identity_matrix(rd.rank)), *self.reflections):
-            if u.ctx is None:
-                self._own(u, self.perm(u))
+
+    def read_perm(self, matrix: Mat) -> tuple[int, ...]:
+        """The signed permutation of a matrix u, from u^-1(b) = b u; AffineWeylError unless it permutes the roots."""
+        rd = self.rd
+        _check_rank(len(matrix), rd.rank)
+        try:
+            return tuple([rd._root_index[vec_mat(root, matrix)] for root in rd.positive_roots])
+        except KeyError:
+            raise AffineWeylError("covector is not a root of the datum") from None
 
     def perm(self, u: _Finite) -> tuple[int, ...]:
-        """u's signed permutation: u's own if this context owns u, else from u^-1(b) = b u on a miss in perms."""
+        """u's signed permutation: its own if this context made u, else read_perm's, kept in perms."""
         if u.ctx is self:
             return u.perm
         perm = self.perms.get(u)
         if perm is None:
-            rd = self.rd
-            _check_rank(len(u.matrix), rd.rank)
-            try:
-                perm = tuple([rd._root_index[vec_mat(root, u.matrix)] for root in rd.positive_roots])
-            except KeyError:
-                raise AffineWeylError("covector is not a root of the datum") from None
-            self.perms[u] = perm
+            perm = self.perms[u] = self.read_perm(u.matrix)
         return perm
 
     def compose(self, p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -380,23 +370,55 @@ class _Context:
         negated = self.negated
         return tuple([q[m] if m >= 0 else negated[q[~m]] for m in p])
 
+    def entry(self, perm: tuple[int, ...], *factors: Mat) -> _Finite:
+        """The entry under perm; on a miss it is made, with the product of the factors (in W_0) as its matrix."""
+        u = self.entries.get(perm)
+        if u is None:
+            u = self.entries.setdefault(perm, _Finite(reduce(mat_mul, factors), self, perm))
+        return u
+
     def product(self, u: _Finite, v: _Finite) -> _Finite:
-        """The entry of uv for two entries this context owns; a new one gets its matrix and is owned."""
-        perm = self.compose(u.perm, v.perm)
-        uv = self.entries.get(perm)
-        if uv is None:
-            uv = _intern(mat_mul(u.matrix, v.matrix))
-            if uv.ctx is None:
-                self._own(uv, perm)
-        return uv
+        """The entry of uv for two entries this context made."""
+        return self.entry(self.compose(u.perm, v.perm), u.matrix, v.matrix)
 
-    def _own(self, u: _Finite, perm: tuple[int, ...]) -> None:
-        u.perm, u.ctx = perm, self  # perm first: a thread that sees the owner reads its permutation
-        self.entries[perm] = u
-        self.perms.pop(u, None)
+    def conjugate(self, sigma: SigmaAction, u: _Finite) -> Optional[_Finite]:
+        """The entry of S u S^-1 for an entry u made here, its permutation relabelled by S's (tau).
+
+        sigmas keeps tau and tau^-1 per sigma, read once it passes
+        sigma_generator_permutation, or None, the answer too, if it fails.
+        """
+        if sigma not in self.sigmas:
+            try:
+                sigma_generator_permutation(self.rd, sigma)
+            except AffineWeylError:
+                self.sigmas[sigma] = None
+            else:
+                self.sigmas[sigma] = self.read_perm(sigma.matrix), self.read_perm(sigma.matrix_inv)
+        taus = self.sigmas[sigma]
+        if taus is None:
+            return None
+        perm = self.compose(self.compose(taus[0], u.perm), taus[1])
+        return self.entry(perm, sigma.matrix, u.matrix, sigma.matrix_inv)
 
 
-_context = lru_cache(maxsize=None)(_Context)
+class _Contexts(dict):
+    """rd -> its _Context, made on first use."""
+
+    def __missing__(self, rd: RootDatum) -> _Context:
+        return self.setdefault(rd, _Context(rd))
+
+
+_CONTEXTS = _Contexts()
+_context = _CONTEXTS.__getitem__
+
+
+def _drop_contexts() -> None:
+    """Drop the contexts and the intern table; an entry still held keeps no other entry or context alive."""
+    for u in [*_FINITE_PARTS.values(), *(u for ctx in _CONTEXTS.values() for u in ctx.entries.values())]:
+        u.ctx = u.perm = None
+        u.products.clear()
+    _CONTEXTS.clear()
+    _FINITE_PARTS.clear()
 
 
 def iwahori_generators(rd: RootDatum) -> tuple[AffineWeylElement, ...]:
@@ -452,7 +474,7 @@ def _step(ctx: _Context, i: int, lam: Vec, pairs: list, u: _Finite, perm: tuple)
     s = t_(e a^vee) s_a with e = 1 for an affine wall and 0 otherwise, so
     s w = t_(lambda + c a^vee) s_a u with c = e - <lambda, a>: the pairings
     with the wall roots move by c times the wall's row, s_a u is read from
-    the product table, and its permutation is the one it is owned under,
+    the product table, and its permutation is the one it was made under,
     else ctx.compose of s_a's with u's.  O(#walls + rank); no element is
     built.
     """
@@ -492,9 +514,7 @@ def reduced_word(rd: RootDatum, w: AffineWeylElement) -> tuple[tuple[int, ...], 
     Each of the length(w) steps strips the first generator that is a left
     descent of what is left; the remainder is checked to have length zero,
     which a wrongly claimed descent would break.  What is left is carried
-    in wall-pairing coordinates: with c = e - <lambda, a_i> (e = 1 for an
-    affine wall, else 0) a step by wall i sets lambda += c a_i^vee and
-    <lambda, a_j> += c <a_i^vee, a_j>, so each descent test is one
+    in wall-pairing coordinates (_step), so each descent test is one
     subtraction per wall and only omega is built as an element.
     """
     ctx = _context(rd)
@@ -541,9 +561,7 @@ def bruhat_leq(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> boo
     sw is the Omega part of w, which v lies below only if equal to it, so
     the translation and matrix reached are compared with it; v is refused
     once it is longer than what is left of w.  v steps in wall-pairing
-    coordinates: by wall i, lambda += c a_i^vee and
-    <lambda, a_j> += c <a_i^vee, a_j> with c = e - <lambda, a_i>, e = 1
-    for an affine wall and 0 otherwise.
+    coordinates (_step).
     """
     if kottwitz(rd, v) != kottwitz(rd, w):
         return False
@@ -693,14 +711,19 @@ def sigma_from_name(rd: RootDatum, name: str) -> SigmaAction:
 def sigma_apply(sigma: SigmaAction, w: AffineWeylElement) -> AffineWeylElement:
     """sigma(t_lambda u) = t_(S lambda) S u S^-1, the one place sigma meets an element.
 
-    S u S^-1 is formed by mat_mul, outside the product tables; only it is
-    interned, and it lies in W_0 when u does.  sigma = id returns w itself.
+    S u S^-1 lies in W_0 when u does: the entry made by u's context
+    (_Context.conjugate) when sigma is a diagram automorphism of its datum,
+    else a mat_mul, interned.  sigma = id returns w itself.
     """
     _check_rank(len(w.translation), len(sigma.matrix))
     if sigma.order == 1:
         return w
-    s = sigma.matrix
-    return _element(mat_vec(s, w.translation), _intern(mat_mul(s, mat_mul(w._u.matrix, sigma.matrix_inv))))
+    s, u = sigma.matrix, w._u
+    ctx = u.ctx
+    su = ctx.conjugate(sigma, u) if ctx is not None else None
+    if su is None:
+        su = _intern(mat_mul(s, mat_mul(u.matrix, sigma.matrix_inv)))
+    return _element(mat_vec(s, w.translation), su)
 
 
 def conjugation_permutation(rd: RootDatum, g: AffineWeylElement, g_inv: AffineWeylElement) -> tuple[int, ...]:

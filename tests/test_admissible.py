@@ -603,10 +603,10 @@ def test_clear_caches_empties_every_memo():
     sigma = sigma_identity(GL3)
     first_adm, first_b = adm((1, 1, 0), GL3), b_set((1, 1, 0), GL3, sigma)
     assert any(f.cache_info().currsize for f in _package_caches())
-    assert affine_weyl._FINITE_PARTS
+    assert affine_weyl._CONTEXTS and all(ctx.entries for ctx in affine_weyl._CONTEXTS.values())
     affweyl.clear_caches()
     assert all(f.cache_info().currsize == 0 for f in _package_caches())
-    assert not affine_weyl._FINITE_PARTS
+    assert not affine_weyl._CONTEXTS and not affine_weyl._FINITE_PARTS
     assert adm((1, 1, 0), GL3) == first_adm
     assert b_set((1, 1, 0), GL3, sigma) == first_b
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import affweyl
-from affweyl import affine_weyl
+from affweyl import affine_weyl, root_datum
+from affweyl.admissible import adm
 from affweyl.affine_weyl import (
     AffineWeylElement,
     _Context,
@@ -27,13 +28,16 @@ from affweyl.affine_weyl import (
     mul,
     omega_rep,
     reduced_word,
+    sigma_apply,
     sigma_from_name,
+    sigma_identity,
     translation_element,
     word_length_map,
 )
-from affweyl.linalg import mat_mul, vec_mat
+from affweyl.linalg import mat_mul, mat_vec, vec_mat
 from affweyl.root_datum import build_root_datum
-from test_affine_weyl import A1_X_C2
+from affweyl.straight_newton import b_set
+from test_affine_weyl import A1_X_C2, FACTOR_CYCLE, FACTOR_SWAP, GL2_CUBED, GL2_X_GL2
 from test_levi import B2, G2
 from test_root_datum import _cartan_spec
 
@@ -144,13 +148,16 @@ def test_signs_along_reduced_words_equal_the_vec_mat_signs(case):
     rd, w = case
     letters, omega = reduced_word(rd, w)
     gens = iwahori_generators(rd)
-    ctx = _Context(rd)  # empty: each step composes
+    # a fresh context made none of w's entries, so each step multiplies
+    # matrices, its product belongs to no context and its permutation composes
+    ctx = _Context(rd)
     lam, pairs, u, perm = _start(ctx, w)
     cur = w
     for i in letters:
         lam, pairs, u, perm = _step(ctx, i, lam, pairs, u, perm)
         cur = mul(gens[i], cur)
-        assert (tuple(lam), u) == (cur.translation, cur._u)
+        assert (tuple(lam), u.matrix) == (cur.translation, cur.finite)
+        assert u.ctx is None and cur._u.ctx is _context(rd)
         assert perm == _vec_mat_perm(rd, cur.finite)
     assert cur == omega
 
@@ -219,8 +226,8 @@ def test_generators_built_before_a_clear_multiply_like_dense_products(clear):
     rd = DATA[6]  # GSp4
     old = [finite_reflection(rd, i) for i in range(rd.semisimple_rank)] + list(iwahori_generators(rd))
     clear()
-    assert not affine_weyl._FINITE_PARTS
-    assert _context.cache_info().currsize == 0
+    assert not affine_weyl._FINITE_PARTS and not affine_weyl._CONTEXTS
+    assert all(g._u.ctx is None for g in old)
     lam = translation_element((2, -1, 0), rd)
     new = [mul(lam, g) for g in old] + [mul(g, lam) for g in old]
     for a in old:
@@ -229,8 +236,9 @@ def test_generators_built_before_a_clear_multiply_like_dense_products(clear):
             assert mul(b, a) == _dense(b, a)
     rebuilt = [finite_reflection(rd, i) for i in range(rd.semisimple_rank)] + list(iwahori_generators(rd))
     assert rebuilt == old
+    ctx = _context(rd)
     for g in rebuilt:
-        assert g._u is affine_weyl._FINITE_PARTS[g.finite]
+        assert g._u.ctx is ctx and g._u is ctx.entries[_vec_mat_perm(rd, g.finite)]
         assert mul(g, lam) == _dense(g, lam)
 
 
@@ -254,9 +262,10 @@ def test_an_element_held_across_a_clear_keeps_no_context_alive():
 def _composition_problems(rd, words):
     """Multiply the words' generators in a fresh context, then pairs of the products; what differs from mat_mul.
 
-    Every entry met is owned by that context, so each product table miss
-    is composed; each product must be the interned entry of the dense
-    matrix product, with that matrix's vec_mat permutation.
+    Every entry met is made by that context, so each product table miss
+    is composed; each product must be an entry of that context with the
+    dense matrix product as its matrix and that matrix's vec_mat
+    permutation.
     """
     affweyl.clear_caches()
     ctx = _context(rd)
@@ -265,7 +274,7 @@ def _composition_problems(rd, words):
 
     def check(u, v):
         uv, dense = affine_weyl._product(u, v), mat_mul(u.matrix, v.matrix)
-        if uv is not affine_weyl._FINITE_PARTS.get(dense) or uv.ctx is not ctx:
+        if uv.matrix != dense or uv.ctx is not ctx:
             problems.append((u.matrix, v.matrix))
         elif ctx.perm(uv) != _vec_mat_perm(rd, dense):
             problems.append(("perm", dense))
@@ -308,9 +317,9 @@ def test_negative_control_a_dropped_sign_in_composition_is_caught(monkeypatch, r
 
 
 def test_two_data_of_one_rank_interleaved():
-    # GL4 and GSp6 both have rank 4: the identity and some reflections are
-    # one entry for both, owned by the context built first, and a product
-    # with an entry the other owns takes the matrix route
+    # GL4 and GSp6 both have rank 4 and share the identity matrix and some
+    # reflections, yet each context makes its own entries: GSp6's, built
+    # first, takes no part of GL4's W_0
     gl4, gsp6 = DATA[2], DATA[7]
     affweyl.clear_caches()
     ctxs = [_context(gsp6), _context(gl4)]
@@ -323,12 +332,12 @@ def test_two_data_of_one_rank_interleaved():
         a, b = (walks[k], g) if rng.randrange(2) else (g, walks[k])
         walks[k] = mul(a, b)
         assert walks[k] == _dense(a, b)
+        assert walks[k]._u.ctx is ctx
         assert ctx.perm(walks[k]._u) == _vec_mat_perm(rd, walks[k].finite)
-    finite = _finite_group(gl4)
-    assert len({ctxs[1].perm(u._u) for u in finite}) == 24
-    owners = [u._u.ctx for u in finite]
-    assert ctxs[0] in owners and ctxs[1] in owners  # GSp6's context owns a part of GL4's W_0
-    assert set(owners) <= {*ctxs, None}  # and a product through such an entry is owned by neither
+    for rd, ctx, order in ((gl4, ctxs[1], 24), (gsp6, ctxs[0], 48)):
+        finite = _finite_group(rd)
+        assert len({ctx.perm(u._u) for u in finite}) == order
+        assert all(u._u.ctx is ctx for u in finite)
     for ctx in ctxs:
         assert all(u.ctx is ctx and u.perm == p for p, u in ctx.entries.items())
         assert not any(u.ctx is ctx for u in ctx.perms)
@@ -389,3 +398,74 @@ def test_a_flip_built_by_hand_keeps_the_matrix_route():
     assert ctx.perm(flip._u) == ctx.perm(one._u) == (0,)
     assert flip._u.ctx is None and ctx.perms[flip._u] == (0,)
     assert ctx.entries[(0,)] is one._u
+
+
+# ---------------------------------------------------------------------------
+# each datum's context makes its own entries
+
+
+ORDER_CASES = [
+    (DATA[2], DATA[7], (1, 1, 1, 1)),  # GL4, then GSp6: both of rank 4
+    (DATA[4], build_root_datum({"preset": "PGL", "n": 4}), (1, 0, 0)),  # SL4, then PGL4: both of rank 3
+]
+
+
+@pytest.mark.parametrize("first,rd,mu", ORDER_CASES, ids=["GSp6-after-GL4", "PGL4-after-SL4"])
+def test_a_datum_makes_as_many_matrices_whatever_context_came_first(monkeypatch, first, rd, mu):
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return mat_mul(a, b)
+
+    for module in (affine_weyl, root_datum):
+        monkeypatch.setattr(module, "mat_mul", counted)
+    counts, owners = [], []
+    # the first run also fills what the datum keeps on itself, which no clear drops
+    for before in (None, None, first):
+        affweyl.clear_caches()
+        if before is not None:
+            _context(before)
+        calls.clear()
+        elements = adm(mu, rd).elements
+        b_set(mu, rd, sigma_identity(rd))
+        counts.append(len(calls))
+        owners.append({w._u.ctx for w in elements} == {_context(rd)})
+    assert counts[1] == counts[2]
+    assert all(owners)
+
+
+SIGMA_CASES = {f"{rd.type_label}-flip": (rd, sigma_from_name(rd, "flip")) for rd in FLIPPED}
+SIGMA_CASES.update({"GL2xGL2-swap": (GL2_X_GL2, FACTOR_SWAP), "GL2^3-cycle": (GL2_CUBED, FACTOR_CYCLE)})
+
+
+# one example budget per case: only the cycle, of order 3, tells tau from tau^-1
+@pytest.mark.parametrize("rd,sigma", SIGMA_CASES.values(), ids=SIGMA_CASES.keys())
+@settings(max_examples=30)
+@given(st.data())
+def test_sigma_apply_is_the_dense_conjugate_in_the_elements_context(rd, sigma, data):
+    _, w = data.draw(_elements([rd]), label="w")
+    s = sigma.matrix
+    image = sigma_apply(sigma, w)
+    assert image.translation == mat_vec(s, w.translation)
+    assert image.finite == mat_mul(mat_mul(s, w.finite), sigma.matrix_inv)
+    ctx = _context(rd)
+    assert image._u.ctx is ctx and image._u is ctx.entries[_vec_mat_perm(rd, image.finite)]
+
+
+def test_sigma_apply_multiplies_matrices_outside_a_context():
+    # an element built by hand belongs to no context, and GL4's flip is no
+    # diagram automorphism of GSp6, which has rank 4 as well
+    gl4, gsp6 = DATA[2], DATA[7]
+    flip = sigma_from_name(gl4, "flip")
+    affweyl.clear_caches()
+    s1 = finite_reflection(gl4, 1)
+    by_hand = AffineWeylElement((1, 0, 0, 0), s1.finite)
+    of_gsp6 = mul(translation_element((1, 0, 0, 0), gsp6), finite_reflection(gsp6, 0))
+    for w in (by_hand, of_gsp6):
+        image = sigma_apply(flip, w)
+        assert image.translation == mat_vec(flip.matrix, w.translation)
+        assert image.finite == mat_mul(mat_mul(flip.matrix, w.finite), flip.matrix_inv)
+        assert image._u.ctx is None and affine_weyl._FINITE_PARTS[image.finite] is image._u
+    assert _context(gsp6).sigmas == {flip: None}
+    assert sigma_apply(flip, s1)._u.ctx is _context(gl4)

@@ -238,8 +238,9 @@ W0_ONLY_CASES = [
 
 @pytest.mark.parametrize("rd,sigma,mus", W0_ONLY_CASES, ids=["GL3", "GL4", "GL5", "SL4", "PGL4", "GL2xGL2-swap", "GL2^3-cycle"])
 def test_the_intern_table_holds_only_finite_weyl_matrices(rd, sigma, mus):
-    # every library path that meets sigma interns S u S^-1, never S or a product u S;
-    # one datum per run, as the flip of GL3 is the longest element of SL4's W_0
+    # every library path that meets sigma makes S u S^-1 an entry of a context
+    # and interns no matrix outside one: never S or a product u S; one datum
+    # per run, as the flip of GL3 is the longest element of SL4's W_0
     affweyl.clear_caches()
     for mu in mus:
         for b in b_set(mu, rd, sigma):
@@ -252,7 +253,9 @@ def test_the_intern_table_holds_only_finite_weyl_matrices(rd, sigma, mus):
             newton_point(rd, sigma, w)
             is_straight(rd, sigma, w)
             sigma_apply(sigma, w)
-    keys = set(affine_weyl._FINITE_PARTS)
+    assert not affine_weyl._FINITE_PARTS
+    # the entries of every context made on the way
+    keys = {u.matrix for ctx in affine_weyl._CONTEXTS.values() for u in ctx.entries.values()}
     # the oracle: W_0, by breadth-first search over the finite simple reflections
     reflections = [finite_reflection(rd, i) for i in range(rd.semisimple_rank)]
     assert keys <= {u.finite for u in word_length_map(rd, gens=reflections)}
