@@ -70,7 +70,8 @@ from .notation import format_element, parse_element
 def clear_caches() -> None:
     """Empty every module-level memo table (lru_cache) of the package.
 
-    Every datum's affine Weyl context is dropped with the entries it made, and the intern table with it.
+    Every datum's affine Weyl context is dropped with the entries it made; an element held across the call
+    keeps its matrix, as a plain one.
     """
     import sys
 

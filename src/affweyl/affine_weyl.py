@@ -1,19 +1,18 @@
 """The extended affine Weyl group X_*(T) x W_0 with exact combinatorics.
 
-Elements are pairs (translation, finite part).  Each finite part is an
-entry: an integer matrix on the cocharacter lattice, its hash and a table
-of products with other entries, so `mul` reads the finite product from
-the table and moves the translation in O(rank) when the right factor is
-finite; otherwise it applies the matrix.  Each datum has one context
-(_Context): its walls, its affine simple reflections and the entries it
-made, keyed by their signed permutation of the positive roots, a faithful
-key on W_0 whose signs `length` reads in one pass.  An entry belongs to
-the context that made it: the identity, a reflection, a product of two of
-its entries or a sigma-conjugate of one.  A product of two entries of one
-context composes their permutations, and only a new entry gets its
-matrix, by one mat_mul; any other pair, such as a matrix built by hand,
-is multiplied as matrices and interned by matrix.  No inverse is kept,
-and no library path calls `inv`, which eliminates.
+Elements are pairs (translation, finite part).  Each datum has one
+context (_Context): its walls, its affine simple reflections and the
+entries it made (the identity, the reflections, products of two entries
+and sigma-conjugates of one), keyed by their signed permutation of the
+positive roots, a faithful key on W_0 whose signs `length` reads in one
+pass.  An entry holds its matrix on the cocharacter lattice and a table
+of products with the context's entries, so `mul` reads the finite product
+from the table and moves the translation in O(rank) when the right factor
+is finite; otherwise it applies the matrix.  On a miss the permutations
+are composed, and only a new entry gets its matrix, by one mat_mul.  Any
+other finite part, such as a matrix built by hand or unpickled, is a
+plain matrix in no table.  No inverse is kept, and no library path calls
+`inv`, which eliminates.
 A Frobenius action sigma with matrix S acts on W by
 sigma(t_lambda u) = t_(S lambda) S u S^-1 (sigma_apply); S is never an
 entry, only the conjugates S u S^-1, which lie in W_0 with u.
@@ -79,14 +78,11 @@ class AffineWeylError(ValueError):
 
 
 class _Finite:
-    """The entry of one finite Weyl matrix u.
+    """A finite part u: its matrix, the matrix's hash, `is_identity` and a product table.
 
-    Its hash is that of the matrix, so an element hashes like the pair
-    (translation, matrix).  `products` maps an entry v to the entry of uv,
-    and `is_identity` says whether u is the identity.  `ctx` is the context
-    that made u and `perm` u's signed permutation there (see _Context), both
-    set when u is made; both are None for a matrix met outside a context.
-    No inverse is kept.
+    An entry has `ctx`, the context that made it, `perm`, its signed
+    permutation there (see _Context), and `products`, mapping an entry v of
+    ctx to the entry of uv; a plain matrix has no ctx and no products.
     """
 
     __slots__ = ("matrix", "hash", "products", "is_identity", "ctx", "perm")
@@ -103,26 +99,14 @@ class _Finite:
         return self.hash
 
 
-_FINITE_PARTS: dict[Mat, _Finite] = {}  # matrices met outside a context
-
-
-def _intern(matrix: Mat) -> _Finite:
-    u = _FINITE_PARTS.get(matrix)
-    if u is None:
-        u = _FINITE_PARTS[matrix] = _Finite(matrix)
-    return u
-
-
 def _product(u: _Finite, v: _Finite) -> _Finite:
-    """The entry of uv, read from u's product table; on a miss composed by their context, else a mat_mul."""
+    """uv from u's product table; on a miss composed and kept if one context made both, else a mat_mul."""
     uv = u.products.get(v)
     if uv is None:
         ctx = u.ctx
-        if ctx is not None and ctx is v.ctx:
-            uv = ctx.product(u, v)
-        else:
-            uv = _intern(mat_mul(u.matrix, v.matrix))
-        u.products[v] = uv
+        if ctx is None or ctx is not v.ctx:
+            return _Finite(mat_mul(u.matrix, v.matrix))
+        uv = u.products[v] = ctx.product(u, v)
     return uv
 
 
@@ -130,12 +114,13 @@ class AffineWeylElement:
     """Element t_lambda * u with u a finite Weyl matrix on X_*(T).
 
     Immutable; equal and equally hashed to any element with the same
-    translation and matrix, also one built after the intern table was
-    emptied.  Any sequences are taken and stored as tuples; an entry that
-    is not an integer is refused (1.5 would be a length, True a 1), and so
-    is a matrix that is not square of the translation's length: the walks
-    read both with zip, which would truncate.  The library's own builders
-    hold checked data and go through _element instead.
+    translation and matrix, also one built by hand.  Any sequences are taken
+    and stored as tuples; an entry that is not an integer is refused (1.5
+    would be a length, True a 1), and so is a matrix that is not square of
+    the translation's length: the walks read both with zip, which would
+    truncate.  The library's own builders hold checked data and go through
+    _element with an entry.  A pickle or copy holds the translation and
+    the matrix, so it comes back as a plain matrix.
     """
 
     __slots__ = ("translation", "_u")
@@ -148,7 +133,7 @@ class AffineWeylElement:
         if {len(finite), *map(len, finite)} != {len(translation)}:
             raise AffineWeylError("finite part must be square, of the translation's length")
         _set_translation(self, translation)
-        _set_u(self, _intern(finite))
+        _set_u(self, _Finite(finite))
 
     @property
     def finite(self) -> Mat:
@@ -304,9 +289,8 @@ class _Context:
     compose(perm(u), perm(v)).  On W_0 it determines u, so entries holds
     the entries this context made (entry), keyed by their permutation:
     one, the reflections, products of two of them (product) and
-    sigma-conjugates of one (conjugate).  perms keeps the permutations of
-    the other entries met here: another context's, or a matrix built by
-    hand, which may lie outside W_0, such as the flip of GL2, which
+    sigma-conjugates of one (conjugate).  perm reads that of any other
+    finite part off its matrix, which may lie outside W_0: GL2's flip
     permutes the positive roots like the identity.  negated[x] = ~x for
     -#roots <= x < #roots, one int object per value for all permutations
     composed here.  reflections holds the entry of s_b,
@@ -317,7 +301,7 @@ class _Context:
     product-table lookup from w's.
     """
 
-    __slots__ = ("rd", "walls", "gens", "one", "reflections", "entries", "perms", "sigmas", "negated", "__weakref__")
+    __slots__ = ("rd", "walls", "gens", "one", "reflections", "entries", "sigmas", "negated", "__weakref__")
 
     def __init__(self, rd: RootDatum):
         roots, coroots, index = rd.positive_roots, rd.positive_coroots, rd._root_index
@@ -339,7 +323,6 @@ class _Context:
         n = len(roots)
         self.negated = tuple(~k for k in range(n)) + tuple(range(n - 1, -1, -1))
         self.entries: dict[tuple[int, ...], _Finite] = {}
-        self.perms: dict[_Finite, tuple[int, ...]] = {}
         self.sigmas: dict[SigmaAction, Optional[tuple]] = {}
         self.one = self.entry(tuple(range(n)), identity_matrix(rd.rank))
         self.reflections = tuple(self.entry(self.read_perm(s), s) for s in map(reflection_matrix, roots, coroots))
@@ -357,13 +340,8 @@ class _Context:
             raise AffineWeylError("covector is not a root of the datum") from None
 
     def perm(self, u: _Finite) -> tuple[int, ...]:
-        """u's signed permutation: its own if this context made u, else read_perm's, kept in perms."""
-        if u.ctx is self:
-            return u.perm
-        perm = self.perms.get(u)
-        if perm is None:
-            perm = self.perms[u] = self.read_perm(u.matrix)
-        return perm
+        """u's signed permutation: its own if this context made u, else read_perm's."""
+        return u.perm if u.ctx is self else self.read_perm(u.matrix)
 
     def compose(self, p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
         """The permutation of uv from p of u and q of v: (uv)^-1 b_j = v^-1(+-b_m) for m = p[j]."""
@@ -413,12 +391,12 @@ _context = _CONTEXTS.__getitem__
 
 
 def _drop_contexts() -> None:
-    """Drop the contexts and the intern table; an entry still held keeps no other entry or context alive."""
-    for u in [*_FINITE_PARTS.values(), *(u for ctx in _CONTEXTS.values() for u in ctx.entries.values())]:
-        u.ctx = u.perm = None
-        u.products.clear()
+    """Drop the contexts; a held entry becomes a plain matrix, keeping no other entry or context alive."""
+    for ctx in _CONTEXTS.values():
+        for u in ctx.entries.values():
+            u.ctx = u.perm = None
+            u.products.clear()
     _CONTEXTS.clear()
-    _FINITE_PARTS.clear()
 
 
 def iwahori_generators(rd: RootDatum) -> tuple[AffineWeylElement, ...]:
@@ -474,9 +452,8 @@ def _step(ctx: _Context, i: int, lam: Vec, pairs: list, u: _Finite, perm: tuple)
     s = t_(e a^vee) s_a with e = 1 for an affine wall and 0 otherwise, so
     s w = t_(lambda + c a^vee) s_a u with c = e - <lambda, a>: the pairings
     with the wall roots move by c times the wall's row, s_a u is read from
-    the product table, and its permutation is the one it was made under,
-    else ctx.compose of s_a's with u's.  O(#walls + rank); no element is
-    built.
+    the product table, and its permutation is its own, else composed.
+    O(#walls + rank); no element is built.
     """
     wall = ctx.walls[i]
     c = wall.affine - pairs[i]
@@ -485,10 +462,7 @@ def _step(ctx: _Context, i: int, lam: Vec, pairs: list, u: _Finite, perm: tuple)
         pairs = [p + c * r for p, r in zip(pairs, wall.row)]
     s = ctx.gens[i]._u
     su = _product(s, u)
-    su_perm = su.perm if su.ctx is ctx else ctx.perms.get(su)
-    if su_perm is None:
-        su_perm = ctx.perms[su] = ctx.compose(ctx.perm(s), perm)
-    return lam, pairs, su, su_perm
+    return lam, pairs, su, su.perm if su.ctx is ctx else ctx.compose(s.perm, perm)
 
 
 @lru_cache(maxsize=None)
@@ -713,7 +687,7 @@ def sigma_apply(sigma: SigmaAction, w: AffineWeylElement) -> AffineWeylElement:
 
     S u S^-1 lies in W_0 when u does: the entry made by u's context
     (_Context.conjugate) when sigma is a diagram automorphism of its datum,
-    else a mat_mul, interned.  sigma = id returns w itself.
+    else a plain matrix, by mat_mul.  sigma = id returns w itself.
     """
     _check_rank(len(w.translation), len(sigma.matrix))
     if sigma.order == 1:
@@ -722,7 +696,7 @@ def sigma_apply(sigma: SigmaAction, w: AffineWeylElement) -> AffineWeylElement:
     ctx = u.ctx
     su = ctx.conjugate(sigma, u) if ctx is not None else None
     if su is None:
-        su = _intern(mat_mul(s, mat_mul(u.matrix, sigma.matrix_inv)))
+        su = _Finite(mat_mul(s, mat_mul(u.matrix, sigma.matrix_inv)))
     return _element(mat_vec(s, w.translation), su)
 
 

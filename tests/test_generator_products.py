@@ -5,6 +5,7 @@ vec_mat."""
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -226,8 +227,8 @@ def test_generators_built_before_a_clear_multiply_like_dense_products(clear):
     rd = DATA[6]  # GSp4
     old = [finite_reflection(rd, i) for i in range(rd.semisimple_rank)] + list(iwahori_generators(rd))
     clear()
-    assert not affine_weyl._FINITE_PARTS and not affine_weyl._CONTEXTS
-    assert all(g._u.ctx is None for g in old)
+    assert not affine_weyl._CONTEXTS
+    assert all(g._u.ctx is None and not g._u.products for g in old)
     lam = translation_element((2, -1, 0), rd)
     new = [mul(lam, g) for g in old] + [mul(g, lam) for g in old]
     for a in old:
@@ -340,7 +341,8 @@ def test_two_data_of_one_rank_interleaved():
         assert all(u._u.ctx is ctx for u in finite)
     for ctx in ctxs:
         assert all(u.ctx is ctx and u.perm == p for p, u in ctx.entries.items())
-        assert not any(u.ctx is ctx for u in ctx.perms)
+        # a product table keeps only products of two entries of its own context
+        assert all(v.ctx is ctx and uv.ctx is ctx for u in ctx.entries.values() for v, uv in u.products.items())
 
 
 def test_concurrent_products_in_fresh_contexts():
@@ -391,13 +393,51 @@ def test_a_flip_built_by_hand_keeps_the_matrix_route():
     zero = (0, 0)
     flip = AffineWeylElement(zero, sigma_from_name(gl2, "flip").matrix)
     one = identity_element(gl2)
+    entries = dict(ctx.entries)
     for g in iwahori_generators(gl2):
         assert mul(flip, g) == _dense(flip, g) and mul(g, flip) == _dense(g, flip)
-    assert mul(flip, flip) == one
+    assert mul(flip, flip) == one and mul(one, flip) == flip
     # its permutation is the identity's, but it is not entered under it
     assert ctx.perm(flip._u) == ctx.perm(one._u) == (0,)
-    assert flip._u.ctx is None and ctx.perms[flip._u] == (0,)
-    assert ctx.entries[(0,)] is one._u
+    assert flip._u.ctx is None and flip._u.perm is None
+    assert ctx.entries == entries and ctx.entries[(0,)] is one._u
+    # and no product table of the context keeps it
+    assert all(v.ctx is ctx for v in one._u.products)
+
+
+def test_products_of_a_matrix_built_by_hand_are_kept_nowhere():
+    # 20000 distinct shears, each the product of the last with one more:
+    # none stays reachable once the walk has moved past it
+    shear = AffineWeylElement((0, 0), ((1, 1), (0, 1)))
+    w = mul(shear, shear)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20000):
+            w = mul(w, shear)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert w.finite == ((1, 20002), (0, 1))
+    assert held < 1 << 20
+
+
+def test_a_product_table_keeps_only_its_own_contexts_entries():
+    # hand-built elements, GL4's flip on a GSp6 element and products across
+    # GL4 and GSp6, all of rank 4, leave no foreign key or value in a table
+    gl4, gsp6 = DATA[2], DATA[7]
+    affweyl.clear_caches()
+    flip = sigma_from_name(gl4, "flip")
+    ctxs = [_context(gl4), _context(gsp6)]
+    own = [mul(translation_element((1, 0, 0, 0), rd), g) for rd in (gl4, gsp6) for g in iwahori_generators(rd)]
+    by_hand = [AffineWeylElement(w.translation, w.finite) for w in own]
+    flipped = [sigma_apply(flip, w) for w in own[len(iwahori_generators(gl4)):]]
+    for a in own + by_hand + flipped:
+        for b in own + by_hand + flipped:
+            assert mul(a, b) == _dense(a, b)
+    assert all(w._u.ctx is None for w in by_hand + flipped)
+    for ctx in ctxs:
+        assert all(v.ctx is ctx and uv.ctx is ctx for u in ctx.entries.values() for v, uv in u.products.items())
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +506,8 @@ def test_sigma_apply_multiplies_matrices_outside_a_context():
         image = sigma_apply(flip, w)
         assert image.translation == mat_vec(flip.matrix, w.translation)
         assert image.finite == mat_mul(mat_mul(flip.matrix, w.finite), flip.matrix_inv)
-        assert image._u.ctx is None and affine_weyl._FINITE_PARTS[image.finite] is image._u
+        # a plain matrix, kept in no context's table
+        assert image._u.ctx is None and image._u.perm is None
+        assert not any(image._u in c.entries.values() for c in affine_weyl._CONTEXTS.values())
     assert _context(gsp6).sigmas == {flip: None}
     assert sigma_apply(flip, s1)._u.ctx is _context(gl4)

@@ -1,4 +1,4 @@
-"""The element contract over interned finite parts, and property tests
+"""The element contract over finite parts, entries or plain matrices, and property tests
 of the table-driven group law against plain matrix arithmetic."""
 
 import copy
@@ -30,7 +30,7 @@ from affweyl.affine_weyl import (
 from affweyl.linalg import mat_mul
 from affweyl.root_datum import build_root_datum
 from affweyl.stembridge import NotMinusculeError
-from affweyl.straight_newton import b_set, components_bound_report, is_straight, newton_point
+from affweyl.straight_newton import b_set, components_bound_report, is_straight, newton_point, straight_classes
 from test_affine_weyl import FACTOR_CYCLE, FACTOR_SWAP, GL2_CUBED, GL2_X_GL2
 
 SPECS = [("GL", 2), ("GL", 3), ("GL", 4), ("SL", 3), ("PGL", 3), ("GSp", 4)]
@@ -100,9 +100,9 @@ def test_separately_built_equal_data():
 def test_equality_survives_clear_caches():
     w_old = _sample_element(GL3)
     affweyl.clear_caches()
-    assert not affine_weyl._FINITE_PARTS
+    assert not affine_weyl._CONTEXTS and w_old._u.ctx is None
     w_new = _sample_element(GL3)
-    assert w_old.finite is not w_new.finite  # two interned entries, one matrix
+    assert w_old.finite is not w_new.finite  # a plain matrix and a new entry, one matrix
     assert w_old == w_new and w_new == w_old
     assert hash(w_old) == hash(w_new)
     assert mul(w_old, w_new) == mul(w_new, w_new)
@@ -186,7 +186,7 @@ def test_flip_preserves_length(case):
 
 def test_concurrent_lengths_on_data_sharing_matrices():
     # GL3 and GSp4 have rank 3 and share the matrix swapping the first two
-    # coordinates, so one interned entry carries the signs of either datum
+    # coordinates, so GSp4 reads the signs of GL3's entry off its matrix
     gsp4 = DATA[5]
     swap = iwahori_generators(GL3)[1]
     assert swap.finite in {s.finite for s in iwahori_generators(gsp4)}
@@ -238,22 +238,26 @@ W0_ONLY_CASES = [
 
 @pytest.mark.parametrize("rd,sigma,mus", W0_ONLY_CASES, ids=["GL3", "GL4", "GL5", "SL4", "PGL4", "GL2xGL2-swap", "GL2^3-cycle"])
 def test_the_intern_table_holds_only_finite_weyl_matrices(rd, sigma, mus):
-    # every library path that meets sigma makes S u S^-1 an entry of a context
-    # and interns no matrix outside one: never S or a product u S; one datum
+    # every library path that meets sigma makes S u S^-1 an entry of rd's
+    # context and returns no plain matrix: never S or a product u S; one datum
     # per run, as the flip of GL3 is the longest element of SL4's W_0
     affweyl.clear_caches()
+    ctx = affine_weyl._context(rd)
+    returned = []
     for mu in mus:
+        for c in straight_classes(mu, rd, sigma):
+            returned += [c.representative, *c.members]
         for b in b_set(mu, rd, sigma):
             try:
-                components_bound_report(mu, b, rd, sigma)
+                returned += [x.element for x in components_bound_report(mu, b, rd, sigma).witnesses]
             except NotMinusculeError:
                 # SL4 is simply connected, so its one minuscule coweight is 0
                 assert rd.type_label == "SL4"
         for w in adm(mu, rd).elements:
             newton_point(rd, sigma, w)
             is_straight(rd, sigma, w)
-            sigma_apply(sigma, w)
-    assert not affine_weyl._FINITE_PARTS
+            returned += [w, sigma_apply(sigma, w)]
+    assert returned and all(w._u.ctx is ctx for w in returned)
     # the entries of every context made on the way
     keys = {u.matrix for ctx in affine_weyl._CONTEXTS.values() for u in ctx.entries.values()}
     # the oracle: W_0, by breadth-first search over the finite simple reflections
