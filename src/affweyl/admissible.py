@@ -22,21 +22,20 @@ maximal translation per orbit is closed, and only one element per orbit
 has its covers computed; the rest are carried over by conjugation.
 
 The parahoric image Adm_K(mu) is kept as the members of Adm(mu) that no
-s in K shortens on either side, by the test double_coset_rep repeats (a
-right descent s_a of t_lambda u is read off u(a), with no inverse): these are the
-minimal double coset representatives, each below every member of its
-coset.  Its closure poset is read off the same covers.  Adm(mu) is
-closed downward and Bruhat intervals are graded (Bjorner-Brenti, Thm
-2.2.6), so v <= w in Adm(mu) iff v is reached from w down cover edges;
-one pass over the edges gives every element its down-set of nodes as a
-bitmask.
+s in K shortens on either side, by the read double_coset_rep repeats
+(_descents; a right descent s_a of t_lambda u is read off u(a), with no
+inverse): these are the minimal double coset representatives, each below
+every member of its coset.  Its closure poset is read off the same
+covers.  Adm(mu) is closed downward and Bruhat intervals are graded
+(Bjorner-Brenti, Thm 2.2.6), so v <= w in Adm(mu) iff v is reached from
+w down cover edges; one pass over the edges gives every element its
+down-set of nodes as a bitmask.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul as _times
 from typing import Sequence
 
@@ -47,10 +46,10 @@ from .affine_weyl import (
     _checked_level,
     _checked_mu,
     _context,
+    _descents,
     _element,
     _memo_on_mu,
     _product,
-    _shorten,
     bruhat_leq,
     conjugation_permutation,
     element_sort_key,
@@ -79,7 +78,6 @@ class AdmissibleSet:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
 def _maximal_translations(mu: tuple[int, ...], rd: RootDatum) -> tuple[AffineWeylElement, ...]:
     return tuple(translation_element(lam, rd) for lam in weyl_orbit(mu, rd))
 
@@ -282,11 +280,12 @@ def adm_K(
 ) -> tuple[AffineWeylElement, ...]:
     """Adm_K(mu) as minimal double coset reps: the members of Adm(mu) that no s in K shortens.
 
-    They come in the order of adm(mu).elements; at the Iwahori level that
-    is every element.
+    w is kept when both its descent masks in K are zero (_descents), so no
+    product is built.  They come in the order of adm(mu).elements; at the
+    Iwahori level that is every element.
     """
-    _checked_level(rd, level.generators)
-    return tuple(w for w in adm(mu, rd).elements if _shorten(rd, w, level) is None)
+    idx = _checked_level(rd, level.generators)
+    return tuple(w for w in adm(mu, rd).elements if _descents(rd, w, idx) == (0, 0))
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ from typing import Iterable, Optional, Sequence
 from .linalg import (
     Mat,
     Vec,
+    _bits,
     identity_matrix,
     mat_inverse,
     mat_mul,
@@ -418,8 +419,8 @@ def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
     d = <lambda, a> otherwise.  So a finite s_i is a descent iff
     <lambda, a_i> < 0, or = 0 with u^-1(a_i) < 0; the affine s_0 of a
     component with highest root theta is one iff <lambda, theta> > 1, or
-    = 1 with u^-1(theta) > 0.  One pairing and one sign are read.  An
-    index outside the generators raises AffineWeylError.
+    = 1 with u^-1(theta) > 0: the left bit of _descents, one pairing and
+    one sign.  An index outside the generators raises AffineWeylError.
 
     >>> from affweyl.root_datum import build_root_datum
     >>> rd = build_root_datum({"preset": "GL", "n": 2})
@@ -429,15 +430,36 @@ def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
     >>> is_left_descent(rd, translation_element((1, -1), rd), 0)
     True
     """
-    ctx = _context(rd)
-    wall = ctx.walls[_checked_index(i, len(ctx.walls))]
-    return _descends(wall, sum(map(_times, w.translation, wall.root)), ctx.perm(w._u)[wall.k])
+    i = _checked_index(i, len(_context(rd).walls))
+    left, _ = _descents(rd, w, (i,))
+    return left != 0
 
 
 def _descends(wall: _Wall, p: int, m: int) -> bool:
     """is_left_descent at wall for t_lambda u, given p = <lambda, root> and m = perm[wall.k] (signed)."""
     d = p - (m < 0)
     return d > 0 if wall.affine else d < 0
+
+
+def _descents(rd: RootDatum, w: AffineWeylElement, indices: Optional[Iterable[int]] = None) -> tuple[int, int]:
+    """Masks (left, right): bit i set when l(s_i w) < l(w), resp. l(w s_i) < l(w).
+
+    For i in indices, all walls when None.  Left is _descends at the wall;
+    right reads s = s_a as a left descent of w^-1, pairing with a as
+    -<lambda, u(a)>: u(a) = +-b_j where u's permutation holds k (+) or ~k (-).
+    """
+    ctx = _context(rd)
+    lam, perm = w.translation, ctx.perm(w._u)
+    left = right = 0
+    for i in range(len(ctx.walls)) if indices is None else indices:
+        wall = ctx.walls[i]
+        if _descends(wall, sum(map(_times, lam, wall.root)), perm[wall.k]):
+            left |= 1 << i
+        m = wall.k if wall.k in perm else ~wall.k
+        p = sum(map(_times, lam, rd.positive_roots[perm.index(m)]))
+        if _descends(wall, p if m < 0 else -p, m):
+            right |= 1 << i
+    return left, right
 
 
 def _start(ctx: _Context, w: AffineWeylElement) -> tuple:
@@ -512,7 +534,6 @@ def omega_part(rd: RootDatum, w: AffineWeylElement) -> AffineWeylElement:
     return reduced_word(rd, w)[1]
 
 
-@lru_cache(maxsize=None)
 def kottwitz(rd: RootDatum, w: AffineWeylElement) -> Vec:
     """Class of the translation part in pi_1 = X_*(T) / coroot lattice."""
     _check_rank(len(w.translation), rd.rank)
@@ -527,18 +548,15 @@ def omega_rep(rd: RootDatum, lam: Sequence[int]) -> AffineWeylElement:
 def bruhat_leq(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> bool:
     """Bruhat order, with elements comparable only in one Omega coset.
 
-    Elements of different Kottwitz classes lie in different Omega cosets
-    and are rejected at once, and so is a v at least as long as w unless
-    v = w.  Otherwise v walks the greedy reduced word of w with the
-    lifting property: for a left descent s of w, v <= w iff sv <= sw when
-    s is a descent of v and iff v <= sw otherwise.  At the end of the word
-    sw is the Omega part of w, which v lies below only if equal to it, so
-    the translation and matrix reached are compared with it; v is refused
-    once it is longer than what is left of w.  v steps in wall-pairing
-    coordinates (_step).
+    A v at least as long as w lies below it only if v = w.  Otherwise v
+    walks the greedy reduced word of w with the lifting property: for a
+    left descent s of w, v <= w iff sv <= sw when s is a descent of v and
+    iff v <= sw otherwise.  At the end of the word sw is the Omega part of
+    w, which v lies below only if equal to it, so the translation and
+    matrix reached are compared with it (v's steps lie in W_a, so this also
+    rejects a v of another Omega coset); v is refused once it is longer
+    than what is left of w.  v steps in wall-pairing coordinates (_step).
     """
-    if kottwitz(rd, v) != kottwitz(rd, w):
-        return False
     letters, omega = reduced_word(rd, w)
     lv, lw = length(rd, v), len(letters)
     if lv >= lw:
@@ -785,44 +803,24 @@ def make_level(rd: RootDatum, indices: Iterable[int], sigma: Optional[SigmaActio
     return ParahoricLevel(idx)
 
 
-def _right_descends(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
-    """Whether the i-th affine simple reflection s = s_a satisfies l(ws) < l(w).
-
-    As a left descent of w^-1 = t_(-u^-1 lambda) u^-1, pairing with a as -<lambda, u(a)>:
-    u(a) = +-b_j where u's permutation holds k (+) or ~k (-).  One pairing, one sign.
-    """
-    ctx = _context(rd)
-    wall, perm = ctx.walls[i], ctx.perm(w._u)
-    m = wall.k if wall.k in perm else ~wall.k
-    p = sum(map(_times, w.translation, rd.positive_roots[perm.index(m)]))
-    return _descends(wall, p if m < 0 else -p, m)
-
-
-def _shorten(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel) -> Optional[AffineWeylElement]:
-    """s w or w s for the first s in K that shortens w; None if w is minimal in W_K w W_K."""
-    if not level.generators:
-        return None
-    gens = iwahori_generators(rd)
-    for i in level.generators:
-        if is_left_descent(rd, w, i):
-            return mul(gens[i], w)
-    for i in level.generators:
-        if _right_descends(rd, w, i):
-            return mul(w, gens[i])
-    return None
-
-
 def double_coset_rep(rd: RootDatum, w: AffineWeylElement, level: ParahoricLevel) -> AffineWeylElement:
     """Minimal-length element of W_K w W_K: shorten w while some s in K does.
 
-    That element is unique, so the order of the steps does not matter.
-    Each step shortens w by one, so more than l(w) steps mean a wrong descent.
+    Each step takes the lowest left descent in K, else the lowest right
+    one (_descents); the minimal element is unique, so the order does not
+    matter.  Each step shortens w by one, so more than l(w) steps mean a
+    wrong descent.
     """
-    _checked_level(rd, level.generators)
+    idx = _checked_level(rd, level.generators)
+    gens = iwahori_generators(rd)
     for _ in range(length(rd, w) + 1):
-        if (shorter := _shorten(rd, w, level)) is None:
+        left, right = _descents(rd, w, idx)
+        if left:
+            w = mul(gens[next(_bits(left))], w)
+        elif right:
+            w = mul(w, gens[next(_bits(right))])
+        else:
             return w
-        w = shorter
     raise AffineWeylError("a descent in K did not shorten; descent test and length disagree")
 
 

@@ -67,10 +67,9 @@ from .affine_weyl import (
     SigmaAction,
     _checked_mu,
     _context,
+    _descents,
     _memo_on_mu,
-    _right_descends,
     element_sort_key,
-    is_left_descent,
     is_translation,
     iwahori_generators,
     length,
@@ -361,9 +360,11 @@ class StraightClass:
 def _length_keeping_shifts(rd: RootDatum, pi: Sequence[int], w: AffineWeylElement) -> list[int]:
     """The i for which exactly one of s_i (left) and s_pi(i) (right) is a descent of w.
 
-    pi is how sigma permutes the affine simple reflections.
+    pi is how sigma permutes the affine simple reflections; both descent
+    masks are read once (_descents).
     """
-    return [i for i in range(len(pi)) if is_left_descent(rd, w, i) != _right_descends(rd, w, pi[i])]
+    left, right = _descents(rd, w)
+    return [i for i, j in enumerate(pi) if (left >> i & 1) != (right >> j & 1)]
 
 
 @_memo_on_mu

@@ -464,6 +464,27 @@ def test_kr_poset_makes_no_pairwise_calls():
     assert seen == []
 
 
+def test_adm_K_builds_no_product():
+    # adm_K reads both descent masks in K; it multiplies nothing out
+    cases = [(build_root_datum({"preset": preset, "n": n}), mu, gens) for preset, n, mu, gens in KR_CASES]
+    for rd, mu, gens in cases:
+        adm(mu, rd)
+    watched = {mul.__code__, affine_weyl._product.__code__}
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            seen.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for rd, mu, gens in cases:
+            adm_K(mu, rd, make_level(rd, gens))
+    finally:
+        sys.setprofile(None)
+    assert seen == []
+
+
 def test_parahoric_path_takes_no_inverse():
     seen = []
 
@@ -596,7 +617,7 @@ def test_memo_tables_stay_counted():
     # a new memo table must replace one: count them with every module loaded
     for info in pkgutil.iter_modules(affweyl.__path__, affweyl.__name__ + "."):
         importlib.import_module(info.name)
-    assert len({id(f) for f in _package_caches()}) <= 11
+    assert len({id(f) for f in _package_caches()}) <= 9
 
 
 def test_clear_caches_empties_every_memo():

@@ -13,7 +13,7 @@ from affweyl.affine_weyl import (
     AffineWeylError,
     ParahoricLevel,
     SigmaAction,
-    _shorten,
+    _descents,
     bruhat_leq,
     bruhat_leq_subword_oracle,
     conjugation_permutation,
@@ -582,21 +582,28 @@ SL3, PGL3 = COSET_DATA[2], COSET_DATA[3]
 @example((PGL3, (0, 0), [2, 0, 1], (1, 0), [0, 1]))
 @example((PGL3, (0, 0), [0, 2], (0, 1), [0]))
 def test_shorten_is_none_exactly_at_the_shortest_element(spec):
+    # both descent masks in K are zero exactly at the coset minimum; elsewhere
+    # the product by the lowest K-descent, left first, is one shorter and in the coset
     rd, w, level = _coset_case(*spec)
     wk = finite_parahoric_subgroup(rd, level)
     coset = {mul(mul(u, w), v) for u in wk for v in wk}
-    shorter = _shorten(rd, w, level)
+    left, right = _descents(rd, w, level.generators)
     if length(rd, w) == min(length(rd, x) for x in coset):
-        assert shorter is None
+        assert (left, right) == (0, 0)
     else:
+        gens = iwahori_generators(rd)
+        if left:
+            shorter = mul(gens[min(i for i in level.generators if left >> i & 1)], w)
+        else:
+            shorter = mul(w, gens[min(i for i in level.generators if right >> i & 1)])
         assert shorter in coset
         assert length(rd, shorter) == length(rd, w) - 1
 
 
 def test_double_coset_rep_refuses_a_step_that_does_not_shorten(monkeypatch):
     # a wrong descent read would otherwise lengthen w for ever
-    lam = translation_element((1, 0, -1), GL3)
-    monkeypatch.setattr(affine_weyl, "_shorten", lambda rd, w, level: mul(w, lam))
+    # the read claims s1 as a left descent everywhere, also at the identity, where it lengthens
+    monkeypatch.setattr(affine_weyl, "_descents", lambda rd, w, indices=None: (1 << 1, 0))
     with pytest.raises(AffineWeylError, match="did not shorten"):
         double_coset_rep(GL3, identity_element(GL3), make_level(GL3, [1]))
 

@@ -9,10 +9,10 @@ flip where it is defined and a factor swap of GL2 x GL2.
 
 import pytest
 
+from affweyl import straight_newton
 from affweyl.affine_weyl import (
-    _right_descends,
+    _descents,
     identity_element,
-    is_left_descent,
     iwahori_generators,
     length,
     mul,
@@ -66,10 +66,11 @@ def _mismatches(rd, sigma, pi, elements):
     for w in elements:
         lw = length(rd, w)
         shifts = set(_length_keeping_shifts(rd, pi, w))
+        left, right = _descents(rd, w)
         for i, s in enumerate(gens):
             moved = mul(mul(s, w), sigma_apply(sigma, s))
             kept = length(rd, moved) == lw and moved != w
-            rule = is_left_descent(rd, w, i) != _right_descends(rd, w, pi[i])
+            rule = (left >> i & 1) != (right >> pi[i] & 1)
             if not kept == rule == (i in shifts):
                 bad.append((w, i))
             kept_moves += kept
@@ -91,6 +92,16 @@ def test_negative_control_the_rule_without_pi_fails_under_flip():
     pi = sigma_generator_permutation(rd, sigma)
     assert pi != tuple(range(len(pi)))
     bad, _ = _mismatches(rd, sigma, range(len(pi)), _elements(rd))
+    assert bad
+
+
+def test_negative_control_swapped_descent_masks_fail(monkeypatch):
+    # the search reading left and right descents the wrong way round takes the wrong moves;
+    # under id the rule is symmetric in the two sides, so the flip is needed to see it
+    rd = _rd("GL", 4)
+    sigma = sigma_from_name(rd, "flip")
+    monkeypatch.setattr(straight_newton, "_descents", lambda rd, w, indices=None: _descents(rd, w, indices)[::-1])
+    bad, _ = _mismatches(rd, sigma, sigma_generator_permutation(rd, sigma), _elements(rd))
     assert bad
 
 

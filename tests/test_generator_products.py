@@ -18,7 +18,7 @@ from affweyl.affine_weyl import (
     AffineWeylElement,
     _Context,
     _context,
-    _right_descends,
+    _descents,
     _start,
     _step,
     finite_reflection,
@@ -183,8 +183,56 @@ def test_right_descent_read_matches_lengths(rd):
             w = mul(w, gens[rng.randrange(len(gens))])
         w = mul(w, omega_rep(rd, [rng.randint(-2, 2) for _ in range(rd.rank)]))
         lw = length(rd, w)
+        _, right = _descents(rd, w)
         for i, s in enumerate(gens):
-            assert _right_descends(rd, w, i) == (length(rd, mul(w, s)) < lw)
+            assert bool(right >> i & 1) == (length(rd, mul(w, s)) < lw)
+
+
+def _masks_by_lengths(rd, w):
+    """(left, right) read off the lengths of s_i w and w s_i, each product built."""
+    lw = length(rd, w)
+    left = right = 0
+    for i, s in enumerate(iwahori_generators(rd)):
+        if length(rd, mul(s, w)) < lw:
+            left |= 1 << i
+        if length(rd, mul(w, s)) < lw:
+            right |= 1 << i
+    return left, right
+
+
+@st.composite
+def _descent_elements(draw):
+    """(rd, omega t_lambda s_letters) on GL, SL, PGL, GSp, B2, G2 and A1 x C2."""
+    rd = draw(st.sampled_from(RIGHT_DESCENT_DATA))
+    gens = iwahori_generators(rd)
+    w = translation_element(draw(st.lists(st.integers(-3, 3), min_size=rd.rank, max_size=rd.rank)), rd)
+    for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=8)):
+        w = mul(w, gens[i])
+    shift = draw(st.lists(st.integers(-2, 2), min_size=rd.rank, max_size=rd.rank))
+    return rd, mul(omega_rep(rd, shift), w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_descent_elements())
+def test_descent_masks_match_lengths(case):
+    # GSp, B2 and G2 are the data on which a transposed right read goes wrong
+    rd, w = case
+    assert _descents(rd, w) == _masks_by_lengths(rd, w)
+
+
+def test_negative_control_swapped_descent_masks_fail_the_length_read():
+    # the masks of a swapped read must disagree with the lengths somewhere on each datum
+    rng = random.Random(33)
+    for rd in RIGHT_DESCENT_DATA:
+        gens = iwahori_generators(rd)
+        swapped = 0
+        for _ in range(50):
+            w = translation_element([rng.randint(-3, 3) for _ in range(rd.rank)], rd)
+            for _ in range(rng.randrange(8)):
+                w = mul(w, gens[rng.randrange(len(gens))])
+            left, right = _descents(rd, w)
+            swapped += (right, left) != _masks_by_lengths(rd, w)
+        assert swapped, rd.type_label
 
 
 def test_a_permutation_does_not_determine_the_finite_part():
