@@ -260,7 +260,7 @@ def _emit_poset(args, rd, mu, level) -> int:
 
 
 def _newton_rows(rd, mu, sigma):
-    """Classes, their table rows and the cover edges of their Newton points."""
+    """The class table rows and the cover edges of their Newton points."""
     classes = straight_classes(mu, rd, sigma)
     _, edges, basic = _newton_set(mu, rd, sigma)
     rows = []
@@ -276,14 +276,14 @@ def _newton_rows(rd, mu, sigma):
                 "basic" if i == basic else "",
             )
         )
-    return classes, rows, edges
+    return rows, edges
 
 
 def cmd_newton(args) -> int:
     rd, sigma = _build_context(args)
     mu = _mu(args, rd, "newton")
     dot = _wants_dot(args)
-    classes, rows, edges = _newton_rows(rd, mu, sigma)
+    rows, edges = _newton_rows(rd, mu, sigma)
     if dot:
         return _emit_dot(args, rd, "newton_poset", [row[2] for row in rows], edges)
     header = ("id", "representative", "nu", "denominator", "kappa", "members", "basic")
@@ -295,12 +295,13 @@ def cmd_components_bound(args) -> int:
     rd, sigma = _build_context(args)
     _check_format(args, "components-bound", ("json",))
     mu = _mu(args, rd, "components-bound")
-    classes, rows, _ = _newton_rows(rd, mu, sigma)
-    column = 6 if args.b == "basic" else 0  # the basic column, else the id column
-    target = next((c for c, r in zip(classes, rows) if r[column] == args.b), None)
-    if target is None:
+    # the ids of the newton table: b<i> is the i-th point, as straight_classes sorts them
+    points, _, basic = _newton_set(mu, rd, sigma)
+    ids = {f"b{i}": p for i, p in enumerate(points)}
+    ids["basic"] = points[basic]
+    if args.b not in ids:
         raise ConfigError(f"unknown class id {args.b!r}; see the newton table")
-    report = components_bound_report(mu, target.newton, rd, sigma)
+    report = components_bound_report(mu, ids[args.b], rd, sigma)
     payload = {
         "meta": _meta_obj(args, rd),
         "mu": list(report.mu),

@@ -40,15 +40,11 @@ class keeps its members' slope vectors.
 
 Newton points are computed in integers: the translation of the twisted
 power is made dominant and divided by m only at the end.  The
-centraliser Levi of a slope vector is a conjugate x(M_J) of a standard
-Levi.  M_J is derived from the parent datum by root_datum.sub_datum,
-which re-checks what it derives (finite-type Cartan matrix, non-negative
-integer coroot coefficients read off the same fundamental-weight forms
-_build uses, a positive system closed under the simple reflections) but
-does not rebuild the datum by reflection closure; it is memoised by
-(datum, J), and clear_caches() empties the memo.  x, read off the word
-of dominant_rep, carries M_J's root indices to those of the Levi
-(levi_datum); equal Levis are one canonical datum.
+centraliser Levi of a slope vector is read off the roots (levi_datum):
+its positive roots are the positive roots orthogonal to the vector, and
+its simple roots are those of height one, picked by rho_M^vee.  Nothing is
+memoised; equal Levis are one canonical datum, the one
+root_datum.sub_datum derives from the same roots.
 """
 
 from __future__ import annotations
@@ -79,10 +75,13 @@ from .affine_weyl import (
     translation_element,
 )
 from .linalg import hasse_diagram, integer_kernel, mat_vec
+from .notation import _finite_word
 from .root_datum import (
     FinAbGroup,
     RootDatum,
     _assemble,
+    _cartan_from_data,
+    _check_cartan,
     _pairings,
     dominance_leq,
     dominant_rep,
@@ -90,7 +89,6 @@ from .root_datum import (
     pairing,
     quotient_group,
     simple_reflection,
-    sub_datum,
 )
 from .stembridge import minuscule_lift
 
@@ -235,81 +233,31 @@ def levi_datum(nu_raw: Sequence, rd: RootDatum) -> RootDatum:
     """Sub root datum generated by the roots pairing to zero with nu.
 
     nu is scaled to an integer lambda, which vanishes on the same roots.
-    dominant_rep takes lambda to lambda_dom by s_i1, .., s_ik; each step
-    reflects in a simple root negative on the point, so the word is
-    reduced and x = s_i1 .. s_ik is the shortest element with
-    x(lambda_dom) = lambda: the minimal representative of x W_J, W_J the
-    stabiliser of lambda_dom.  A minimal representative maps the positive
-    roots of J to positive roots (Humphreys, Reflection Groups and Coxeter
-    Groups, section 1.10), so the Levi of lambda is x(M_J), positive and
-    simple roots included, M_J the standard Levi of the simple roots J
-    orthogonal to lambda_dom.  M_J is memoised by J (_levi: at most 2^s
-    per datum); x(M_J) is carried on root indices (_transport) on each
-    call and is the very datum sub_datum derives from its positive roots.
-    Each coordinate of nu must be an int or a Fraction, as in a
+    The positive roots of rd orthogonal to lambda are a positive system of
+    the Levi M, and its simple roots are those a with <rho_M^vee, a> = 1,
+    rho_M^vee half the sum of their coroots: <rho_M^vee, a> is the height
+    of a (Bourbaki, Lie Groups and Lie Algebras, ch. VI, section 1, no. 10,
+    for the dual root system).  They are kept in rd.positive_roots order,
+    the Cartan matrix is checked (_check_cartan), and the positives are
+    sorted by <b^vee, 2 rho_M>, twice the height of b^vee, as _build sorts
+    them; so the Levi is the very datum sub_datum derives from the same
+    roots.  Each coordinate of nu must be an int or a Fraction, as in a
     NewtonPoint; anything else, a bool or a float included, raises
     AffineWeylError.
     """
     nu = list(map(_slope, nu_raw))
     den = lcm(*(x.denominator for x in nu))
     lam = tuple(x.numerator * (den // x.denominator) for x in nu)
-    lam_dom, word = dominant_rep(lam, rd)
-    standard = _levi(rd, tuple(i for i, c in enumerate(_pairings(lam_dom, rd.simple_roots, rd)) if c == 0))
-    if not word:
-        # x = 1: nothing to carry, but the word must be that of a dominant lambda
-        if lam_dom != lam:
-            raise ConsistencyError("an empty Weyl word moved nu")
-        return standard
-    idx = [k for k, c in enumerate(_pairings(lam, rd.positive_roots, rd)) if c == 0]
-    return _transport(rd, standard, word, idx)
-
-
-@lru_cache(maxsize=None)
-def _levi(rd: RootDatum, simple_indices: tuple[int, ...]) -> RootDatum:
-    """Standard Levi of the simple roots J: the positive roots whose coroots lie in the span of J's.
-
-    A coroot's coefficients on the simple coroots, times d, are its
-    pairings with the forms of rd, as _scaled_coords reads them.
-    """
-    outside = [form for i, form in enumerate(rd._forms[1]) if i not in simple_indices]
-    idx = [k for k, cv in enumerate(rd.positive_coroots) if not any(mat_vec(outside, cv))]
-    return sub_datum(rd, idx, f"levi:{rd.type_label}")
-
-
-def _transport(rd: RootDatum, standard: RootDatum, word: Sequence[int], idx: Sequence[int]) -> RootDatum:
-    """x(standard) for x = s_i1 .. s_ik, word = (i1, .., ik), whose positive roots must be rd's idx.
-
-    x moves root indices by the generators' signed permutations, s_ik
-    first (a simple reflection is its own inverse, so its permutation is
-    its action).  Every suffix s_ij .. s_ik of the word is a minimal coset
-    representative as x is (lengths add along a reduced word), so each
-    image on the way is positive.  The fields are those sub_datum derives
-    from idx: the images of the simple roots in rd.positive_roots order;
-    the standard's Cartan matrix with rows and columns in that order, as
-    <x(b)^vee, x(a)> = <b^vee, a>; and the positives sorted by
-    <b^vee, 2 rho_M>, 2 rho_M the sum of M's positive roots, which is twice
-    the height of b^vee and so orders them as sub_datum does.  A negative
-    image, or an image set other than idx, raises ConsistencyError.
-    """
-    ctx = _context(rd)
-    finite = ctx.gens[len(ctx.gens) - rd.semisimple_rank:]
-    s = standard.semisimple_rank
-    # the positives start with the simple roots (height 1); these go first in the standard's order
-    image = [rd._root_index[root] for root in standard.simple_roots + standard.positive_roots[s:]]
-    for i in reversed(word):
-        perm = ctx.perm(finite[i]._u)
-        image = [perm[k] for k in image]
-        if image and min(image) < 0:
-            raise ConsistencyError("the Weyl word takes a positive root of the standard Levi to a negative root")
-    if sorted(image) != idx:
-        raise ConsistencyError("the Weyl word does not carry the standard Levi onto the Levi of nu")
-    order = sorted(range(s), key=image.__getitem__)
-    cartan = tuple(tuple([standard.cartan_matrix[i][j] for j in order]) for i in order)
     roots, coroots = rd.positive_roots, rd.positive_coroots
-    simple_r, simple_c = [roots[image[i]] for i in order], [coroots[image[i]] for i in order]
+    idx = [k for k, c in enumerate(_pairings(lam, roots, rd)) if c == 0]
+    two_rho_vee = [sum(col) for col in zip(*(coroots[k] for k in idx))]
+    simple = [k for k in idx if sum(map(_times, two_rho_vee, roots[k])) == 2]
+    simple_r, simple_c = [roots[k] for k in simple], [coroots[k] for k in simple]
+    cartan = _cartan_from_data(simple_r, simple_c)
+    _check_cartan(cartan)
     two_rho = [sum(col) for col in zip(*(roots[k] for k in idx))]
     positives = [(sum(map(_times, coroots[k], two_rho)), coroots[k], roots[k]) for k in idx]
-    return _assemble(rd.rank, standard.type_label, simple_r, simple_c, cartan, positives)
+    return _assemble(rd.rank, f"levi:{rd.type_label}", simple_r, simple_c, cartan, positives)
 
 
 def mu_bar(mu: Sequence[int], rd: RootDatum, sigma: SigmaAction) -> tuple[Fraction, ...]:
@@ -574,8 +522,9 @@ def components_bound_report(
     Levi of its raw slope vector, the minuscule lift certificate of lambda
     and either pi_1(M)^sigma (lambda non-central in every factor of M) or
     the discreteness marker.  As w = t_(u lambda) u, lambda = u^-1(u lambda):
-    dominant_rep takes u(2 rho^vee) to the regular 2 rho^vee by s_i1, ..,
-    s_ik, so u^-1 = s_ik .. s_i1, and u lambda is reflected along that word.
+    the cached reduced word s_i1 .. s_ik of t_0 u (notation._finite_word,
+    finite nodes only) gives u^-1 = s_ik .. s_i1, so u lambda is reflected
+    along that word, s_i1 first.
     The report is the abstract index set of the component surjection;
     nothing geometric is computed.
     """
@@ -588,14 +537,14 @@ def components_bound_report(
     # adm proves its elements are exactly Adm(mu), so membership is a lookup
     adm_set = set(adm(mu_dom, rd).elements)
     witnesses = []
-    two_rho_vee = tuple(sum(c) for c in zip(*rd.positive_coroots))
+    n_affine = len(iwahori_generators(rd)) - rd.semisimple_rank
     # witnesses share translation parts: each distinct lambda is checked and lifted once
     lifts = {}
     for w, nu_raw in zip(cls.members, cls.member_nu_raw):
         levi = cls.levi if w is cls.representative else levi_datum(nu_raw, rd)
         lam_right = w.translation
-        for i in dominant_rep(mat_vec(w.finite, two_rho_vee), rd)[1]:
-            lam_right = simple_reflection(lam_right, i, rd)
+        for i in _finite_word(rd, w):
+            lam_right = simple_reflection(lam_right, i - n_affine, rd)
         lift = lifts.get(lam_right)
         if lift is None:
             if translation_element(lam_right, rd) not in adm_set:

@@ -1,18 +1,17 @@
-"""Levi data derived from the parent datum, memoised, and integer Newton points.
+"""Levi data read off the parent datum's roots, and integer Newton points.
 
 Every Levi that levi_datum hands b_set and components_bound_report is
 compared with the datum sub_datum derives from the positive roots
 orthogonal to its slope vector, simple roots in sub_datum's order, and
-with the datum _build makes from the same simple system; every conjugate
-Levi, carried from a standard one along a Weyl word, is the very object
-sub_datum derives from its positive roots.  Both routes read coroot
-coordinates off the same fundamental-weight forms, so the positive
-systems, coroot_height and dominance_leq are also checked against an
-independent Fraction solve (solve_rational).
+with the datum _build makes from the same simple system; every Levi of a
+slope vector that is not dominant, and of random slope vectors, is the
+very object sub_datum derives from its positive roots.  sub_datum and
+_build read coroot coordinates off the same fundamental-weight forms, so
+the positive systems, coroot_height and dominance_leq are also checked
+against an independent Fraction solve (solve_rational).
 """
 
 import dataclasses
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -45,7 +44,6 @@ from affweyl.root_datum import (
 )
 from affweyl.stembridge import ChainPreconditionError
 from affweyl.straight_newton import (
-    ConsistencyError,
     NewtonPoint,
     b_set,
     components_bound_report,
@@ -79,11 +77,10 @@ def _with_data(entries):
     return [(_rd(preset, n), mu, sigmas) for preset, n, mu, sigmas in entries]
 
 
-def _reached_levis(monkeypatch, cases, derive=sub_datum):
+def _reached_levis(monkeypatch, cases):
     """(parent, nu, Levi) for every call by which levi_datum hands the Newton routines a Levi.
 
-    cases are (datum, mu, sigma names).  derive stands in for sub_datum,
-    which makes the standard Levis that levi_datum carries to the others.
+    cases are (datum, mu, sigma names).
     """
     records = []
     levi_datum = straight_newton.levi_datum
@@ -94,7 +91,6 @@ def _reached_levis(monkeypatch, cases, derive=sub_datum):
         return levi
 
     clear_caches()
-    monkeypatch.setattr(straight_newton, "sub_datum", derive)
     monkeypatch.setattr(straight_newton, "levi_datum", recording)
     try:
         for rd, mu, sigmas in cases:
@@ -152,16 +148,14 @@ def _corrupted(levi, **changes):
     return root_datum._canonical(*{**fields, **changes}.values())
 
 
-def _swap_two_roots(rd, idx, label):
-    levi = sub_datum(rd, idx, label)
+def _swap_two_roots(levi):
     roots = list(levi.positive_roots)
     if len(roots) >= 2:
         roots[0], roots[-1] = roots[-1], roots[0]
     return _corrupted(levi, positive_roots=tuple(roots))
 
 
-def _drop_one_root(rd, idx, label):
-    levi = sub_datum(rd, idx, label)
+def _drop_one_root(levi):
     return _corrupted(
         levi,
         positive_roots=levi.positive_roots[:-1],
@@ -169,15 +163,13 @@ def _drop_one_root(rd, idx, label):
     )
 
 
-@pytest.mark.parametrize("derive", [_swap_two_roots, _drop_one_root])
-def test_negative_control_a_corrupted_derivation_is_caught(monkeypatch, derive):
-    # a corrupted standard Levi is refused by the transport or differs from the datum sub_datum derives
+@pytest.mark.parametrize("corrupt", [_swap_two_roots, _drop_one_root])
+def test_negative_control_a_corrupted_derivation_is_caught(monkeypatch, corrupt):
+    # each Levi levi_datum assembles is corrupted: it differs from the datum sub_datum derives
+    assemble = straight_newton._assemble
+    monkeypatch.setattr(straight_newton, "_assemble", lambda *fields: corrupt(assemble(*fields)))
     cases = _with_data([("GL", 4, (1, 1, 0, 0), ("id",)), ("GSp", 4, (1, 1, 1), ("id",))])
-    try:
-        records = _reached_levis(monkeypatch, cases, derive)
-    except ConsistencyError:
-        return
-    assert _mismatches(records)
+    assert _mismatches(_reached_levis(monkeypatch, cases))
 
 
 def test_sub_datum_rejects_a_set_that_is_not_a_whole_positive_system():
@@ -224,16 +216,6 @@ def test_sub_datum_on_every_index_set_builds_or_raises_root_datum_error(rd):
             with pytest.raises(RootDatumError):
                 sub_datum(rd, idx, "sub")
     assert refused > 0
-
-
-def test_clear_caches_empties_the_levi_memo():
-    rd = _rd("GL", 4)
-    sigma = sigma_from_name(rd, "id")
-    for b in b_set((1, 1, 0, 0), rd, sigma):
-        components_bound_report((1, 1, 0, 0), b, rd, sigma)
-    assert straight_newton._levi.cache_info().currsize > 0
-    clear_caches()
-    assert straight_newton._levi.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +358,7 @@ def test_every_reached_levi_has_the_fraction_solve_positive_system(monkeypatch):
 
 B2 = build_root_datum({"rank": 2, "simple_roots": [[2, -2], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]], "label": "B2"})
 # beyond LADDER: GL6 with the flip, GSp8, the non-simply-laced B2 and G2, and a product
-TRANSPORT_DATA = _with_data(LADDER) + [
+CONJUGATE_DATA = _with_data(LADDER) + [
     (_rd("GL", 6), (1, 1, 0, 0, 0, 0), ("id", "flip")),
     (_rd("GSp", 8), (1, 1, 1, 1, 1), ("id",)),
     (B2, (2, 2), ("id",)),
@@ -389,40 +371,56 @@ TRANSPORT_DATA = _with_data(LADDER) + [
 
 
 def _conjugates(records):
-    """The records whose slope vector is not dominant: their Levi is carried along a Weyl word."""
+    """The records whose slope vector is not dominant: their Levi is not a standard one."""
     return [(rd, nu, levi) for rd, nu, levi in records if dominant_rep(nu, rd)[1]]
 
 
 def test_every_conjugate_levi_is_the_datum_sub_datum_derives(monkeypatch):
-    conjugates = _conjugates(_reached_levis(monkeypatch, TRANSPORT_DATA))
+    conjugates = _conjugates(_reached_levis(monkeypatch, CONJUGATE_DATA))
     # every datum of semisimple rank at least 2 reaches conjugate Levis that have roots
     assert {rd for rd, _, levi in conjugates if levi.positive_roots} == {
-        rd for rd, _, _ in TRANSPORT_DATA if rd.semisimple_rank >= 2
+        rd for rd, _, _ in CONJUGATE_DATA if rd.semisimple_rank >= 2
     }
     for rd, nu, levi in conjugates:
         assert levi is sub_datum(rd, _orthogonal(nu, rd), f"levi:{rd.type_label}"), (rd.type_label, nu)
 
 
-def test_negative_control_a_word_with_one_reflection_dropped_is_caught(monkeypatch):
-    # levi_datum never hands back another Levi: with a letter dropped it raises,
-    # or the shorter word still carries the standard Levi onto the same one
-    conjugates = _conjugates(_reached_levis(monkeypatch, _with_data(LADDER)))
-    outcomes = Counter()
-    for position in range(max(len(dominant_rep(nu, rd)[1]) for rd, nu, _ in conjugates)):
+# GL1-8, SL2-6, PGL2-6, GSp2-10, the non-simply-laced B2 and G2, and a product
+LEVI_DATA = (
+    [_rd("GL", n) for n in range(1, 9)]
+    + [_rd(p, n) for p in ("SL", "PGL") for n in range(2, 7)]
+    + [_rd("GSp", n) for n in (2, 4, 6, 8, 10)]
+    + [B2, G2, A1_X_C2]
+)
+_SLOPE = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
 
-        def dropping(lam, rd, position=position):
-            lam_dom, word = dominant_rep(lam, rd)
-            return lam_dom, word[:position] + word[position + 1:]
 
-        monkeypatch.setattr(straight_newton, "dominant_rep", dropping)
-        for rd, nu, levi in conjugates:
-            if position < len(dominant_rep(nu, rd)[1]):
-                try:
-                    outcomes["same" if straight_newton.levi_datum(nu, rd) is levi else "other"] += 1
-                except ConsistencyError:
-                    outcomes["raised"] += 1
-    assert outcomes["other"] == 0
-    assert outcomes["raised"] > outcomes["same"]
+@st.composite
+def _slope_vectors(draw):
+    rd = draw(st.sampled_from(LEVI_DATA))
+    return rd, tuple(draw(st.lists(_SLOPE, min_size=rd.rank, max_size=rd.rank)))
+
+
+@settings(max_examples=200)
+@given(_slope_vectors())
+def test_the_levi_of_any_slope_vector_is_the_datum_sub_datum_derives(case):
+    rd, nu = case
+    levi, label = straight_newton.levi_datum(nu, rd), f"levi:{rd.type_label}"
+    orthogonal = _orthogonal(nu, rd)
+    assert set(levi.positive_roots) == {rd.positive_roots[k] for k in orthogonal}
+    assert levi is sub_datum(rd, orthogonal, label)
+    assert levi is _build((rd.rank, levi.simple_roots, levi.simple_coroots), label)
+
+
+def test_negative_control_a_datum_with_two_coroots_swapped_is_refused():
+    # 2 rho^vee is unchanged, so the simple roots are GSp4's; their coroots are not, nor the Cartan matrix
+    gsp4 = _rd("GSp", 4)
+    coroots = list(gsp4.positive_coroots)
+    coroots[0], coroots[-1] = coroots[-1], coroots[0]
+    fake = _corrupted(gsp4, positive_coroots=tuple(coroots))
+    with pytest.raises(RootDatumError):
+        straight_newton.levi_datum((0, 0, 0), fake)
+    assert straight_newton.levi_datum((0, 0, 0), gsp4) is sub_datum(gsp4, range(4), "levi:GSp4")
 
 
 def _reference_dominance_leq(lam, mu, rd, integral):

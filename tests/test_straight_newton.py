@@ -9,6 +9,7 @@ import pytest
 import affweyl
 from affweyl import straight_newton
 from affweyl.affine_weyl import (
+    AffineWeylElement,
     AffineWeylError,
     finite_reflection,
     identity_element,
@@ -355,6 +356,34 @@ def test_components_bound_refuses_a_levi_that_sigma_does_not_stabilize():
             refused.append(str(exc))
     assert refused == ["sigma does not stabilize the Levi of this witness; no invariants defined"]
     assert len(reports) == 3 and all(report.witnesses for report in reports)
+
+
+def test_every_witness_is_its_finite_part_times_t_lambda_w():
+    # lambda_w is read off the reduced word of the finite part u: w = t_(u lambda_w) u = u t_(lambda_w)
+    cases = [
+        ("GL", 6, (1, 1, 1, 0, 0, 0), ("id", "flip")),
+        ("GL", 7, (1, 1, 0, 0, 0, 0, 0), ("id", "flip")),
+        ("GSp", 8, (1, 1, 1, 1, 1), ("id",)),
+        ("PGL", 5, (0, 1, 0, 0), ("id", "flip")),
+        ("SL", 4, (0, 0, 0), ("id", "flip")),
+    ]
+    witnesses = 0
+    for preset, n, mu, names in cases:
+        rd = build_root_datum({"preset": preset, "n": n})
+        zero = (0,) * rd.rank
+        for name in names:
+            sigma = sigma_from_name(rd, name)
+            for b in b_set(mu, rd, sigma):
+                try:
+                    report = components_bound_report(mu, b, rd, sigma)
+                except AffineWeylError:
+                    # the flip moves some Levis; see the test above
+                    continue
+                for wit in report.witnesses:
+                    w = wit.element
+                    assert mul(AffineWeylElement(zero, w.finite), translation_element(wit.lambda_w, rd)) == w
+                    witnesses += 1
+    assert witnesses >= 1400
 
 
 def test_lift_chain_pairings_are_one():
