@@ -7,25 +7,24 @@ and sigma-conjugates of one), keyed by their signed permutation of the
 positive roots, a faithful key on W_0 whose signs `length` reads in one
 pass.  An entry holds its matrix on the cocharacter lattice and a table
 of products with the context's entries, so `mul` reads the finite product
-from the table and moves the translation in O(rank) when the right factor
-is finite; otherwise it applies the matrix.  On a miss the permutations
-are composed, and only a new entry gets its matrix, by one mat_mul.  Any
-other finite part, such as a matrix built by hand or unpickled, is a
-plain matrix in no table.  No inverse is kept, and no library path calls
-`inv`, which eliminates.
+from the table; it moves the translation in O(rank) when the right factor
+is finite or translated by a positive coroot (s_0), else by the matrix.
+On a miss the permutations are composed, and only a new entry gets its
+matrix, by one mat_mul.  Any other finite part, such as a matrix built by
+hand or unpickled, is a plain matrix in no table.  No inverse is kept,
+and no library path calls `inv`, which eliminates.
 A Frobenius action sigma with matrix S acts on W by
 sigma(t_lambda u) = t_(S lambda) S u S^-1 (sigma_apply); S is never an
 entry, only the conjugates S u S^-1, which lie in W_0 with u.
 Length is the closed Iwahori-Matsumoto count.  Reduced words are taken
 greedily with respect to the base alcove, the one in the dominant chamber
 with a vertex at the origin (is_left_descent).  reduced_word and
-bruhat_leq walk in wall-pairing coordinates (_step): a step costs
-O(#walls + rank), a descent test is one subtraction, and no element is
-built until the end of the walk.  The Bruhat order walks v along the
-cached greedy reduced word of w with the lifting property, so it keeps
-no memo of its own.  The length-zero subgroup keeps track of the
-fundamental group.  `affweyl.clear_caches()` drops the contexts with
-their entries.
+bruhat_leq share one walk (_walk): a descent test is one subtraction, a
+step O(#walls), and the translation is settled at the end.  The Bruhat
+order walks v along the cached greedy reduced word of w with the lifting
+property, so it keeps no memo of its own.  The length-zero subgroup keeps
+track of the fundamental group.  `affweyl.clear_caches()` drops the
+contexts with their entries.
 
 >>> from affweyl.root_datum import build_root_datum
 >>> rd = build_root_datum({"preset": "GL", "n": 2})
@@ -52,7 +51,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce, wraps
-from operator import mul as _times
+from operator import add, mul as _times, sub
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
@@ -225,16 +224,23 @@ def _memo_on_mu(fn):
 def mul(a: AffineWeylElement, b: AffineWeylElement) -> AffineWeylElement:
     """(t_lambda u)(t_mu v) = t_(lambda + u mu) uv, with uv read from the table.
 
-    Nothing is applied when mu = 0 (a finite right factor such as s_i);
-    otherwise the matrix is.
+    Nothing is applied when mu = 0 (a finite right factor such as s_i).
+    For an entry u and a positive coroot mu = b_k^vee of its datum (s_0,
+    s_(b,1)), u mu = +-b_j^vee where u's permutation holds k (+) or ~k (-);
+    any other mu meets the matrix.
     """
     lam, mu = a.translation, b.translation
     if len(lam) != len(mu):
         raise AffineWeylError("rank mismatch in multiplication")
-    uv = _product(a._u, b._u)
-    if not any(mu):
-        return _element(lam, uv)
-    return _element(tuple([x + sum(map(_times, row, mu)) for x, row in zip(lam, a._u.matrix)]), uv)
+    u, ctx = a._u, a._u.ctx
+    if any(mu):
+        k = ctx and ctx.coroot_index.get(mu)
+        if k is None:
+            lam = tuple([x + sum(map(_times, row, mu)) for x, row in zip(lam, u.matrix)])
+        else:
+            m = k if k in u.perm else ~k
+            lam = tuple(map(add if m >= 0 else sub, lam, ctx.rd.positive_coroots[u.perm.index(m)]))
+    return _element(lam, _product(u, b._u))
 
 
 def inv(a: AffineWeylElement) -> AffineWeylElement:
@@ -281,28 +287,26 @@ class _Context:
     the sum of the positive coroots (2 rho^vee); a root lies in the
     component that holds every simple coroot it pairs non-trivially with.
     row[j] = <a^vee, r_j> for the root r_j of the j-th wall, read from the
-    coroot and the roots (on GSp the matrix is not symmetric): _step moves
+    coroot and the roots (on GSp the matrix is not symmetric): _walk moves
     the pairings of lambda with the wall roots by it.
 
     perm(u) is the signed permutation of rd.positive_roots by an entry u:
     perm[j] is m, or ~m for a negative root, where u^-1(b_j) = +-b_m, so
     u^-1(b_j) < 0 exactly when perm[j] < 0.  The permutation of uv is
-    compose(perm(u), perm(v)).  On W_0 it determines u, so entries holds
-    the entries this context made (entry), keyed by their permutation:
-    one, the reflections, products of two of them (product) and
-    sigma-conjugates of one (conjugate).  perm reads that of any other
-    finite part off its matrix, which may lie outside W_0: GL2's flip
-    permutes the positive roots like the identity.  negated[x] = ~x for
-    -#roots <= x < #roots, one int object per value for all permutations
-    composed here.  reflections holds the entry of s_b,
-    x -> x - <x, b> b^vee, for each positive root b in the order of
-    rd.positive_roots; the gens reuse those of the wall roots.  A
-    reflection s_(b,k) = t_(k b^vee) s_b in an affine hyperplane
-    <x, b> = k has finite part s_b, so the finite part of s_(b,k) w is one
-    product-table lookup from w's.
+    compose(perm(u), perm(v)).  On W_0 it determines u, so it keys the
+    entries this context made (entry): one, the reflections, products of
+    two (product) and sigma-conjugates (conjugate).  perm reads that of
+    any other finite part off its matrix, which may lie outside W_0: GL2's
+    flip permutes the positive roots like the identity.  negated[x] = ~x
+    for -#roots <= x < #roots, one int object per value for all
+    permutations composed here.  reflections holds the entry of s_b for
+    each positive root b, in the order of rd.positive_roots; the gens
+    reuse those of the wall roots.  A reflection s_(b,k) = t_(k b^vee) s_b
+    in an affine hyperplane <x, b> = k has finite part s_b, so the finite
+    part of s_(b,k) w is one product-table lookup from w's.
     """
 
-    __slots__ = ("rd", "walls", "gens", "one", "reflections", "entries", "sigmas", "negated", "__weakref__")
+    __slots__ = ("rd", "walls", "gens", "one", "reflections", "entries", "sigmas", "negated", "coroot_index", "__weakref__")
 
     def __init__(self, rd: RootDatum):
         roots, coroots, index = rd.positive_roots, rd.positive_coroots, rd._root_index
@@ -317,11 +321,12 @@ class _Context:
         n_affine = len(ks)
         ks += [index[root] for root in rd.simple_roots]
         self.rd = rd
+        n = len(roots)
+        self.coroot_index = dict(zip(coroots, range(n)))
         self.walls = tuple(
             _Wall(roots[k], coroots[k], k, j < n_affine, tuple(pairing(coroots[k], roots[m]) for m in ks))
             for j, k in enumerate(ks)
         )
-        n = len(roots)
         self.negated = tuple(~k for k in range(n)) + tuple(range(n - 1, -1, -1))
         self.entries: dict[tuple[int, ...], _Finite] = {}
         self.sigmas: dict[SigmaAction, Optional[tuple]] = {}
@@ -415,12 +420,10 @@ def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
 
     That holds exactly when the wall of s separates the base alcove A from
     w(A).  For w = t_lambda u and a positive root a, w(A) lies in the strip
-    d < <x, a> < d + 1 with d = <lambda, a> - 1 if u^-1(a) < 0 and
-    d = <lambda, a> otherwise.  So a finite s_i is a descent iff
-    <lambda, a_i> < 0, or = 0 with u^-1(a_i) < 0; the affine s_0 of a
-    component with highest root theta is one iff <lambda, theta> > 1, or
-    = 1 with u^-1(theta) > 0: the left bit of _descents, one pairing and
-    one sign.  An index outside the generators raises AffineWeylError.
+    d < <x, a> < d + 1, d = <lambda, a> - [u^-1(a) < 0].  So s is a
+    descent iff d < 0 at a finite wall <x, a_i> = 0, and iff d > 0 at the
+    affine wall <x, theta> = 1 of a component (_descents, _walk).  An
+    index outside the generators raises AffineWeylError.
 
     >>> from affweyl.root_datum import build_root_datum
     >>> rd = build_root_datum({"preset": "GL", "n": 2})
@@ -431,60 +434,75 @@ def is_left_descent(rd: RootDatum, w: AffineWeylElement, i: int) -> bool:
     True
     """
     i = _checked_index(i, len(_context(rd).walls))
-    left, _ = _descents(rd, w, (i,))
-    return left != 0
-
-
-def _descends(wall: _Wall, p: int, m: int) -> bool:
-    """is_left_descent at wall for t_lambda u, given p = <lambda, root> and m = perm[wall.k] (signed)."""
-    d = p - (m < 0)
-    return d > 0 if wall.affine else d < 0
+    return _descents(rd, w, (i,))[0] != 0
 
 
 def _descents(rd: RootDatum, w: AffineWeylElement, indices: Optional[Iterable[int]] = None) -> tuple[int, int]:
     """Masks (left, right): bit i set when l(s_i w) < l(w), resp. l(w s_i) < l(w).
 
-    For i in indices, all walls when None.  Left is _descends at the wall;
-    right reads s = s_a as a left descent of w^-1, pairing with a as
+    For i in indices, all walls when None.  Left is _walk's test at the
+    wall; right reads s = s_a as a left descent of w^-1, pairing with a as
     -<lambda, u(a)>: u(a) = +-b_j where u's permutation holds k (+) or ~k (-).
     """
     ctx = _context(rd)
     lam, perm = w.translation, ctx.perm(w._u)
     left = right = 0
     for i in range(len(ctx.walls)) if indices is None else indices:
-        wall = ctx.walls[i]
-        if _descends(wall, sum(map(_times, lam, wall.root)), perm[wall.k]):
+        root, _, k, affine, _ = ctx.walls[i]
+        d = sum(map(_times, lam, root)) - (perm[k] < 0)
+        if d > 0 if affine else d < 0:
             left |= 1 << i
-        m = wall.k if wall.k in perm else ~wall.k
+        m = k if k in perm else ~k
         p = sum(map(_times, lam, rd.positive_roots[perm.index(m)]))
-        if _descends(wall, p if m < 0 else -p, m):
+        d = p - 1 if m < 0 else -p
+        if d > 0 if affine else d < 0:
             right |= 1 << i
     return left, right
 
 
-def _start(ctx: _Context, w: AffineWeylElement) -> tuple:
-    """w = t_lambda u as (lambda, its pairings with the wall roots, u, ctx.perm(u))."""
-    lam, u = w.translation, w._u
-    return lam, [sum(map(_times, lam, wall.root)) for wall in ctx.walls], u, ctx.perm(u)
+def _walk(ctx: _Context, w: AffineWeylElement, word: Iterable, steps: int, slack: int) -> Optional[tuple]:
+    """The left-descent walk of w under reduced_word and bruhat_leq.
 
-
-def _step(ctx: _Context, i: int, lam: Vec, pairs: list, u: _Finite, perm: tuple) -> tuple:
-    """s w in wall-pairing coordinates (see _start), s the i-th affine simple reflection.
-
-    s = t_(e a^vee) s_a with e = 1 for an affine wall and 0 otherwise, so
-    s w = t_(lambda + c a^vee) s_a u with c = e - <lambda, a>: the pairings
-    with the wall roots move by c times the wall's row, s_a u is read from
-    the product table, and its permutation is its own, else composed.
-    O(#walls + rank); no element is built.
+    At each place of word (wall indices), until it has taken `steps`
+    steps, it steps through the first wall whose s is a left descent of
+    what is left, t_lambda u (is_left_descent); a place with no step
+    spends one of slack, and past it gives None.  s = t_(e a^vee) s_a
+    (e = 1 if affine, else 0) gives t_(lambda + c a^vee) s_a u with
+    c = e - <lambda, a>: the wall-root pairings move by c times the wall's
+    row and c joins the wall's sum.  Returns (the walls stepped,
+    lambda + sum of c_i a_i^vee, u, its perm).
     """
-    wall = ctx.walls[i]
-    c = wall.affine - pairs[i]
-    if c:
-        lam = [x + c * y for x, y in zip(lam, wall.coroot)]
-        pairs = [p + c * r for p, r in zip(pairs, wall.row)]
-    s = ctx.gens[i]._u
-    su = _product(s, u)
-    return lam, pairs, su, su.perm if su.ctx is ctx else ctx.compose(s.perm, perm)
+    walls = ctx.walls
+    lam, u = w.translation, w._u
+    perm = ctx.perm(u)
+    pairs = [sum(map(_times, lam, wall.root)) for wall in walls]
+    sums = [0] * len(walls)
+    taken = []
+    for place in word:
+        if len(taken) == steps:
+            break
+        for i in place:
+            _, _, k, affine, row = walls[i]
+            p = pairs[i]
+            d = p - (perm[k] < 0)
+            if d > 0 if affine else d < 0:
+                c = affine - p
+                if c:
+                    sums[i] += c
+                    pairs = [x + c * y for x, y in zip(pairs, row)]
+                s = ctx.reflections[k]
+                u = _product(s, u)
+                perm = u.perm if u.ctx is ctx else ctx.compose(s.perm, perm)
+                taken.append(i)
+                break
+        else:
+            slack -= 1
+            if slack < 0:
+                return None
+    for c, wall in zip(sums, walls):
+        if c:
+            lam = [x + c * y for x, y in zip(lam, wall.coroot)]
+    return taken, tuple(lam), u, perm
 
 
 @lru_cache(maxsize=None)
@@ -508,26 +526,17 @@ def reduced_word(rd: RootDatum, w: AffineWeylElement) -> tuple[tuple[int, ...], 
     Returns (letters, omega) with w equal to the product of the listed
     generators times omega, len(letters) == length(w) and length(omega) == 0.
     Each of the length(w) steps strips the first generator that is a left
-    descent of what is left; the remainder is checked to have length zero,
-    which a wrongly claimed descent would break.  What is left is carried
-    in wall-pairing coordinates (_step), so each descent test is one
-    subtraction per wall and only omega is built as an element.
+    descent of what is left (_walk, every wall listed at each place, no
+    slack); a walk that finds no descent, or an omega of positive length,
+    is refused: either means a wrongly claimed descent.
     """
     ctx = _context(rd)
-    letters: list[int] = []
-    lam, pairs, u, perm = _start(ctx, w)
-    for _ in range(length(rd, w)):
-        for i, wall in enumerate(ctx.walls):
-            if _descends(wall, pairs[i], perm[wall.k]):
-                break
-        else:
-            raise AffineWeylError("no descent found; descent test and length disagree")
-        letters.append(i)
-        lam, pairs, u, perm = _step(ctx, i, lam, pairs, u, perm)
-    omega = _element(tuple(lam), u)
-    if length(rd, omega) != 0:
-        raise AffineWeylError("greedy descent left a remainder of positive length")
-    return tuple(letters), omega
+    lw = length(rd, w)
+    walk = _walk(ctx, w, [range(len(ctx.walls))] * lw, lw, 0)
+    omega = walk and _element(walk[1], walk[2])
+    if omega is None or length(rd, omega) != 0:
+        raise AffineWeylError("greedy descent did not end at length zero; descent test and length disagree")
+    return tuple(walk[0]), omega
 
 
 def omega_part(rd: RootDatum, w: AffineWeylElement) -> AffineWeylElement:
@@ -551,26 +560,17 @@ def bruhat_leq(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> boo
     A v at least as long as w lies below it only if v = w.  Otherwise v
     walks the greedy reduced word of w with the lifting property: for a
     left descent s of w, v <= w iff sv <= sw when s is a descent of v and
-    iff v <= sw otherwise.  At the end of the word sw is the Omega part of
-    w, which v lies below only if equal to it, so the translation and
-    matrix reached are compared with it (v's steps lie in W_a, so this also
-    rejects a v of another Omega coset); v is refused once it is longer
-    than what is left of w.  v steps in wall-pairing coordinates (_step).
+    iff v <= sw otherwise.  At the end, sw is the Omega part of w, which v
+    lies below only if equal to it (v's steps lie in W_a, so this also
+    rejects a v of another Omega coset).  _walk spends slack l(w) - l(v)
+    where v does not step, and stops once v reaches Omega.
     """
     letters, omega = reduced_word(rd, w)
-    lv, lw = length(rd, v), len(letters)
-    if lv >= lw:
+    lv = length(rd, v)
+    if lv >= len(letters):
         return v == w
-    ctx = _context(rd)
-    lam, pairs, u, perm = _start(ctx, v)
-    for i in letters:
-        if _descends(ctx.walls[i], pairs[i], perm[ctx.walls[i].k]):
-            lam, pairs, u, perm = _step(ctx, i, lam, pairs, u, perm)
-            lv -= 1
-        lw -= 1
-        if lv > lw:
-            return False
-    return tuple(lam) == omega.translation and u.matrix == omega.finite
+    walk = _walk(_context(rd), v, zip(letters), lv, len(letters) - lv)
+    return walk is not None and walk[1] == omega.translation and walk[2].matrix == omega.finite
 
 
 def bruhat_leq_subword_oracle(rd: RootDatum, v: AffineWeylElement, w: AffineWeylElement) -> bool:

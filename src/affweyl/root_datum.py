@@ -13,9 +13,10 @@ Cartan matrix is of finite type exactly when its Weyl group, hence its
 reflection closure, is finite (Kac, Infinite-dimensional Lie algebras,
 ch. 4); see _reflection_closure and _fundamental_forms.
 
-Data are canonical: _build and sub_datum finish in _assemble, which returns
-the one instance per seven fields from a weak table, so equal data are one
-object, equality and hashing are identity; clear_caches() leaves the table.
+Data are canonical: _build, sub_datum and straight_newton.levi_datum
+finish in _assemble, which returns the one instance per seven fields from
+a weak table, so equal data are one object, equality and hashing are
+identity; clear_caches() leaves the table.
 _canonical is the only constructor: RootDatum(...) called directly raises.
 
 Presets cover GL(n), SL(n), PGL(n) and GSp(2g); arbitrary finite-type data
@@ -78,8 +79,9 @@ def _pairings(lam: Coords, roots: Sequence[Vec], rd: RootDatum) -> list:
 class RootDatum:
     """Compared and hashed by identity: one canonical instance per datum, also after pickling.
 
-    Built only by build_root_datum and sub_datum (through _canonical); a
-    direct call, or dataclasses.replace, raises RootDatumError.
+    Built only by build_root_datum, sub_datum and straight_newton.levi_datum
+    (through _canonical); a direct call, or dataclasses.replace, raises
+    RootDatumError.
     """
 
     rank: int
@@ -92,7 +94,7 @@ class RootDatum:
 
     def __post_init__(self):
         if not getattr(_MINTING, "on", False):
-            raise RootDatumError("a RootDatum is built by build_root_datum or sub_datum, not directly")
+            raise RootDatumError("a RootDatum is built by build_root_datum, sub_datum or levi_datum, not directly")
 
     def __reduce__(self):
         return _canonical, tuple(getattr(self, f.name) for f in dataclasses.fields(self))

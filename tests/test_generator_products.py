@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +20,7 @@ from affweyl.affine_weyl import (
     _Context,
     _context,
     _descents,
-    _start,
-    _step,
+    _walk,
     finite_reflection,
     identity_element,
     iwahori_generators,
@@ -131,16 +131,25 @@ def test_wall_permutation_is_the_signed_action_of_its_reflection(rd):
 @pytest.mark.parametrize("rd", DATA, ids=_id)
 def test_signs_read_through_a_wall_equal_the_vec_mat_signs(rd):
     # fresh entries and a fresh context, so every permutation is derived here:
-    # u's by vec_mat, s u's by one step through each wall
+    # x's by vec_mat, s x's by one step of the walk through each wall, taken
+    # from whichever of u and s u has s as a left descent
+    gens = iwahori_generators(rd)
     for u in _finite_group(rd):
-        for i in range(len(iwahori_generators(rd))):
+        for i, s in enumerate(gens):
             ctx = _Context(rd)
-            fresh = affine_weyl._Finite(u.finite)
-            perm = ctx.perm(fresh)
-            assert perm == _vec_mat_perm(rd, u.finite)
-            _, _, su, su_perm = _step(ctx, i, u.translation, [0] * len(ctx.walls), fresh, perm)
-            assert su.matrix == mat_mul(ctx.gens[i].finite, u.finite)
-            assert su_perm == ctx.perm(su) == _vec_mat_perm(rd, su.matrix)
+            steps = []
+            for x in (u, mul(s, u)):
+                fresh = AffineWeylElement(x.translation, x.finite)
+                perm = ctx.perm(fresh._u)
+                assert perm == _vec_mat_perm(rd, x.finite)
+                taken, lam, su, su_perm = _walk(ctx, fresh, [(i,)], 1, 1)
+                if taken:
+                    steps.append(x)
+                    assert taken == [i] and (lam, su.matrix) == (mul(s, x).translation, mat_mul(s.finite, x.finite))
+                    assert su_perm == ctx.perm(su) == _vec_mat_perm(rd, su.matrix)
+                else:
+                    assert (lam, su, su_perm) == (x.translation, fresh._u, perm)
+            assert len(steps) == 1
 
 
 @_PROPERTY
@@ -149,18 +158,124 @@ def test_signs_along_reduced_words_equal_the_vec_mat_signs(case):
     rd, w = case
     letters, omega = reduced_word(rd, w)
     gens = iwahori_generators(rd)
-    # a fresh context made none of w's entries, so each step multiplies
+    # in a fresh context, which made none of w's entries, each step multiplies
     # matrices, its product belongs to no context and its permutation composes
-    ctx = _Context(rd)
-    lam, pairs, u, perm = _start(ctx, w)
-    cur = w
-    for i in letters:
-        lam, pairs, u, perm = _step(ctx, i, lam, pairs, u, perm)
-        cur = mul(gens[i], cur)
-        assert (tuple(lam), u.matrix) == (cur.translation, cur.finite)
-        assert u.ctx is None and cur._u.ctx is _context(rd)
-        assert perm == _vec_mat_perm(rd, cur.finite)
-    assert cur == omega
+    for ctx in (_context(rd), _Context(rd)):
+        owner = ctx if ctx is _context(rd) else None
+        cur = w
+        for n, i in enumerate(letters, 1):
+            taken, lam, u, perm = _walk(ctx, w, zip(letters[:n]), n, 0)
+            cur = mul(gens[i], cur)
+            assert taken == list(letters[:n])
+            assert (lam, u.matrix) == (cur.translation, cur.finite)
+            assert u.ctx is owner and cur._u.ctx is _context(rd)
+            assert perm == _vec_mat_perm(rd, cur.finite)
+        assert cur == omega
+        taken, lam, u, _ = _walk(ctx, w, [range(len(gens))] * len(letters), len(letters), 0)
+        assert (tuple(taken), lam, u.matrix) == (letters, omega.translation, omega.finite)
+
+
+# ---------------------------------------------------------------------------
+# a right factor translated by a positive coroot: u(b^vee) read off u's permutation
+
+
+COROOT_DATA = [DATA[k] for k in (1, 2, 3, 5, 6, 7)] + [B2, G2, A1_X_C2]
+
+
+def _negated(v):
+    return tuple(-x for x in v)
+
+
+@pytest.mark.parametrize("rd", COROOT_DATA, ids=_id)
+def test_a_positive_coroot_right_factor_is_the_dense_product(rd):
+    # every entry u and every positive coroot b^vee, with v = 1, s_b (so b = s_(b,1)) and a random v
+    rng = random.Random(35)
+    ctx = _context(rd)
+    finite = _finite_group(rd)
+    for u in finite:
+        a = mul(translation_element([rng.randint(-3, 3) for _ in range(rd.rank)], rd), u)
+        assert a._u.ctx is ctx
+        for k, coroot in enumerate(rd.positive_coroots):
+            assert ctx.coroot_index[coroot] == k
+            t = translation_element(coroot, rd)
+            s_b = next(x for x in finite if x._u is ctx.reflections[k])
+            for v in (identity_element(rd), s_b, rng.choice(finite)):
+                b = mul(t, v)
+                assert b.translation == coroot
+                assert mul(a, b) == _dense(a, b)
+
+
+@_PROPERTY
+@given(_elements(COROOT_DATA), st.data())
+def test_other_translations_keep_the_matrix_route_and_agree(case, data):
+    # negative coroots, multiples and sums of coroots and arbitrary vectors are
+    # no key of the coroot index, so mul applies u's matrix to them
+    rd, a = case
+    ctx = _context(rd)
+    coroots = rd.positive_coroots
+    k = data.draw(st.integers(0, len(coroots) - 1))
+    others = [_negated(coroots[k]), tuple(2 * x for x in coroots[k]),
+              tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rd.rank, max_size=rd.rank)))]
+    if len(coroots) > 1:
+        others.append(tuple(x + y for x, y in zip(coroots[k], coroots[k - 1])))
+    for mu in others:
+        b = mul(translation_element(mu, rd), finite_reflection(rd, 0))
+        assert (mu in ctx.coroot_index) == (mu in coroots)
+        assert mul(a, b) == _dense(a, b)
+
+
+@pytest.mark.parametrize("rd", [DATA[6], B2, G2], ids=_id)
+def test_coroot_products_of_held_and_hand_built_elements(rd):
+    # after clear_caches() a held element is a plain matrix, and so is one built
+    # by hand: both take the matrix route, which gives the same products
+    rng = random.Random(36)
+    gens = iwahori_generators(rd)
+    held = []
+    for _ in range(20):
+        w = translation_element([rng.randint(-2, 2) for _ in range(rd.rank)], rd)
+        for _ in range(6):
+            w = mul(w, gens[rng.randrange(len(gens))])
+        held.append(w)
+    right = [translation_element(c, rd) for c in rd.positive_coroots] + list(gens)
+    expected = [[_dense(a, b) for b in right] for a in held]
+    assert [[mul(a, b) for b in right] for a in held] == expected
+    affweyl.clear_caches()
+    assert all(a._u.ctx is None for a in held)
+    assert [[mul(a, b) for b in right] for a in held] == expected
+    by_hand = [AffineWeylElement(a.translation, a.finite) for a in held]
+    right = [translation_element(c, rd) for c in rd.positive_coroots] + list(iwahori_generators(rd))
+    assert [[mul(a, b) for b in right] for a in by_hand] == expected
+
+
+def _coroot_problems(rd):
+    """The pairs (u, b^vee) with mul(t_lambda u, t_(b^vee)) other than the dense product."""
+    rng = random.Random(37)
+    problems = []
+    for u in _finite_group(rd):
+        a = mul(translation_element([rng.randint(-2, 2) for _ in range(rd.rank)], rd), u)
+        for coroot in rd.positive_coroots:
+            b = translation_element(coroot, rd)
+            if mul(a, b) != _dense(a, b):
+                problems.append((u.finite, coroot))
+    return problems
+
+
+COROOT_MUTANTS = {
+    "roots-for-coroots": lambda rd: rd.positive_roots,
+    "flipped-sign": lambda rd: tuple(map(_negated, rd.positive_coroots)),
+}
+
+
+@pytest.mark.parametrize("mutant", COROOT_MUTANTS.values(), ids=COROOT_MUTANTS.keys())
+@pytest.mark.parametrize("rd", [DATA[6], B2, G2], ids=_id)
+def test_negative_control_a_wrong_coroot_read_is_caught(monkeypatch, rd, mutant):
+    # mul reads u(b^vee) off ctx.rd.positive_coroots; a context whose datum
+    # lists the roots there (which differ from the coroots off the simply
+    # laced types) or the negated coroots must give wrong products
+    assert _coroot_problems(rd) == []
+    ctx = _context(rd)
+    monkeypatch.setattr(ctx, "rd", SimpleNamespace(positive_coroots=mutant(rd)))
+    assert _coroot_problems(rd)
 
 
 RIGHT_DESCENT_DATA = [

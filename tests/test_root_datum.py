@@ -376,7 +376,8 @@ def test_a_datum_pickled_under_another_hash_seed_unpickles_as_the_canonical_one(
 def test_a_datum_is_built_only_through_the_canonical_table(monkeypatch):
     gl2 = rd("GL", 2)
     fields = [getattr(gl2, f.name) for f in dataclasses.fields(gl2)]
-    with pytest.raises(RootDatumError, match="not directly"):
+    # the refusal names each route that builds a datum, levi_datum included
+    with pytest.raises(RootDatumError, match="build_root_datum, sub_datum or levi_datum, not directly"):
         RootDatum(*fields)
     with pytest.raises(RootDatumError, match="not directly"):
         dataclasses.replace(gl2, type_label="other")

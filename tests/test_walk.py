@@ -113,6 +113,57 @@ def test_transposed_rows_are_caught_on_gsp(monkeypatch, rd):
     assert sum(not _walk_agrees(rd, w) for w in samples) > len(samples) // 2
 
 
+@settings(max_examples=200)
+@given(_pairs())
+def test_a_walk_that_stops_after_its_steps_ends_where_the_whole_word_does(case):
+    # bruhat_leq stops v once it has taken l(v) steps: what is left has length
+    # zero, so no later letter steps and the settled element is the same
+    rd, v, w = case
+    letters, _ = reduced_word(rd, w)
+    lv = length(rd, v)
+    if lv >= len(letters):
+        return
+    ctx, slack = _context(rd), len(letters) - lv
+    stopped = affine_weyl._walk(ctx, v, zip(letters), lv, slack)
+    whole = affine_weyl._walk(ctx, v, zip(letters), len(letters), slack)
+    # the elements held in BALLS are plain matrices after a clear_caches(), so u is compared by its matrix
+    assert (stopped is None) == (whole is None)
+    if stopped is not None:
+        taken, lam, u, perm = stopped
+        assert (taken, lam, u.matrix, perm) == (whole[0], whole[1], whole[2].matrix, whole[3])
+        assert len(taken) == lv
+
+
+def _resettled(rd, coroot):
+    """_context(rd) with wall j's coroot replaced by coroot(walls, j): where the walk settles its sums."""
+    mutant = copy.copy(_context(rd))
+    mutant.walls = tuple(wall._replace(coroot=coroot(mutant.walls, j)) for j, wall in enumerate(mutant.walls))
+    return mutant
+
+
+SETTLING_MUTANTS = {
+    "next-walls-coroot": lambda walls, j: walls[(j + 1) % len(walls)].coroot,
+    "affine-sums-dropped": lambda walls, j: (0,) * len(walls[j].coroot) if walls[j].affine else walls[j].coroot,
+}
+
+
+@pytest.mark.parametrize("mutant", SETTLING_MUTANTS.values(), ids=SETTLING_MUTANTS.keys())
+@pytest.mark.parametrize("rd", [DATA[0], DATA[3]], ids=_id)
+def test_sums_settled_on_the_wrong_coroots_are_caught(monkeypatch, rd, mutant):
+    # negative control; the pairings move by the rows, not the coroots, so only
+    # the settled translation is wrong, which the element route sees also on
+    # GL4, where no pairing with a root sees the centre
+    rng = random.Random(7)
+    ball = BALLS[rd]
+    samples = [mul(rng.choice(ball), omega_rep(rd, [rng.randint(-2, 2) for _ in range(rd.rank)]))
+               for _ in range(100)]
+    assert all(_walk_agrees(rd, w) for w in samples)
+    resettled = _resettled(rd, mutant)
+    monkeypatch.setattr(affine_weyl, "_context", lambda datum: resettled)
+    # a walk whose affine sums cancel settles right without them: 34 of the GL4 samples are caught
+    assert sum(not _walk_agrees(rd, w) for w in samples) > len(samples) // 4
+
+
 @pytest.mark.parametrize("rd", DATA, ids=_id)
 def test_cold_walks_call_no_mul(rd):
     # the walks build an element only at the end; a mul per step would show here first
